@@ -13,6 +13,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -310,16 +311,7 @@ def cmd_optimize(args) -> int:
     config_path = args.config or os.environ.get(CONFIG_ENV)
     config = OptimizationConfig.load(config_path) if config_path else OptimizationConfig()
     if args.lam is not None:
-        config = OptimizationConfig(
-            tf_min=config.tf_min,
-            sched_max=config.sched_max,
-            f_min=config.f_min,
-            lam=args.lam,
-            weights=config.weights,
-            tf_values=config.tf_values,
-            tf_default=config.tf_default,
-            times=config.times,
-        )
+        config = dataclasses.replace(config, lam=args.lam)
     machine = _machine(args)
 
     search = SliceSearch(graph, max_slices=args.max_slices, time_budget=args.time_budget)

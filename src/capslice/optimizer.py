@@ -64,7 +64,7 @@ def _int_costs(
     members: Sequence[str], coupling: Mapping[tuple[str, str], Fraction]
 ) -> tuple[dict[tuple[str, str], int], int]:
     # Rescale pair couplings to integers over a common denominator so the
-    # permutation search adds machine ints instead of Fractions.
+    # order search adds machine ints instead of Fractions.
     pairs = [(p, q) for p in members for q in members if p != q]
     if not pairs:
         return {}, 1
@@ -75,35 +75,38 @@ def _int_costs(
 def _exhaustive_order(
     members: Sequence[str], cost: Mapping[tuple[str, str], int]
 ) -> tuple[tuple[str, ...], int]:
+    # Appending c after the placed set S costs sum(cost[p, c] for p in S),
+    # whatever order S was built in, so a dynamic program over subsets
+    # (Held-Karp) is exact in O(2^k * k).  Bit i of a mask is members[i].
     members = sorted(members)
-    best_order: list[str] | None = None
-    best_cost: int | None = None
+    k = len(members)
+    full = (1 << k) - 1
+    weight = [[cost[(p, c)] if p != c else 0 for c in members] for p in members]
+    # into[S][c]: coupling from the members of S onto c, extended from S
+    # without its lowest member
+    into = [[0] * k]
+    for s in range(1, full + 1):
+        low = s & -s
+        into.append([a + b for a, b in zip(into[s ^ low], weight[low.bit_length() - 1])])
+    # rest[S]: least cost of placing everyone outside S after S
+    rest = [0] * (full + 1)
+    for s in range(full - 1, -1, -1):
+        row = into[s]
+        rest[s] = min(row[c] + rest[s | 1 << c] for c in range(k) if not s >> c & 1)
+    # rebuild forward taking the smallest minimizing member each step: the
+    # lexicographically first optimal order
     order: list[str] = []
-    used: set[str] = set()
-
-    def walk(prefix_cost: int) -> None:
-        nonlocal best_order, best_cost
-        # costs are nonnegative, so a prefix at or past the best is dead;
-        # ">=" also discards later ties, keeping the first (lex) minimizer
-        if best_cost is not None and prefix_cost >= best_cost:
-            return
-        if len(order) == len(members):
-            best_order = list(order)
-            best_cost = prefix_cost
-            return
-        for c in members:
-            if c in used:
-                continue
-            added = sum(cost[(p, c)] for p in order)
-            used.add(c)
-            order.append(c)
-            walk(prefix_cost + added)
-            order.pop()
-            used.discard(c)
-
-    walk(0)
-    assert best_order is not None
-    return tuple(best_order), best_cost or 0
+    s = 0
+    while s != full:
+        row = into[s]
+        c = next(
+            c
+            for c in range(k)
+            if not s >> c & 1 and row[c] + rest[s | 1 << c] == rest[s]
+        )
+        order.append(members[c])
+        s |= 1 << c
+    return tuple(order), rest[0]
 
 
 def _greedy_order(
@@ -129,8 +132,10 @@ def schedule_slice(graph, slc: Slice, times=None, coupling=None) -> ScheduleMode
     """Sequential build schedule for a slice.
 
     Build time per member defaults to its size; the build order minimizes
-    the summed coupling from earlier members onto later ones, exactly for up
-    to EXHAUSTIVE_LIMIT members and greedily beyond that.
+    the summed coupling from earlier members onto later ones.  Up to
+    EXHAUSTIVE_LIMIT members it is exact, a dynamic program over subsets in
+    O(2^k * k) that returns the lexicographically first optimal order;
+    beyond that it is greedy.
     """
     per: dict[str, Fraction] = {}
     for m in slc.members:
@@ -222,8 +227,11 @@ class OptimizationConfig:
 
     @classmethod
     def load(cls, path: str) -> "OptimizationConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
         try:
             doc = json.loads(text, parse_float=to_fraction)
         except json.JSONDecodeError as exc:

@@ -182,7 +182,7 @@ class SliceSearch:
             )
         if max_slices is not None and max_slices < 1:
             raise ValueError("max_slices must be positive")
-        if time_budget is not None and time_budget <= 0:
+        if time_budget is not None and not time_budget > 0:  # rejects NaN as well
             raise ValueError("time_budget must be positive")
         self.graph = graph
         self.max_slices = max_slices

@@ -258,6 +258,9 @@ def test_slices_bad_flags(capsys):
     assert rc == EXIT_USAGE and "max_slices" in err
     rc, _, _ = run(capsys, "slices", FIG, "--lambda", "abc")
     assert rc == EXIT_USAGE
+    rc, out, err = run(capsys, "slices", FIG, "--time-budget", "nan")
+    assert rc == EXIT_USAGE and "time_budget" in err
+    assert out == ""
 
 
 # -- optimize ---------------------------------------------------------------------
@@ -362,6 +365,14 @@ def test_optimize_bad_config(tmp_path, capsys):
     rc, _, err = run(capsys, "optimize", FIG, str(cfg))
     assert rc == EXIT_USAGE
     assert "weights" in err
+
+
+def test_optimize_missing_config(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    rc, out, err = run(capsys, "optimize", FIG, str(missing))
+    assert rc == EXIT_USAGE
+    assert f"cannot read {missing}" in err
+    assert "Traceback" not in err and out == ""
 
 
 # -- simulate ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capslice.optimizer import (
+    EXHAUSTIVE_LIMIT,
     ConfigError,
     ManifestError,
     Normalizers,
@@ -127,6 +128,32 @@ def test_exhaustive_order_matches_oracle_random():
         assert sched.method == "exhaustive"
 
 
+def test_exhaustive_order_matches_oracle_at_limit():
+    # k = 7 and k = EXHAUSTIVE_LIMIT with many ties, which pins the
+    # lexicographically first tie-break; the oracle walks all k! orders
+    rng = random.Random(7788)
+    for k in (7, 7, 7, EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT):
+        members = [f"c{i}" for i in range(k)]
+        coupling = {
+            (p, q): Fraction(rng.randint(0, 2), 3)
+            for p in members
+            for q in members
+            if p != q
+        }
+        order, cost = schedule_bruteforce(members, coupling)
+        slc = Slice(tuple(members), {})
+        sched = schedule_slice(None, slc, times={m: 1 for m in members}, coupling=coupling)
+        assert sched.order == order
+        assert sched.order_cost == cost
+        assert sched.method == "exhaustive"
+
+
+def test_exhaustive_order_all_zero_is_sorted():
+    members = [f"c{i}" for i in range(EXHAUSTIVE_LIMIT)]
+    cost = {(p, q): 0 for p in members for q in members if p != q}
+    assert _exhaustive_order(list(reversed(members)), cost) == (tuple(members), 0)
+
+
 def test_greedy_kicks_in_beyond_limit():
     g = wide_graph(10)
     slc = enumerate_slices(g).slices[0]
@@ -142,7 +169,7 @@ def test_greedy_kicks_in_beyond_limit():
 def test_greedy_never_beats_exhaustive():
     rng = random.Random(9021)
     for _ in range(30):
-        k = rng.randint(3, 6)
+        k = rng.randint(3, EXHAUSTIVE_LIMIT)
         members = sorted(f"c{i}" for i in range(k))
         cost = {
             (p, q): rng.randint(0, 20) for p in members for q in members if p != q
@@ -340,6 +367,8 @@ def test_config_load_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         OptimizationConfig.load(str(arr))
+    with pytest.raises(ConfigError, match="cannot read"):
+        OptimizationConfig.load(str(tmp_path / "missing.json"))
 
 
 # -- manifest ------------------------------------------------------------------

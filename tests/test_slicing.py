@@ -213,6 +213,8 @@ def test_search_argument_validation(fig2):
         SliceSearch(fig2, max_slices=0)
     with pytest.raises(ValueError):
         SliceSearch(fig2, time_budget=0.0)
+    with pytest.raises(ValueError):
+        SliceSearch(fig2, time_budget=float("nan"))
 
 
 # -- objective ----------------------------------------------------------------
