@@ -32,6 +32,7 @@ from .graph import (
     ancestors,
     build_graph,
     descendants,
+    distances_from,
     export_dot,
     leaves_of,
     parse_graph,

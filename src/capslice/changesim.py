@@ -68,6 +68,8 @@ def parse_scenarios(text: str) -> list[ChangeScenario]:
         doc = json.loads(text, parse_float=to_fraction)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid scenario JSON: {exc.msg} (line {exc.lineno})") from exc
+    except RecursionError:
+        raise ScenarioParseError("invalid scenario JSON: nested too deeply") from None
     if not isinstance(doc, list):
         raise ScenarioParseError("scenario file must hold a JSON list")
     out: list[ChangeScenario] = []

@@ -324,7 +324,7 @@ def cmd_optimize(args) -> int:
             print("no valid slices to optimize")
         return EXIT_OK
 
-    metrics = score_slices(graph, slices, config.lam, jobs=args.jobs)
+    metrics = score_slices(graph, slices, config.lam)
     ranking = rank_slices(slices, metrics)
     initial = ranking.initial_entries
     result = optimize(
@@ -487,7 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output mode; default is text on a terminal, machine otherwise",
     )
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for scoring")
     common.add_argument(
         "--seed", type=int, default=None, help="reserved for randomized strategies; unused"
     )

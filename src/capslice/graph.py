@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .rational import fixed, to_fraction
 
@@ -106,10 +106,7 @@ def _expected_kind(outdeg_parent: int, indeg_child: int) -> EdgeKind:
 class FDGraph:
     """Immutable decomposition graph with cached structural queries.
 
-    Instances are built through build_graph / parse_graph.  After
-    construction nothing mutates the topology, so the lazy caches only ever
-    store values that any thread would compute identically; concurrent reads
-    are safe without locking.
+    Instances are built through build_graph / parse_graph.
     """
 
     def __init__(
@@ -139,6 +136,7 @@ class FDGraph:
         self._descendants: dict[str, frozenset[str]] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._dist: dict[str, dict[str, int]] = {}
+        self._cohesion: dict[str, Fraction] = {}  # filled by metrics.cohesion
 
     # -- basic accessors -------------------------------------------------
 
@@ -269,14 +267,12 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
     return cache[node_id]
 
 
-def undirected_distance(graph: FDGraph, u: str, v: str) -> int:
-    """Shortest hop count between two nodes ignoring edge direction.
+def distances_from(graph: FDGraph, u: str) -> Mapping[str, int]:
+    """Undirected hop count from u to every node of its component.
 
-    Intersection edges participate like any other edge.  Raises GraphError
-    when the nodes sit in disconnected components.
+    One breadth-first search per source, cached on the graph.
     """
     graph.node(u)
-    graph.node(v)
     cache = graph._dist
     if u not in cache:
         dist = {u: 0}
@@ -288,8 +284,19 @@ def undirected_distance(graph: FDGraph, u: str, v: str) -> int:
                     dist[y] = dist[x] + 1
                     queue.append(y)
         cache[u] = dist
+    return cache[u]
+
+
+def undirected_distance(graph: FDGraph, u: str, v: str) -> int:
+    """Shortest hop count between two nodes ignoring edge direction.
+
+    Intersection edges participate like any other edge.  Raises GraphError
+    when the nodes sit in disconnected components.
+    """
+    graph.node(u)
+    graph.node(v)
     try:
-        return cache[u][v]
+        return distances_from(graph, u)[v]
     except KeyError:
         raise GraphError(f"{u!r} and {v!r} are not connected") from None
 
@@ -546,6 +553,8 @@ def parse_graph(text: str) -> FDGraph:
         doc = json.loads(text, parse_float=to_fraction)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise GraphParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphParseError("top level must be a JSON object")
     for key in ("nodes", "edges"):

@@ -20,6 +20,7 @@ asymmetric.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -28,6 +29,7 @@ from .graph import (
     GraphError,
     NodeKind,
     descendants,
+    distances_from,
     leaves_of,
     undirected_distance,
 )
@@ -108,20 +110,23 @@ def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fra
 
 
 def cohesion(graph: FDGraph, node_id: str) -> Fraction:
-    """Cohesion of a mission or function node as an exact rational."""
+    """Cohesion of a mission or function node as an exact rational.
+
+    Values are memoised on the graph, so each node is evaluated at most once
+    per graph, and only when some caller asks for it or for an ancestor.
+    """
     node = graph.node(node_id)
     if node.kind is NodeKind.DIRECTIVE:
         raise CohesionUndefinedError(f"cohesion is undefined for directive {node_id!r}")
-    return _cohesion_eval(graph, node_id, {})
+    return _cohesion_eval(graph, node_id, graph._cohesion)
 
 
 def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
     """Cohesion of every mission and function node, one shared evaluation."""
-    memo: dict[str, Fraction] = {}
     out: dict[str, Fraction] = {}
     for nid in graph.node_ids:
         if graph.node(nid).kind is not NodeKind.DIRECTIVE:
-            out[nid] = _cohesion_eval(graph, nid, memo)
+            out[nid] = _cohesion_eval(graph, nid, graph._cohesion)
     return out
 
 
@@ -203,6 +208,21 @@ def owned_directives(membership: Mapping[str, str], member: str) -> tuple[str, .
     return tuple(sorted(d for d, o in membership.items() if o == member))
 
 
+def _owned_by(membership: Mapping[str, str]) -> dict[str, list[str]]:
+    # every owner's directives in id order, from one pass over the membership
+    owned: dict[str, list[str]] = {}
+    for d, o in sorted(membership.items()):
+        owned.setdefault(o, []).append(d)
+    return owned
+
+
+def _nonempty(owned: Mapping[str, list[str]], member: str) -> list[str]:
+    directives = owned.get(member)
+    if not directives:
+        raise ValueError(f"capability {member!r} resolves to an empty directive set")
+    return directives
+
+
 # -- coupling ----------------------------------------------------------------
 
 
@@ -226,34 +246,54 @@ def directive_coupling(
     return Fraction(1, len(owner)) / undirected_distance(graph, u, v)
 
 
+def _inverse_distance_sum(graph: FDGraph, d_p: list[str], d_q: list[str]) -> tuple[int, int]:
+    # S = sum of 1/dist(a, b) over a in d_p, b in d_q, symmetric in the two
+    # sets.  Distances are small integers, so count them and rescale by the
+    # lcm of the distances present: S = total / scale, exactly.
+    hist: dict[int, int] = {}
+    for a in d_p:
+        row = distances_from(graph, a)
+        for b in d_q:
+            # a pair outside row goes through undirected_distance to raise
+            k = row[b] if b in row else undirected_distance(graph, a, b)
+            hist[k] = hist.get(k, 0) + 1
+    scale = math.lcm(*hist)
+    return sum(n * (scale // k) for k, n in hist.items()), scale
+
+
 def capability_coupling(
     graph: FDGraph, p: str, q: str, membership: Mapping[str, str]
 ) -> Fraction:
-    """Mean coupling of capability p's directives onto capability q's."""
+    """Mean coupling of capability p's directives onto capability q's.
+
+    With D_p, D_q the resolved directive sets and S the sum of 1/dist over
+    D_p x D_q, this is S / (|D_p| * |D_q|^2).
+    """
     if p == q:
         raise ValueError("capability coupling is defined between distinct members")
-    d_p = owned_directives(membership, p)
-    d_q = owned_directives(membership, q)
-    if not d_p:
-        raise ValueError(f"capability {p!r} resolves to an empty directive set")
-    if not d_q:
-        raise ValueError(f"capability {q!r} resolves to an empty directive set")
-    pick = Fraction(1, len(d_q))
-    total = Fraction(0)
-    for di in d_p:
-        for dj in d_q:
-            total += pick / undirected_distance(graph, di, dj)
-    return total / (len(d_p) * len(d_q))
+    owned = _owned_by(membership)
+    d_p = _nonempty(owned, p)
+    d_q = _nonempty(owned, q)
+    total, scale = _inverse_distance_sum(graph, d_p, d_q)
+    return Fraction(total, scale * len(d_p) * len(d_q) ** 2)
 
 
 def coupling_matrix(
     graph: FDGraph, members: Iterable[str], membership: Mapping[str, str]
 ) -> dict[tuple[str, str], Fraction]:
-    """Capability coupling for every ordered pair of members."""
+    """Capability coupling for every ordered pair of members.
+
+    The distance sum S is shared by (p, q) and (q, p), so it is computed
+    once per unordered pair.  Keys come in sorted (p, q) order.
+    """
     members = sorted(set(members))
-    out: dict[tuple[str, str], Fraction] = {}
-    for p in members:
-        for q in members:
-            if p != q:
-                out[(p, q)] = capability_coupling(graph, p, q, membership)
-    return out
+    owned = _owned_by(membership)
+    half: dict[tuple[str, str], Fraction] = {}
+    for i, p in enumerate(members):
+        for q in members[i + 1 :]:
+            d_p = _nonempty(owned, p)
+            d_q = _nonempty(owned, q)
+            total, scale = _inverse_distance_sum(graph, d_p, d_q)
+            half[(p, q)] = Fraction(total, scale * len(d_p) * len(d_q) ** 2)
+            half[(q, p)] = Fraction(total, scale * len(d_q) * len(d_p) ** 2)
+    return {(p, q): half[(p, q)] for p in members for q in members if p != q}

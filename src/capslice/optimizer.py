@@ -193,6 +193,15 @@ class OptimizationConfig:
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        try:
+            return cls(**cls._fields_from(doc))
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @staticmethod
+    def _fields_from(doc: Mapping) -> dict:
         kwargs: dict = {}
         if "tf_min" in doc:
             kwargs["tf_min"] = to_fraction(doc["tf_min"])
@@ -214,16 +223,20 @@ class OptimizationConfig:
                 raise ConfigError("weights must not all be zero")
             kwargs["weights"] = tuple(x / total for x in triple)
         if "tf" in doc:
-            t = dict(doc["tf"])
+            if not isinstance(doc["tf"], Mapping):
+                raise ConfigError("tf must map function ids to values")
+            t = {k: to_fraction(v) for k, v in doc["tf"].items()}
+            for k, v in t.items():
+                if not 0 <= v <= 1:
+                    raise ConfigError(f"tf value {v} for {k!r} outside [0, 1]")
             if "default" in t:
-                kwargs["tf_default"] = to_fraction(t.pop("default"))
-            kwargs["tf_values"] = {k: to_fraction(v) for k, v in t.items()}
+                kwargs["tf_default"] = t.pop("default")
+            kwargs["tf_values"] = t
         if "times" in doc and doc["times"] is not None:
-            kwargs["times"] = {k: to_fraction(v) for k, v in dict(doc["times"]).items()}
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            if not isinstance(doc["times"], Mapping):
+                raise ConfigError("times must map function ids to values")
+            kwargs["times"] = {k: to_fraction(v) for k, v in doc["times"].items()}
+        return kwargs
 
     @classmethod
     def load(cls, path: str) -> "OptimizationConfig":
@@ -236,6 +249,8 @@ class OptimizationConfig:
             doc = json.loads(text, parse_float=to_fraction)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON: {exc.msg} (line {exc.lineno})") from exc
+        except RecursionError:
+            raise ConfigError("invalid config JSON: nested too deeply") from None
         if not isinstance(doc, Mapping):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)

@@ -7,8 +7,10 @@ bit.  Conversion to text happens only at the reporting edge.
 
 from __future__ import annotations
 
+import math
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from typing import Iterable
 
 
 def to_fraction(value) -> Fraction:
@@ -30,6 +32,19 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Sum of Fractions over their common denominator.
+
+    Integer additions and one normalisation, where a running Fraction sum
+    normalises after every term; the result is the same rational.
+    """
+    values = list(values)
+    if not values:
+        return Fraction(0)
+    scale = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (scale // v.denominator) for v in values), scale)
 
 
 def fixed(value: Fraction, places: int = 4) -> str:

@@ -16,20 +16,20 @@ join an existing cover by winning shared directives on relevance).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .graph import FDGraph, NodeKind, Violation, ancestors, descendants, leaves_of
 from .metrics import (
-    capability_coupling,
     cohesion,
+    coupling_matrix,
+    owned_directives,
     parent_routes,
     resolve_membership,
     sharing_conflicts,
 )
-from .rational import to_fraction
+from .rational import exact_sum, to_fraction
 
 
 class InvalidSliceError(ValueError):
@@ -53,7 +53,7 @@ class Slice:
     membership: Mapping[str, str] = field(compare=False)
 
     def owned(self, member: str) -> tuple[str, ...]:
-        return tuple(sorted(d for d, o in self.membership.items() if o == member))
+        return owned_directives(self.membership, member)
 
 
 @dataclass(frozen=True)
@@ -376,35 +376,17 @@ def slice_objective(graph: FDGraph, slc: Slice, lam: Fraction = Fraction(1)) -> 
     lam = to_fraction(lam)
     members = slc.members
     per_node = {m: cohesion(graph, m) for m in members}
-    coupling: dict[tuple[str, str], Fraction] = {}
-    for p in members:
-        for q in members:
-            if p != q:
-                coupling[(p, q)] = capability_coupling(graph, p, q, slc.membership)
-    mean_ch = sum(per_node.values(), Fraction(0)) / len(members)
+    coupling = coupling_matrix(graph, members, slc.membership)
+    mean_ch = exact_sum(per_node.values()) / len(members)
     n_pairs = len(members) * (len(members) - 1)
-    if n_pairs:
-        mean_cp = sum(coupling.values(), Fraction(0)) / n_pairs
-    else:
-        mean_cp = Fraction(0)
+    mean_cp = exact_sum(coupling.values()) / n_pairs if n_pairs else Fraction(0)
     return SliceMetrics(per_node, coupling, mean_ch, mean_cp, mean_ch - lam * mean_cp)
 
 
 def score_slices(
-    graph: FDGraph,
-    slices: Iterable[Slice],
-    lam: Fraction = Fraction(1),
-    jobs: int = 1,
+    graph: FDGraph, slices: Iterable[Slice], lam: Fraction = Fraction(1)
 ) -> list[SliceMetrics]:
-    """slice_objective for many slices, optionally fanned out to threads.
-
-    Results keep input order regardless of jobs, so parallel runs are
-    indistinguishable from serial ones.
-    """
-    slices = list(slices)
-    if jobs > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda s: slice_objective(graph, s, lam), slices))
+    """slice_objective for many slices, in input order."""
     return [slice_objective(graph, s, lam) for s in slices]
 
 

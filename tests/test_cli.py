@@ -68,6 +68,26 @@ def test_validate_parse_error_is_usage(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "DEEP"],
+        ["optimize", FIG, "DEEP"],
+        ["simulate", FIG, "DEEP", "--slice", S1],
+    ],
+    ids=["validate-graph", "optimize-config", "simulate-scenarios"],
+)
+def test_deep_json_is_usage(tmp_path, capsys, argv):
+    # nested past the JSON decoder's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    argv = [str(path) if a == "DEEP" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--format", "machine")
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert out == ""
+
+
 def test_missing_file_is_usage(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == EXIT_USAGE
@@ -260,6 +280,10 @@ def test_slices_bad_flags(capsys):
     assert rc == EXIT_USAGE
     rc, out, err = run(capsys, "slices", FIG, "--time-budget", "nan")
     assert rc == EXIT_USAGE and "time_budget" in err
+    assert out == ""
+    # the scoring thread pool and its flag are gone
+    rc, out, err = run(capsys, "slices", FIG, "--jobs", "2")
+    assert rc == EXIT_USAGE and "--jobs" in err
     assert out == ""
 
 

@@ -16,6 +16,7 @@ from capslice.graph import (
     ancestors,
     build_graph,
     descendants,
+    distances_from,
     export_dot,
     impact_category,
     leaves_of,
@@ -26,7 +27,7 @@ from capslice.graph import (
     validate,
 )
 from conftest import random_fd_graph
-from oracles import bfs_distance, reachable_leaves
+from oracles import bfs_distance, bfs_distances, reachable_leaves
 
 
 def test_fig2_shape(fig2):
@@ -323,6 +324,8 @@ def test_unknown_node_raises(fig2):
         leaves_of(fig2, "nope")
     with pytest.raises(UnknownNodeError):
         undirected_distance(fig2, "d_1", "nope")
+    with pytest.raises(UnknownNodeError):
+        distances_from(fig2, "nope")
 
 
 def test_topological_order(fig2):
@@ -350,6 +353,7 @@ def test_queries_match_oracles_on_random_graphs():
             u, v = rng.choice(ids), rng.choice(ids)
             assert undirected_distance(g, u, v) == bfs_distance(g, u, v)
             assert undirected_distance(g, u, v) == undirected_distance(g, v, u)
+            assert distances_from(g, u) == bfs_distances(g, u)
 
 
 def test_leaf_ancestor_duality():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from capslice.graph import NodeKind, build_graph, validate
+from capslice.graph import GraphError, NodeKind, build_graph, validate
 from capslice.metrics import (
     CohesionUndefinedError,
     UncoveredDirectiveError,
@@ -94,6 +94,29 @@ def test_cohesion_monotone_in_relevance(fig2):
     assert cohesion(high, "m") > cohesion(low, "m")
     # unrelated subtrees are untouched
     assert cohesion(high, "n_3") == cohesion(low, "n_3")
+
+
+def test_cohesion_memo_on_unvalidated_graph():
+    # cohesion is memoised per graph, but only for nodes asked about: a
+    # healthy node still evaluates, and a broken one fails on every call
+    g = build_graph(
+        [
+            ("m", "mission"),
+            ("a", "function"),
+            ("b", "function"),
+            ("c", "function"),
+            ("d", "directive"),
+        ],
+        [("m", "a"), ("m", "b"), ("m", "c"), ("a", "d", None, "critical"), ("c", "m")],
+    )
+    assert not validate(g).ok
+    assert cohesion(g, "a") == Fraction(7, 10)
+    for _ in range(2):
+        with pytest.raises(GraphError, match="no children"):
+            cohesion(g, "b")
+        with pytest.raises(GraphError, match="cycle"):
+            cohesion(g, "c")
+    assert cohesion(g, "a") == Fraction(7, 10)
 
 
 def test_cohesion_matches_recursive_oracle():
@@ -315,3 +338,25 @@ def test_coupling_matrix_keys(fig2):
     matrix = coupling_matrix(fig2, members, ms)
     assert set(matrix) == {(p, q) for p in members for q in members if p != q}
     assert matrix[("n_1", "n_7")] != matrix[("n_7", "n_1")]
+
+
+def test_coupling_matrix_errors(fig2):
+    ms = resolve_membership(fig2, ["n_1", "n_3", "n_7"])
+    # the smallest member that owns nothing is named
+    with pytest.raises(ValueError, match="'n_4' resolves to an empty"):
+        coupling_matrix(fig2, ["n_9", "n_1", "n_4", "n_3"], ms)
+    # a lone member has no pairs, so nothing is checked
+    assert coupling_matrix(fig2, ["n_9"], ms) == {}
+
+    split = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"), ("x", "directive"),
+         ("y", "directive")],
+        [("m", "a"), ("a", "x", None, "critical"), ("b", "y", None, "critical")],
+    )
+    ms = {"x": "a", "y": "b"}
+    for call in (
+        lambda: coupling_matrix(split, ["a", "b"], ms),
+        lambda: capability_coupling(split, "b", "a", ms),
+    ):
+        with pytest.raises(GraphError, match="not connected"):
+            call()

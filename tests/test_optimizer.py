@@ -369,6 +369,28 @@ def test_config_load_errors(tmp_path):
         OptimizationConfig.load(str(arr))
     with pytest.raises(ConfigError, match="cannot read"):
         OptimizationConfig.load(str(tmp_path / "missing.json"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        OptimizationConfig.load(str(deep))
+    # documented range of tf is [0, 1], per node and for the default
+    for doc, message in [
+        ({"tf": {"n_1": 7}}, "outside"),
+        ({"tf": {"n_1": -0.1}}, "outside"),
+        ({"tf": {"default": 1.5}}, "outside"),
+        ({"tf": [1]}, "tf must map"),
+        ({"tf": None}, "tf must map"),
+        ({"times": [1]}, "times must map"),
+        ({"tf_min": [1]}, "cannot interpret"),
+    ]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            OptimizationConfig.load(str(path))
+    edges = tmp_path / "edges.json"
+    edges.write_text(json.dumps({"tf": {"n_1": 0, "n_3": 1, "default": 0}}))
+    config = OptimizationConfig.load(str(edges))
+    assert config.tf_values == {"n_1": 0, "n_3": 1} and config.tf_default == 0
 
 
 # -- manifest ------------------------------------------------------------------
