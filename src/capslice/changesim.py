@@ -28,7 +28,7 @@ from .graph import (
     validate,
 )
 from .metrics import directive_coupling, resolve_membership
-from .rational import to_fraction
+from .rational import brief, to_fraction
 from .slicing import Slice
 
 DEFAULT_THRESHOLD = Fraction(1, 8)
@@ -70,19 +70,27 @@ def parse_scenarios(text: str) -> list[ChangeScenario]:
         raise ScenarioParseError(f"invalid scenario JSON: {exc.msg} (line {exc.lineno})") from exc
     except RecursionError:
         raise ScenarioParseError("invalid scenario JSON: nested too deeply") from None
+    except ValueError as exc:  # a number to_fraction or int() refuses
+        raise ScenarioParseError(f"invalid scenario JSON: {exc}") from None
     if not isinstance(doc, list):
         raise ScenarioParseError("scenario file must hold a JSON list")
     out: list[ChangeScenario] = []
-    for item in doc:
+    for i, item in enumerate(doc):
         if not isinstance(item, dict) or "kind" not in item or "target" not in item:
-            raise ScenarioParseError(f"scenario entry must carry kind and target: {item!r}")
+            raise ScenarioParseError(
+                f"scenario entry {i} must carry kind and target: {brief(item)}"
+            )
         try:
             kind = ScenarioKind(item["kind"])
         except ValueError:
-            raise ScenarioParseError(f"unknown scenario kind {item['kind']!r}") from None
+            raise ScenarioParseError(
+                f"scenario entry {i}: unknown scenario kind {brief(item['kind'])}"
+            ) from None
         payload = item.get("payload")
         if payload is not None and not isinstance(payload, dict):
-            raise ScenarioParseError(f"payload must be an object: {item!r}")
+            raise ScenarioParseError(
+                f"scenario entry {i}: payload must be an object: {brief(payload)}"
+            )
         out.append(ChangeScenario(kind, item["target"], payload))
     return out
 

@@ -488,9 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output mode; default is text on a terminal, machine otherwise",
     )
     common.add_argument(
-        "--seed", type=int, default=None, help="reserved for randomized strategies; unused"
-    )
-    common.add_argument(
         "--lambda",
         dest="lam",
         type=_fraction_arg,

@@ -8,7 +8,7 @@ node degrees alone:
 * child with two or more parents      -> intersection
 * everything else                     -> decomposition
 
-Every parent->directive edge carries a relevance weight in [0, 1], usually
+Every parent->directive edge carries a relevance weight in (0, 1], usually
 given as one of four named impact categories.
 """
 
@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .rational import fixed, to_fraction
+from .rational import brief, fixed, to_fraction
 
 
 class NodeKind(Enum):
@@ -445,10 +445,10 @@ def validate(graph: FDGraph) -> ValidationReport:
                     "relevance recorded for a missing or non-directive edge",
                 )
             )
-        elif not (Fraction(0) <= value <= Fraction(1)):
+        elif not 0 < value <= 1:
             violations.append(
                 Violation(
-                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {value} outside [0, 1]"
+                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {value} outside (0, 1]"
                 )
             )
 
@@ -463,11 +463,11 @@ def _coerce_relevance(raw) -> Fraction:
         try:
             return IMPACT_RELEVANCE[raw.lower()]
         except KeyError:
-            raise GraphParseError(f"unknown impact category {raw!r}") from None
+            raise GraphParseError(f"unknown impact category {brief(raw)}") from None
     try:
         return to_fraction(raw)
     except (TypeError, ValueError) as exc:
-        raise GraphParseError(f"bad relevance value {raw!r}: {exc}") from None
+        raise GraphParseError(f"bad relevance value {brief(raw)}: {exc}") from None
 
 
 def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
@@ -480,7 +480,7 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
     inspected).
     """
     node_map: dict[str, Node] = {}
-    for spec in nodes:
+    for i, spec in enumerate(nodes):
         if isinstance(spec, Node):
             node = spec
         else:
@@ -490,41 +490,56 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
                 try:
                     kind = NodeKind(kind.lower())
                 except ValueError:
-                    raise GraphParseError(f"unknown node kind {spec[1]!r}") from None
+                    raise GraphParseError(
+                        f"node entry {i}: unknown node kind {brief(spec[1])}"
+                    ) from None
             node = Node(nid, kind, label)
         if not node.id or not isinstance(node.id, str):
-            raise GraphParseError(f"node id must be a non-empty string, got {node.id!r}")
+            raise GraphParseError(
+                f"node entry {i}: id must be a non-empty string, got {brief(node.id)}"
+            )
         if node.id in node_map:
-            raise GraphParseError(f"duplicate node id {node.id!r}")
+            raise GraphParseError(f"node entry {i}: duplicate node id {brief(node.id)}")
         node_map[node.id] = node
 
     raw_edges: list[tuple[str, str, EdgeKind | None]] = []
     relevance: dict[tuple[str, str], Fraction] = {}
     seen: set[tuple[str, str]] = set()
-    for spec in edges:
+    for i, spec in enumerate(edges):
         u, v = spec[0], spec[1]
         kind = spec[2] if len(spec) > 2 else None
         rel = spec[3] if len(spec) > 3 else None
         for end in (u, v):
-            if end not in node_map:
-                raise GraphParseError(f"edge {u!r} -> {v!r} references unknown node {end!r}")
+            # a non-string end (a list is not even hashable) names no node
+            if not isinstance(end, str) or end not in node_map:
+                raise GraphParseError(
+                    f"edge entry {i}: {brief(u)} -> {brief(v)} "
+                    f"references unknown node {brief(end)}"
+                )
         if u == v:
-            raise GraphParseError(f"self loop on {u!r}")
+            raise GraphParseError(f"edge entry {i}: self loop on {brief(u)}")
         if (u, v) in seen:
-            raise GraphParseError(f"duplicate edge {u!r} -> {v!r}")
+            raise GraphParseError(
+                f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}"
+            )
         seen.add((u, v))
         if isinstance(kind, str):
             try:
                 kind = EdgeKind(kind.lower())
             except ValueError:
-                raise GraphParseError(f"unknown edge kind {spec[2]!r}") from None
+                raise GraphParseError(
+                    f"edge entry {i}: unknown edge kind {brief(spec[2])}"
+                ) from None
         if rel is not None:
             if node_map[v].kind is not NodeKind.DIRECTIVE:
-                raise GraphParseError(f"relevance on a non-directive edge {u!r} -> {v!r}")
-            value = _coerce_relevance(rel)
-            if not (Fraction(0) <= value <= Fraction(1)):
                 raise GraphParseError(
-                    f"relevance {value} on edge {u!r} -> {v!r} outside [0, 1]"
+                    f"edge entry {i}: relevance on a non-directive edge {brief(u)} -> {brief(v)}"
+                )
+            value = _coerce_relevance(rel)
+            if not 0 < value <= 1:
+                raise GraphParseError(
+                    f"edge entry {i}: relevance {value} on {brief(u)} -> {brief(v)} "
+                    "outside (0, 1]"
                 )
             relevance[(v, u)] = value
         raw_edges.append((u, v, kind))
@@ -555,6 +570,8 @@ def parse_graph(text: str) -> FDGraph:
         raise GraphParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError:
         raise GraphParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # a number to_fraction or int() refuses
+        raise GraphParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphParseError("top level must be a JSON object")
     for key in ("nodes", "edges"):
@@ -562,15 +579,15 @@ def parse_graph(text: str) -> FDGraph:
             raise GraphParseError(f"missing or non-list {key!r} section")
 
     nodes = []
-    for item in doc["nodes"]:
+    for i, item in enumerate(doc["nodes"]):
         if not isinstance(item, dict) or "id" not in item or "kind" not in item:
-            raise GraphParseError(f"node entry must carry id and kind: {item!r}")
+            raise GraphParseError(f"node entry {i} must carry id and kind: {brief(item)}")
         nodes.append((item["id"], item["kind"], item.get("label", "")))
 
     edges = []
-    for item in doc["edges"]:
+    for i, item in enumerate(doc["edges"]):
         if not isinstance(item, dict) or "from" not in item or "to" not in item:
-            raise GraphParseError(f"edge entry must carry from and to: {item!r}")
+            raise GraphParseError(f"edge entry {i} must carry from and to: {brief(item)}")
         edges.append((item["from"], item["to"], item.get("kind"), item.get("relevance")))
 
     return build_graph(nodes, edges)

@@ -135,26 +135,24 @@ def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
 
 def parent_routes(graph: FDGraph, member: str, directive: str) -> frozenset[str]:
     """Immediate parents of a directive through which a member reaches it."""
-    reach = descendants(graph, member) | {member}
-    return frozenset(p for p in graph.parents(directive) if p in reach)
+    reach = descendants(graph, member)
+    return frozenset(p for p in graph.parents(directive) if p == member or p in reach)
 
 
-def _cover_map(graph: FDGraph, members: list[str]) -> dict[str, list[str]]:
+def cover_map(graph: FDGraph, members: Iterable[str]) -> dict[str, list[str]]:
+    """The members covering each covered directive, members in id order."""
     cover: dict[str, list[str]] = {}
-    for m in members:
+    for m in sorted(set(members)):
         for d in sorted(leaves_of(graph, m)):
             cover.setdefault(d, []).append(m)
     return cover
 
 
-def sharing_conflicts(
-    graph: FDGraph, members: Iterable[str]
+def _conflicts(
+    graph: FDGraph, cover: Mapping[str, list[str]]
 ) -> list[tuple[str, str, tuple[str, str]]]:
-    """All (directive, parent, member pair) entries where two members reach
-    the same directive through the same immediate parent."""
-    members = sorted(set(members))
     conflicts: list[tuple[str, str, tuple[str, str]]] = []
-    for d, owners in sorted(_cover_map(graph, members).items()):
+    for d, owners in sorted(cover.items()):
         if len(owners) < 2:
             continue
         seen: dict[str, str] = {}
@@ -167,29 +165,20 @@ def sharing_conflicts(
     return conflicts
 
 
-def resolve_membership(
-    graph: FDGraph, members: Iterable[str], *, complete: bool = True
-) -> dict[str, str]:
-    """Assign each covered directive to exactly one owning member.
+def sharing_conflicts(
+    graph: FDGraph, members: Iterable[str]
+) -> list[tuple[str, str, tuple[str, str]]]:
+    """All (directive, parent, member pair) entries where two members reach
+    the same directive through the same immediate parent."""
+    return _conflicts(graph, cover_map(graph, members))
 
-    A directive covered by several members goes to the member whose best
-    entry parent carries the highest relevance; exact ties go to the
-    smallest member id.  Raises UnresolvableSharingError when two members
-    share an entry parent, and (with complete=True) UncoveredDirectiveError
-    when some directive of the graph is covered by nobody.
+
+def assign_owners(graph: FDGraph, cover: Mapping[str, list[str]]) -> dict[str, str]:
+    """Give each directive of a cover map to one of its covering members.
+
+    The member whose best entry parent carries the highest relevance wins;
+    exact ties go to the smallest member id.  Sharing is not checked here.
     """
-    members = sorted(set(members))
-    for m in members:
-        graph.node(m)
-    cover = _cover_map(graph, members)
-    if complete:
-        missing = set(graph.directive_ids) - set(cover)
-        if missing:
-            raise UncoveredDirectiveError(missing)
-    conflicts = sharing_conflicts(graph, members)
-    if conflicts:
-        raise UnresolvableSharingError(*conflicts[0])
-
     assignment: dict[str, str] = {}
     for d, owners in sorted(cover.items()):
         if len(owners) == 1:
@@ -202,6 +191,30 @@ def resolve_membership(
         top = max(best_rel.values())
         assignment[d] = min(m for m, r in best_rel.items() if r == top)
     return assignment
+
+
+def resolve_membership(
+    graph: FDGraph, members: Iterable[str], *, complete: bool = True
+) -> dict[str, str]:
+    """Assign each covered directive to exactly one owning member.
+
+    Ownership follows assign_owners.  Raises UnresolvableSharingError when
+    two members share an entry parent, and (with complete=True)
+    UncoveredDirectiveError when some directive of the graph is covered by
+    nobody.
+    """
+    members = sorted(set(members))
+    for m in members:
+        graph.node(m)
+    cover = cover_map(graph, members)
+    if complete:
+        missing = set(graph.directive_ids) - set(cover)
+        if missing:
+            raise UncoveredDirectiveError(missing)
+    conflicts = _conflicts(graph, cover)
+    if conflicts:
+        raise UnresolvableSharingError(*conflicts[0])
+    return assign_owners(graph, cover)
 
 
 def owned_directives(membership: Mapping[str, str], member: str) -> tuple[str, ...]:

@@ -251,6 +251,8 @@ class OptimizationConfig:
             raise ConfigError(f"invalid config JSON: {exc.msg} (line {exc.lineno})") from exc
         except RecursionError:
             raise ConfigError("invalid config JSON: nested too deeply") from None
+        except ValueError as exc:  # a number to_fraction or int() refuses
+            raise ConfigError(f"invalid config JSON: {exc}") from None
         if not isinstance(doc, Mapping):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)
@@ -336,8 +338,6 @@ def optimize(
     graph,
     slices: Sequence[Slice],
     config: OptimizationConfig | None = None,
-    tf: TechFeasibility | None = None,
-    times: Mapping[str, Fraction] | None = None,
     metrics: Sequence[SliceMetrics] | None = None,
 ) -> OptimizationResult:
     """Score candidate slices, split by constraints, rank the feasible ones.
@@ -346,8 +346,7 @@ def optimize(
     every entry sits in infeasible with the constraints it broke.
     """
     config = config or OptimizationConfig()
-    tf = tf or config.tech_feasibility()
-    times = times if times is not None else config.times
+    tf = config.tech_feasibility()
     if metrics is None:
         metrics = [slice_objective(graph, s, config.lam) for s in slices]
     elif len(metrics) != len(slices):
@@ -356,7 +355,7 @@ def optimize(
     scored: list[SliceScore] = []
     for s, m in zip(slices, metrics):
         tf_val = slice_feasibility(s, tf)
-        sched = schedule_slice(graph, s, times=times, coupling=m.coupling)
+        sched = schedule_slice(graph, s, times=config.times, coupling=m.coupling)
         violated = []
         if tf_val < config.tf_min:
             violated.append("tf")

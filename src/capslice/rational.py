@@ -2,22 +2,50 @@
 
 Every quantity in this package (relevance, cohesion, coupling, objective
 values) is kept as a fractions.Fraction so results are reproducible bit for
-bit.  Conversion to text happens only at the reporting edge.
+bit.  Conversion to text happens only at the reporting edge, and brief()
+keeps an input value echoed in an error message short.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
+
+
+#: Largest decimal exponent magnitude accepted, Python's own limit on the
+#: digits of an int read from a string; 1e-20000000 would build 10**20000000.
+MAX_EXPONENT = 4300
+
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 3
+_BRIEF.maxstring = _BRIEF.maxother = 60
+
+
+def brief(value) -> str:
+    """repr() cut to a bounded depth and length, for error messages."""
+    return _BRIEF.repr(value)
+
+
+def _bounded_exponent(text: str) -> str:
+    _, marker, exponent = text.lower().partition("e")
+    try:
+        too_large = bool(marker) and abs(int(exponent)) > MAX_EXPONENT
+    except ValueError:
+        return text  # not a plain exponent; Fraction reports what is wrong
+    if too_large:
+        raise ValueError(f"decimal exponent of {brief(text)} exceeds {MAX_EXPONENT}")
+    return text
 
 
 def to_fraction(value) -> Fraction:
     """Coerce a numeric input to an exact Fraction.
 
     Floats are read through their shortest decimal representation, so a
-    literal 0.3 coming from a file means exactly 3/10.
+    literal 0.3 coming from a file means exactly 3/10.  A decimal exponent
+    beyond MAX_EXPONENT is a ValueError.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a numeric value")
@@ -27,11 +55,9 @@ def to_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    if isinstance(value, Decimal):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+    if isinstance(value, (Decimal, str)):
+        return Fraction(_bounded_exponent(str(value)))
+    raise TypeError(f"cannot interpret {brief(value)} as a rational number")
 
 
 def exact_sum(values: Iterable[Fraction]) -> Fraction:

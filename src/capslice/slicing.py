@@ -11,6 +11,11 @@ ancestor conflict, create unresolvable sharing, or can no longer cover some
 directive.  This visits every antichain that could still become a valid
 slice, so supersets of already-complete covers are found too (a member can
 join an existing cover by winning shared directives on relevance).
+
+The search runs on Python-int bitsets built once per search: the
+directives under each function, the directive edges (parent, directive)
+that it reaches, and its ancestors and descendants.  Each branch costs a
+few mask tests; only a complete cover goes through membership assignment.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from typing import Iterable, Iterator, Mapping
 
 from .graph import FDGraph, NodeKind, Violation, ancestors, descendants, leaves_of
 from .metrics import (
+    assign_owners,
     cohesion,
     coupling_matrix,
+    cover_map,
     owned_directives,
-    parent_routes,
-    resolve_membership,
     sharing_conflicts,
 )
 from .rational import exact_sum, to_fraction
@@ -136,7 +141,7 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
                 )
             )
         if not conflicts:
-            assignment = resolve_membership(graph, members, complete=False)
+            assignment = assign_owners(graph, cover_map(graph, members))
             owners = set(assignment.values())
             for m in members:
                 if m not in owners:
@@ -191,42 +196,27 @@ class SliceSearch:
 
     def __iter__(self) -> Iterator[Slice]:
         graph = self.graph
-        internals = list(graph.function_ids)
-        universe = tuple(graph.directive_ids)
+        internals = graph.function_ids
         n = len(internals)
-        internal_set = set(internals)
-
-        leaf = {m: sorted(leaves_of(graph, m)) for m in internals}
-        leaf_set = {m: frozenset(leaf[m]) for m in internals}
-        blocked_set = {
-            m: sorted((ancestors(graph, m) | descendants(graph, m)) & internal_set)
-            for m in internals
-        }
-
-        future = {d: 0 for d in universe}
-        for m in internals:
-            for d in leaf[m]:
-                future[d] += 1
-        cover_cnt = {d: 0 for d in universe}
-        uncovered = len(universe)
-        blocked_cnt = {m: 0 for m in internals}
-        chosen: list[str] = []
-
-        route_cache: dict[tuple[str, str], frozenset[str]] = {}
-
-        def routes(m: str, d: str) -> frozenset[str]:
-            r = route_cache.get((m, d))
-            if r is None:
-                r = parent_routes(graph, m, d)
-                route_cache[(m, d)] = r
-            return r
-
-        def compatible(m: str) -> bool:
-            for s in chosen:
-                for d in leaf_set[m] & leaf_set[s]:
-                    if routes(m, d) & routes(s, d):
-                        return False
-            return True
+        # Bit masks, numbered in id order: directives, directive edges
+        # (parent, directive) and functions.  Two members conflict exactly
+        # when both reach some directive edge, so entry masks replace the
+        # pairwise parent-route comparison.
+        d_bit = {d: 1 << j for j, d in enumerate(graph.directive_ids)}
+        parents = [p for p, d, _ in graph.edges() if d in d_bit]
+        own: dict[str, int] = {}  # the directive edges leaving each node
+        for j, p in enumerate(parents):
+            own[p] = own.get(p, 0) | 1 << j
+        f_bit = {m: 1 << i for i, m in enumerate(internals)}
+        leaf = [_mask(d_bit, leaves_of(graph, m)) for m in internals]
+        entry = [_mask(own, descendants(graph, m) | {m}) for m in internals]
+        related = [
+            _mask(f_bit, ancestors(graph, m) | descendants(graph, m)) for m in internals
+        ]
+        suffix = [0] * (n + 1)  # directives some member from i on covers
+        for i in range(n - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | leaf[i]
+        universe = (1 << len(d_bit)) - 1
 
         deadline = None
         if self.time_budget is not None:
@@ -234,57 +224,14 @@ class SliceSearch:
         emitted = 0
         steps = 0
         truncated = False
-        # directives no chosen member covers and no undecided member can
-        doomed = 0
-
-        def include(i: int) -> None:
-            nonlocal uncovered, doomed
-            m = internals[i]
-            chosen.append(m)
-            for d in leaf[m]:
-                if cover_cnt[d] == 0:
-                    uncovered -= 1
-                    if future[d] == 0:
-                        doomed -= 1
-                cover_cnt[d] += 1
-            for x in blocked_set[m]:
-                blocked_cnt[x] += 1
-
-        def uninclude(i: int) -> None:
-            nonlocal uncovered, doomed
-            m = internals[i]
-            chosen.pop()
-            for d in leaf[m]:
-                cover_cnt[d] -= 1
-                if cover_cnt[d] == 0:
-                    uncovered += 1
-                    if future[d] == 0:
-                        doomed += 1
-            for x in blocked_set[m]:
-                blocked_cnt[x] -= 1
-
-        def exclude(i: int) -> None:
-            nonlocal doomed
-            for d in leaf[internals[i]]:
-                future[d] -= 1
-                if future[d] == 0 and cover_cnt[d] == 0:
-                    doomed += 1
-
-        def unexclude(i: int) -> None:
-            nonlocal doomed
-            for d in leaf[internals[i]]:
-                if future[d] == 0 and cover_cnt[d] == 0:
-                    doomed -= 1
-                future[d] += 1
-
-        # Preorder over the subset tree: each frame first offers the chosen
-        # set itself, then branches on every remaining member in id order,
-        # excluding each after its branch.  Preorder emission is exactly
-        # lexicographic order of the sorted member tuples.
-        ENTER, LOOP, AFTER = 0, 1, 2
-        excl: list[int] = []
-        # frame: [start index, cursor, phase, exclusion mark]
-        stack: list[list[int]] = [[0, 0, ENTER, 0]]
+        # Preorder over the subset tree in id order, which emits slices in
+        # lexicographic order of their sorted member tuples.  A frame is
+        # [cursor, covered, used entry edges, blocked members]; the members
+        # before its cursor that it did not choose are excluded, so it is dead
+        # once its cover and all undecided members together miss a directive.
+        # The cursor of every frame below the top sits one past the member its
+        # child frame included.
+        stack = [[0, 0, 0, 0]]
         while stack:
             steps += 1
             if (
@@ -295,58 +242,43 @@ class SliceSearch:
                 truncated = True
                 break
             frame = stack[-1]
-            phase = frame[2]
-
-            if phase == ENTER:
-                frame[3] = len(excl)
-                if uncovered == 0 and chosen:
-                    slc = self._finish(chosen)
-                    if slc is not None:
-                        yield slc
-                        emitted += 1
-                        if self.max_slices is not None and emitted >= self.max_slices:
-                            truncated = True
-                            break
-                frame[1] = frame[0]
-                frame[2] = LOOP
-                continue
-
-            if phase == AFTER:
-                idx = frame[1]
-                uninclude(idx)
-                exclude(idx)
-                excl.append(idx)
-                frame[1] = idx + 1
-                frame[2] = LOOP
-                continue
-
-            idx = frame[1]
-            if idx >= n or doomed:
-                while len(excl) > frame[3]:
-                    unexclude(excl.pop())
+            i, covered, used, blocked = frame
+            if i == n or covered | suffix[i] != universe:
                 stack.pop()
                 continue
-            m = internals[idx]
-            if blocked_cnt[m] == 0 and compatible(m):
-                include(idx)
-                frame[2] = AFTER
-                stack.append([idx + 1, idx + 1, ENTER, len(excl)])
+            frame[0] = i + 1
+            if blocked >> i & 1:  # ancestor rule
                 continue
-            exclude(idx)
-            excl.append(idx)
-            frame[1] = idx + 1
+            if entry[i] & used:  # sharing rule
+                continue
+            covered |= leaf[i]
+            stack.append([i + 1, covered, used | entry[i], blocked | related[i]])
+            if covered == universe:
+                slc = self._finish([internals[f[0] - 1] for f in stack[:-1]])
+                if slc is not None:
+                    yield slc
+                    emitted += 1
+                    if self.max_slices is not None and emitted >= self.max_slices:
+                        truncated = True
+                        break
 
-        self.complete = not truncated and not stack
+        self.complete = not truncated
 
     def _finish(self, chosen: list[str]) -> Slice | None:
-        # Coverage and pairwise resolvability already hold on this path;
-        # membership resolution decides ownership, and a member that wins
-        # nothing disqualifies the candidate.
-        assignment = resolve_membership(self.graph, chosen, complete=False)
-        owners = set(assignment.values())
-        if any(m not in owners for m in chosen):
+        # Coverage and resolvable sharing already hold on this path; a member
+        # that wins no directive disqualifies the candidate.
+        assignment = assign_owners(self.graph, cover_map(self.graph, chosen))
+        if len(set(assignment.values())) < len(chosen):
             return None
         return Slice(tuple(chosen), assignment)
+
+
+def _mask(bits: Mapping[str, int], ids: Iterable[str]) -> int:
+    # the union of the bits of those ids that have one
+    out = 0
+    for x in ids:
+        out |= bits.get(x, 0)
+    return out
 
 
 def enumerate_slices(

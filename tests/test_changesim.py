@@ -136,6 +136,8 @@ def test_modify_errors(fig2):
         apply_change(fig2, scenario("modify_directive", "ghost", {"label": "x"}))
     with pytest.raises(ChangeError, match="outside"):
         apply_change(fig2, scenario("modify_directive", "d_1", {"relevance": 1.5}))
+    with pytest.raises(ChangeError, match=r"outside \(0, 1\]"):
+        apply_change(fig2, scenario("modify_directive", "d_1", {"relevance": 0}))
 
 
 # -- delete directive -----------------------------------------------------------

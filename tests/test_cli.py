@@ -88,6 +88,60 @@ def test_deep_json_is_usage(tmp_path, capsys, argv):
     assert out == ""
 
 
+def _first_relevance(value: str) -> str:
+    # fig2 with its first relevance replaced by a raw JSON number
+    doc = json.loads(fig2_text())
+    edge = next(e for e in doc["edges"] if "relevance" in e)
+    edge["relevance"] = "RAW"
+    return json.dumps(doc).replace('"RAW"', value)
+
+
+SCENARIO = '[{"kind": "delete_directive", "target": "d_1"}]'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["validate", "FILE"], "GRAPH"),
+        (["optimize", FIG, "FILE"], '{"tf_min": 1e-5000}'),
+        (["simulate", FIG, "FILE", "--slice", S1], SCENARIO.replace("}", ', "x": 1e-5000}')),
+        (["slices", FIG, "--lambda", "1e-5000"], None),
+        (["simulate", FIG, "FILE", "--slice", S1, "--threshold", "1e-5000"], SCENARIO),
+    ],
+    ids=["graph", "optimize-config", "simulate-scenarios", "lambda", "threshold"],
+)
+def test_huge_exponent_is_usage(tmp_path, capsys, argv, text):
+    # Fraction would build 10**5000, and far larger powers for longer
+    # exponents, so the exponent is refused wherever a number comes in
+    path = tmp_path / "input.json"
+    if text == "GRAPH":
+        doc = json.loads(fig2_text())
+        next(e for e in doc["edges"] if "relevance" in e)["relevance"] = "RAW"
+        text = json.dumps(doc).replace('"RAW"', "1e-5000")
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--format", "machine")
+    assert rc == EXIT_USAGE and out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+def test_parse_errors_are_short(tmp_path, capsys):
+    # an id nested 300 lists deep used to be echoed in full
+    doc = json.loads(fig2_text())
+    deep = "x"
+    for _ in range(300):
+        deep = [deep]
+    doc["nodes"][3]["id"] = deep
+    path = tmp_path / "deep-id.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "validate", str(path))
+    assert rc == EXIT_USAGE and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: node entry 3") and len(line) < 200
+
+
 def test_missing_file_is_usage(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == EXIT_USAGE
@@ -284,6 +338,10 @@ def test_slices_bad_flags(capsys):
     # the scoring thread pool and its flag are gone
     rc, out, err = run(capsys, "slices", FIG, "--jobs", "2")
     assert rc == EXIT_USAGE and "--jobs" in err
+    assert out == ""
+    # so is the unused --seed
+    rc, out, err = run(capsys, "slices", FIG, "--seed", "3")
+    assert rc == EXIT_USAGE and "--seed" in err
     assert out == ""
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from capslice.graph import (
     undirected_distance,
     validate,
 )
+from capslice.rational import to_fraction
 from conftest import random_fd_graph
 from oracles import bfs_distance, bfs_distances, reachable_leaves
 
@@ -139,6 +141,29 @@ def test_parse_relevance_range():
         parse_graph(json.dumps(_tiny({"relevance": 1.5})))
     with pytest.raises(GraphParseError, match="outside"):
         parse_graph(json.dumps(_tiny({"relevance": -0.1})))
+    # the documented range is (0, 1]
+    with pytest.raises(GraphParseError, match=r"outside \(0, 1\]"):
+        parse_graph(json.dumps(_tiny({"relevance": 0})))
+    with pytest.raises(GraphParseError, match="edge entry 1"):
+        build_graph(
+            [("m", "mission"), ("f", "function"), ("d", "directive")],
+            [("m", "f"), ("f", "d", None, Fraction(0))],
+        )
+    tiny = parse_graph(json.dumps(_tiny({"relevance": "X"})).replace('"X"', "1e-4300"))
+    assert tiny.relevance("d", "f") == Fraction(1, 10**4300)
+
+
+def test_decimal_exponent_bound():
+    # past the bound Fraction would build 10**20000000 before failing
+    for text in ("1e-20000000", "1E+4301", " 2e-5000 "):
+        with pytest.raises(ValueError, match="exponent"):
+            to_fraction(text)
+    with pytest.raises(ValueError, match="exponent"):
+        to_fraction(Decimal("1e-20000000"))
+    with pytest.raises(GraphParseError, match="exponent"):
+        parse_graph(json.dumps(_tiny({"relevance": "X"})).replace('"X"', "1e-5000"))
+    assert to_fraction("1e-4300") == Fraction(1, 10**4300)
+    assert to_fraction("25e-1") == Fraction(5, 2)
 
 
 def test_parse_unknown_category():
@@ -164,6 +189,10 @@ def test_parse_unknown_edge_endpoint():
     doc = _tiny({"relevance": 0.7})
     doc["edges"].append({"from": "f", "to": "ghost"})
     with pytest.raises(GraphParseError, match="unknown node"):
+        parse_graph(json.dumps(doc))
+    # an unhashable end used to escape as a TypeError
+    doc["edges"][-1]["to"] = ["f"]
+    with pytest.raises(GraphParseError, match="edge entry 2: 'f' -> \\['f'\\] references"):
         parse_graph(json.dumps(doc))
 
 
@@ -288,6 +317,10 @@ def test_validate_relevance_extra_and_range():
     codes = {v.code for v in validate(g).violations}
     assert "RELEVANCE_RANGE" in codes
     assert "RELEVANCE_EXTRA" in codes
+    zero = FDGraph(nodes, kinds, {("d", "f"): Fraction(0)})
+    assert [(v.code, v.message) for v in validate(zero).violations] == [
+        ("RELEVANCE_RANGE", "relevance 0 outside (0, 1]")
+    ]
 
 
 # -- queries ----------------------------------------------------------------

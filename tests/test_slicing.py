@@ -161,12 +161,13 @@ def test_enumerate_power_family_count():
 
 
 def test_enumerate_matches_bruteforce_random():
-    rng = random.Random(88011)
-    for _ in range(30):
-        g = random_fd_graph(rng, max_internal=9, max_directives=12)
-        enum = enumerate_slices(g)
-        assert enum.complete
-        assert [s.members for s in enum.slices] == valid_slices_bruteforce(g)
+    for seed, max_internal in ((88011, 9), (51473, 11)):
+        rng = random.Random(seed)
+        for _ in range(30):
+            g = random_fd_graph(rng, max_internal=max_internal, max_directives=12)
+            enum = enumerate_slices(g)
+            assert enum.complete
+            assert [s.members for s in enum.slices] == valid_slices_bruteforce(g)
 
 
 def test_enumerated_slices_self_consistent():
@@ -194,6 +195,22 @@ def test_truncation_by_count(fig2):
     enum = enumerate_slices(fig2, max_slices=10)
     assert [s.members for s in enum.slices] == FIG2_SLICES
     assert enum.complete
+
+
+def test_truncation_is_a_prefix_random():
+    # every cap k gives the first k slices of the full run, and the search is
+    # complete only when the cap was never reached
+    rng = random.Random(3307)
+    for _ in range(20):
+        g = random_fd_graph(rng, max_internal=18, max_directives=24)
+        full = enumerate_slices(g).slices
+        for k in range(1, len(full) + 2):
+            enum = enumerate_slices(g, max_slices=k)
+            assert enum.slices == full[:k]
+            assert [dict(s.membership) for s in enum.slices] == [
+                dict(s.membership) for s in full[:k]
+            ]
+            assert enum.complete == (k > len(full))
 
 
 def test_truncation_by_time():
