@@ -25,9 +25,11 @@ from .graph import (
     NodeKind,
     Violation,
     build_graph,
+    distances_from,
+    undirected_distance,
     validate,
 )
-from .metrics import directive_coupling, resolve_membership
+from .metrics import resolve_membership
 from .rational import brief, to_fraction
 from .slicing import Slice
 
@@ -86,6 +88,10 @@ def parse_scenarios(text: str) -> list[ChangeScenario]:
             raise ScenarioParseError(
                 f"scenario entry {i}: unknown scenario kind {brief(item['kind'])}"
             ) from None
+        if not isinstance(item["target"], str):
+            raise ScenarioParseError(
+                f"scenario entry {i}: target must be a string: {brief(item['target'])}"
+            )
         payload = item.get("payload")
         if payload is not None and not isinstance(payload, dict):
             raise ScenarioParseError(
@@ -101,7 +107,7 @@ def parse_scenarios(text: str) -> list[ChangeScenario]:
 def _parts(graph: FDGraph):
     nodes = {nid: graph.node(nid) for nid in graph.node_ids}
     edges = {(u, v) for u, v, _ in graph.edges()}
-    relevance = dict(graph._relevance)
+    relevance = {(d, p): r for d, p, r in graph.relevance_items()}
     return nodes, edges, relevance
 
 
@@ -301,6 +307,13 @@ class ImpactReport:
     evaluated_on: str  # "base" or "changed"
 
 
+def _check_threshold(threshold) -> Fraction:
+    thr = to_fraction(threshold)
+    if not Fraction(0) < thr <= Fraction(1):
+        raise ValueError(f"threshold {brief(thr)} outside (0, 1]")
+    return thr
+
+
 def impact_set(
     graph: FDGraph,
     slc: Slice,
@@ -313,28 +326,38 @@ def impact_set(
     whose coupling onto a seed reaches the threshold is pulled in, without
     chaining further.
     """
-    thr = to_fraction(threshold)
-    if not Fraction(0) < thr <= Fraction(1):
-        raise ValueError(f"threshold {thr} outside (0, 1]")
+    thr = _check_threshold(threshold)
+    return _impact(graph, slc, scenario, _apply(graph, scenario), thr)
 
-    changed, seed, on_changed = _apply(graph, scenario)
+
+def _impact(
+    graph: FDGraph, slc: Slice, scenario: ChangeScenario, applied, thr: Fraction
+) -> ImpactReport:
+    # applied is _apply(graph, scenario), shared by every slice it is measured on
+    changed, seed, on_changed = applied
     if on_changed:
         eval_graph = changed
         membership = resolve_membership(changed, slc.members)
     else:
         eval_graph = graph
-        membership = dict(slc.membership)
+        membership = slc.membership
 
+    # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
+    # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers
     affected = set(seed)
     for s in sorted(seed):
         owner = membership[s]
-        owner_set = frozenset(d for d, o in membership.items() if o == owner)
+        owner_size = sum(1 for o in membership.values() if o == owner)
+        reach = thr.denominator // (owner_size * thr.numerator)
+        row = distances_from(eval_graph, s)
         for d in eval_graph.directive_ids:
             if d in affected:
                 continue
-            if directive_coupling(eval_graph, d, s, owner_set) >= thr:
+            dist = row.get(d)
+            if dist is None:
+                undirected_distance(eval_graph, d, s)  # raises: not connected
+            if dist <= reach:
                 affected.add(d)
-
     capabilities = frozenset(membership[d] for d in affected)
     return ImpactReport(
         scenario=scenario,
@@ -368,9 +391,20 @@ def compare_slices(
     scenarios = tuple(scenarios)
     if not slices:
         raise ValueError("need at least one slice to compare")
-    reports = tuple(
-        tuple(impact_set(graph, s, sc, threshold) for sc in scenarios) for s in slices
-    )
+    thr = _check_threshold(threshold)
+    # Each scenario is applied once, on the first slice's row: cells are
+    # measured in (slice, scenario) order, so the first error is the one a
+    # per-cell impact_set would raise.
+    applied: dict[int, tuple] = {}
+    rows = []
+    for s in slices:
+        row = []
+        for j, sc in enumerate(scenarios):
+            if j not in applied:
+                applied[j] = _apply(graph, sc)
+            row.append(_impact(graph, s, sc, applied[j], thr))
+        rows.append(tuple(row))
+    reports = tuple(rows)
     totals = tuple(sum(r.impact_count for r in row) for row in reports)
     winners = []
     for j in range(len(scenarios)):

@@ -448,7 +448,7 @@ def validate(graph: FDGraph) -> ValidationReport:
         elif not 0 < value <= 1:
             violations.append(
                 Violation(
-                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {value} outside (0, 1]"
+                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"
                 )
             )
 
@@ -490,9 +490,9 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
                 try:
                     kind = NodeKind(kind.lower())
                 except ValueError:
-                    raise GraphParseError(
-                        f"node entry {i}: unknown node kind {brief(spec[1])}"
-                    ) from None
+                    pass
+            if not isinstance(kind, NodeKind):
+                raise GraphParseError(f"node entry {i}: unknown node kind {brief(spec[1])}")
             node = Node(nid, kind, label)
         if not node.id or not isinstance(node.id, str):
             raise GraphParseError(
@@ -527,9 +527,9 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
             try:
                 kind = EdgeKind(kind.lower())
             except ValueError:
-                raise GraphParseError(
-                    f"edge entry {i}: unknown edge kind {brief(spec[2])}"
-                ) from None
+                pass
+        if kind is not None and not isinstance(kind, EdgeKind):
+            raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(spec[2])}")
         if rel is not None:
             if node_map[v].kind is not NodeKind.DIRECTIVE:
                 raise GraphParseError(
@@ -538,7 +538,7 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
             value = _coerce_relevance(rel)
             if not 0 < value <= 1:
                 raise GraphParseError(
-                    f"edge entry {i}: relevance {value} on {brief(u)} -> {brief(v)} "
+                    f"edge entry {i}: relevance {brief(value)} on {brief(u)} -> {brief(v)} "
                     "outside (0, 1]"
                 )
             relevance[(v, u)] = value

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import coupling_matrix, size_of
-from .rational import to_fraction
+from .rational import brief, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
 EXHAUSTIVE_LIMIT = 8
@@ -228,7 +228,7 @@ class OptimizationConfig:
             t = {k: to_fraction(v) for k, v in doc["tf"].items()}
             for k, v in t.items():
                 if not 0 <= v <= 1:
-                    raise ConfigError(f"tf value {v} for {k!r} outside [0, 1]")
+                    raise ConfigError(f"tf value {brief(v)} for {k!r} outside [0, 1]")
             if "default" in t:
                 kwargs["tf_default"] = t.pop("default")
             kwargs["tf_values"] = t

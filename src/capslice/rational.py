@@ -19,13 +19,44 @@ from typing import Iterable
 #: digits of an int read from a string; 1e-20000000 would build 10**20000000.
 MAX_EXPONENT = 4300
 
-_BRIEF = reprlib.Repr()
+
+def _cut_int(n: int, limit: int) -> str:
+    # str(n) with the middle elided past `limit` digits, worked out by
+    # arithmetic: str() refuses an int of more than 4300 digits, and a
+    # relevance of 1e4300 is one
+    if abs(n) < 10**limit:
+        return str(n)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    digits = (n.bit_length() - 1) * 30102 // 100000  # at most its digit count
+    while n >= 10**digits:
+        digits += 1
+    keep = (limit - 3) // 2
+    return f"{sign}{n // 10 ** (digits - keep)}...{n % 10**keep:0{keep}d}"
+
+
+class _Brief(reprlib.Repr):
+    def repr_int(self, x, level):
+        return _cut_int(x, self.maxlong)
+
+    def repr_Fraction(self, x, level):
+        text = _cut_int(x.numerator, self.maxlong)
+        if x.denominator != 1:
+            text += "/" + _cut_int(x.denominator, self.maxlong)
+        return text
+
+
+_BRIEF = _Brief()
 _BRIEF.maxlevel = 3
 _BRIEF.maxstring = _BRIEF.maxother = 60
 
 
 def brief(value) -> str:
-    """repr() cut to a bounded depth and length, for error messages."""
+    """repr() cut to a bounded depth and length, for error messages.
+
+    A Fraction shows in its str() form, 3/2; an int or Fraction part longer
+    than 40 digits keeps only its first and last digits.
+    """
     return _BRIEF.repr(value)
 
 

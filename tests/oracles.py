@@ -12,7 +12,9 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
+from capslice.changesim import ImpactReport, _apply
 from capslice.graph import NodeKind, ancestors, descendants, leaves_of
+from capslice.metrics import directive_coupling, resolve_membership
 from capslice.slicing import is_valid_slice
 
 
@@ -85,6 +87,33 @@ def double_sum_coupling(graph, d_p, d_q) -> Fraction:
         for b in d_q:
             total += pick / dist[b]
     return total / (len(d_p) * len(d_q))
+
+
+def impact_by_coupling(graph, slc, scenario, threshold: Fraction) -> ImpactReport:
+    """One (slice, scenario) cell: the scenario applied afresh, and one
+    Fraction coupling compared with the threshold per (seed, directive)."""
+    changed, seed, on_changed = _apply(graph, scenario)
+    eval_graph = changed if on_changed else graph
+    membership = (
+        resolve_membership(changed, slc.members) if on_changed else dict(slc.membership)
+    )
+    affected = set(seed)
+    for s in sorted(seed):
+        owner_set = frozenset(d for d, o in membership.items() if o == membership[s])
+        for d in eval_graph.directive_ids:
+            if d not in affected and directive_coupling(eval_graph, d, s, owner_set) >= threshold:
+                affected.add(d)
+    capabilities = frozenset(membership[d] for d in affected)
+    return ImpactReport(
+        scenario=scenario,
+        members=slc.members,
+        seed=seed,
+        affected_directives=frozenset(affected),
+        affected_capabilities=capabilities,
+        impact_count=len(affected) + len(capabilities),
+        threshold=threshold,
+        evaluated_on="changed" if on_changed else "base",
+    )
 
 
 def valid_slices_bruteforce(graph) -> list[tuple[str, ...]]:

@@ -10,16 +10,24 @@ from capslice.changesim import (
     ChangeScenario,
     ScenarioKind,
     ScenarioParseError,
+    _impact,
     apply_change,
     compare_slices,
     impact_set,
     parse_scenarios,
 )
-from capslice.graph import EdgeKind, build_graph, parse_graph, serialize_graph, validate
-from capslice.metrics import MembershipError, cohesion, cohesion_map, resolve_membership
-from capslice.slicing import enumerate_slices, make_slice
+from capslice.graph import EdgeKind, GraphError, build_graph, parse_graph, serialize_graph, validate
+from capslice.metrics import (
+    MembershipError,
+    UncoveredDirectiveError,
+    cohesion,
+    cohesion_map,
+    directive_coupling,
+    resolve_membership,
+)
+from capslice.slicing import Slice, enumerate_slices, make_slice
 from conftest import RELEVANCE_PALETTE, random_fd_graph
-from oracles import bfs_distances
+from oracles import bfs_distances, impact_by_coupling
 
 
 def scenario(kind, target, payload=None):
@@ -79,11 +87,24 @@ def test_parse_scenarios():
         '[{"target": "d_1"}]',
         '[{"kind": "repaint", "target": "d_1"}]',
         '[{"kind": "modify_directive", "target": "d_1", "payload": 3}]',
+        '[{"kind": "delete_directive", "target": [1]}]',
+        '[{"kind": "delete_directive", "target": null}]',
+        '[{"kind": "delete_directive", "target": 1e4300}]',
     ],
 )
 def test_parse_scenarios_errors(text):
     with pytest.raises(ScenarioParseError):
         parse_scenarios(text)
+
+
+def test_parse_scenarios_target_must_be_a_string():
+    # an unhashable target used to escape as a TypeError from _apply
+    text = json.dumps(
+        [{"kind": "delete_directive", "target": "d_1"}, {"kind": "delete_directive", "target": [1]}]
+    )
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenarios(text)
+    assert str(err.value) == "scenario entry 1: target must be a string: [1]"
 
 
 # -- modify ---------------------------------------------------------------------
@@ -437,6 +458,29 @@ def test_impact_matches_distance_oracle(fig2, s1):
     assert r.affected_directives == frozenset(expected)
 
 
+def random_scenario(rng, g):
+    dirs = list(g.directive_ids)
+    funs = list(g.function_ids)
+    kind = rng.choice(list(ScenarioKind))
+    if kind is ScenarioKind.MODIFY_DIRECTIVE:
+        d = rng.choice(dirs)
+        value = rng.choice(RELEVANCE_PALETTE)
+        return ChangeScenario(kind, d, {"relevance": {p: value for p in g.parents(d)}})
+    if kind is ScenarioKind.DELETE_DIRECTIVE:
+        return ChangeScenario(kind, rng.choice(dirs), None)
+    if kind is ScenarioKind.ADD_DIRECTIVE:
+        return ChangeScenario(
+            kind, rng.choice(funs), {"id": "zz_d", "relevance": rng.choice(RELEVANCE_PALETTE)}
+        )
+    if kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
+        return ChangeScenario(kind, rng.choice(funs), None)
+    f = rng.choice(funs)
+    kids = list(g.children(f))
+    return ChangeScenario(
+        kind, f, {"id": "zz_f", "children": rng.sample(kids, rng.randint(1, len(kids)))}
+    )
+
+
 def test_impact_randomized_properties():
     rng = random.Random(20240)
     tried = 0
@@ -446,27 +490,7 @@ def test_impact_randomized_properties():
         if not slices:
             continue
         slc = rng.choice(slices)
-        dirs = list(g.directive_ids)
-        funs = list(g.function_ids)
-        kind = rng.choice(list(ScenarioKind))
-        if kind is ScenarioKind.MODIFY_DIRECTIVE:
-            d = rng.choice(dirs)
-            value = rng.choice(RELEVANCE_PALETTE)
-            sc = ChangeScenario(kind, d, {"relevance": {p: value for p in g.parents(d)}})
-        elif kind is ScenarioKind.DELETE_DIRECTIVE:
-            sc = ChangeScenario(kind, rng.choice(dirs), None)
-        elif kind is ScenarioKind.ADD_DIRECTIVE:
-            sc = ChangeScenario(
-                kind, rng.choice(funs), {"id": "zz_d", "relevance": rng.choice(RELEVANCE_PALETTE)}
-            )
-        elif kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
-            sc = ChangeScenario(kind, rng.choice(funs), None)
-        else:
-            f = rng.choice(funs)
-            kids = list(g.children(f))
-            sc = ChangeScenario(
-                kind, f, {"id": "zz_f", "children": rng.sample(kids, rng.randint(1, len(kids)))}
-            )
+        sc = random_scenario(rng, g)
         snapshot = parse_graph(serialize_graph(g))
         try:
             new = apply_change(g, sc)
@@ -528,3 +552,120 @@ def test_compare_slices_empty_scenarios(fig2, s1):
 def test_compare_slices_needs_slices(fig2):
     with pytest.raises(ValueError):
         compare_slices(fig2, [], [scenario("delete_directive", "d_10")])
+
+
+def _oracle_cells(graph, slices, scenarios, thr):
+    # cell by cell in (slice, scenario) order; the first error is returned
+    try:
+        return [[impact_by_coupling(graph, s, sc, thr) for sc in scenarios] for s in slices]
+    except (ChangeError, MembershipError) as exc:
+        return exc
+
+
+def _cell_couplings(graph, slc, report):
+    # every exact Cp(d, s) the cell compares with its threshold
+    on_changed = report.evaluated_on == "changed"
+    eval_graph = apply_change(graph, report.scenario) if on_changed else graph
+    membership = (
+        resolve_membership(eval_graph, slc.members) if on_changed else slc.membership
+    )
+    for s in report.seed:
+        owner_set = {d for d, o in membership.items() if o == membership[s]}
+        for d in eval_graph.directive_ids:
+            if d != s:
+                yield directive_coupling(eval_graph, d, s, owner_set)
+
+
+def test_compare_slices_matches_per_cell_oracle():
+    rng = random.Random(6061)
+    cells = on_boundary = errors = 0
+    for _ in range(30):
+        g = random_fd_graph(rng, max_internal=8, max_directives=10)
+        slices = enumerate_slices(g).slices
+        if not slices:
+            continue
+        chosen = rng.sample(slices, min(3, len(slices)))
+        scenarios = [random_scenario(rng, g) for _ in range(5)]
+
+        # unfiltered: the first failing cell decides the error
+        expected = _oracle_cells(g, chosen, scenarios, DEFAULT_THRESHOLD)
+        if isinstance(expected, Exception):
+            errors += 1
+            with pytest.raises(type(expected)) as err:
+                compare_slices(g, chosen, scenarios)
+            assert str(err.value) == str(expected)
+
+        good = [
+            sc
+            for sc in scenarios
+            if not isinstance(_oracle_cells(g, chosen, [sc], DEFAULT_THRESHOLD), Exception)
+        ]
+        if not good:
+            continue
+        wide = compare_slices(g, chosen, good, Fraction(1, 100))
+        exact = sorted(
+            {
+                cp
+                for slc, row in zip(chosen, wide.reports)
+                for r in row
+                for cp in _cell_couplings(g, slc, r)
+            }
+        )
+        thresholds = {Fraction(1), Fraction(1, 7), Fraction(1, 8), Fraction(2, 7)}
+        thresholds |= {Fraction(3, 10), Fraction(1, 100)}
+        thresholds |= set(rng.sample(exact, min(4, len(exact))))
+        for thr in sorted(thresholds):
+            got = compare_slices(g, chosen, good, thr)
+            assert [list(row) for row in got.reports] == _oracle_cells(g, chosen, good, thr)
+            cells += len(chosen) * len(good)
+            on_boundary += thr in exact
+        slc, sc = chosen[-1], good[-1]
+        assert impact_set(g, slc, sc, exact[0]) == impact_by_coupling(g, slc, sc, exact[0])
+    assert cells >= 1500 and on_boundary >= 60 and errors >= 5
+
+
+def test_compare_slices_first_error_is_row_major(fig2, s1, s2):
+    # d_15 under n_1 is covered in s1 (n_1 is a member) but not in s2
+    uncoverable = scenario("add_directive", "n_1", {"id": "d_15", "relevance": 0.7})
+    message = "directives not covered by any member: d_15"
+    assert impact_set(fig2, s1, uncoverable).impact_count == 2
+    with pytest.raises(UncoveredDirectiveError, match=f"^{message}$"):
+        impact_set(fig2, s2, uncoverable)
+    with pytest.raises(UncoveredDirectiveError, match=f"^{message}$"):
+        compare_slices(fig2, [s1, s2], [uncoverable])
+    # the first row applies every scenario, so an edit that cannot be made
+    # fails before the second row's membership does
+    ghost = scenario("delete_directive", "ghost")
+    with pytest.raises(ChangeError, match="^unknown directive 'ghost'$"):
+        compare_slices(fig2, [s1, s2], [uncoverable, ghost])
+    with pytest.raises(UncoveredDirectiveError, match=f"^{message}$"):
+        compare_slices(fig2, [s2, s1], [uncoverable, ghost])
+
+
+def test_impact_not_connected_error():
+    # a validated edit never leaves a directive out of reach, so hand the
+    # kernel a base graph with a second component directly
+    g = build_graph(
+        [("m", "mission"), ("f", "function"), ("a", "directive"), ("b", "directive"),
+         ("o", "function"), ("z", "directive")],
+        [("m", "f"), ("f", "a", None, 1), ("f", "b", None, 1), ("o", "z", None, 1)],
+    )
+    slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
+    sc = scenario("modify_directive", "a", {"label": "x"})
+    applied = (g, frozenset({"a"}), False)
+    with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
+        _impact(g, slc, sc, applied, Fraction(1, 8))
+    with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
+        directive_coupling(g, "z", "a", {"a", "b"})
+
+
+def test_compare_slices_checks_threshold_once(fig2, s1):
+    # also with no scenario to measure
+    for value in (5, 0, Fraction(11, 10)):
+        with pytest.raises(ValueError, match=r"threshold .* outside \(0, 1\]"):
+            compare_slices(fig2, [s1], [], value)
+    with pytest.raises(ValueError, match="at least one slice"):
+        compare_slices(fig2, [], [], 5)
+    # str() of this threshold would exceed Python's int-string digit limit
+    with pytest.raises(ValueError, match=r"^threshold 1000+\.\.\.0+ outside \(0, 1\]$"):
+        compare_slices(fig2, [s1], [], Fraction(10**4300))

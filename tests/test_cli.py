@@ -142,6 +142,49 @@ def test_parse_errors_are_short(tmp_path, capsys):
     assert line.startswith("error: node entry 3") and len(line) < 200
 
 
+def _fig2_with(section: str, index: int, key: str, raw: str) -> str:
+    # fig2 with one field of one node or edge replaced by raw JSON text
+    doc = json.loads(fig2_text())
+    doc[section][index][key] = "RAW"
+    return json.dumps(doc).replace('"RAW"', raw)
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["validate", "FILE"],
+            _fig2_with("edges", 0, "kind", "5"),
+            "edge entry 0: unknown edge kind 5",
+        ),
+        (
+            ["validate", "FILE"],
+            _fig2_with("nodes", 1, "kind", "7"),
+            "node entry 1: unknown node kind 7",
+        ),
+        (
+            ["validate", "FILE"],
+            _fig2_with("edges", 8, "relevance", "1e4300"),
+            f"edge entry 8: relevance 1{'0' * 17}...{'0' * 18} on 'n_3' -> 'd_10' outside (0, 1]",
+        ),
+        (
+            ["simulate", FIG, "FILE", "--slice", S1],
+            '[{"kind": "delete_directive", "target": [1]}]',
+            "scenario entry 0: target must be a string: [1]",
+        ),
+    ],
+    ids=["edge-kind", "node-kind", "huge-relevance", "scenario-target"],
+)
+def test_malformed_field_is_usage(tmp_path, capsys, argv, text, message):
+    # each used to exit 1, three of them with a traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--format", "machine")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_file_is_usage(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == EXIT_USAGE
@@ -529,6 +572,18 @@ def test_simulate_bad_threshold(scenario_file, capsys):
         )
         assert rc == EXIT_USAGE
         assert "threshold" in err
+
+
+def test_simulate_bad_threshold_without_scenarios(tmp_path, capsys):
+    # with no cell to measure the threshold went unchecked and was printed
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    rc, out, err = run(
+        capsys, "simulate", FIG, str(path), "--slice", S1, "--threshold", "5",
+        "--format", "machine",
+    )
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: threshold 5 outside (0, 1]\n"
 
 
 def test_simulate_bad_scenario_file(tmp_path, capsys):

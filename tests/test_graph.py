@@ -27,7 +27,7 @@ from capslice.graph import (
     undirected_distance,
     validate,
 )
-from capslice.rational import to_fraction
+from capslice.rational import brief, to_fraction
 from conftest import random_fd_graph
 from oracles import bfs_distance, bfs_distances, reachable_leaves
 
@@ -164,6 +164,35 @@ def test_decimal_exponent_bound():
         parse_graph(json.dumps(_tiny({"relevance": "X"})).replace('"X"', "1e-5000"))
     assert to_fraction("1e-4300") == Fraction(1, 10**4300)
     assert to_fraction("25e-1") == Fraction(5, 2)
+
+
+def test_parse_kinds_must_be_names():
+    # a numeric edge kind used to reach validate and raise AttributeError
+    with pytest.raises(GraphParseError, match="^edge entry 1: unknown edge kind 5$"):
+        parse_graph(json.dumps(_tiny({"relevance": 0.7, "kind": 5})))
+    doc = _tiny({"relevance": 0.7})
+    doc["nodes"][1]["kind"] = 7
+    with pytest.raises(GraphParseError, match="^node entry 1: unknown node kind 7$"):
+        parse_graph(json.dumps(doc))
+    # library callers may pass the enum members themselves
+    g = build_graph(
+        [Node("m", NodeKind.MISSION), ("f", NodeKind.FUNCTION), ("d", "directive")],
+        [("m", "f", EdgeKind.REFINEMENT), ("f", "d", "refinement", Fraction(1, 2))],
+    )
+    assert validate(g).ok
+    assert g.edge_kind("m", "f") is EdgeKind.REFINEMENT
+
+
+def test_oversized_relevance_is_named():
+    # str() of 10**4300 exceeds Python's int-string digit limit, which used
+    # to replace the message; 1e4300 is within the decimal exponent bound
+    text = json.dumps(_tiny({"relevance": "X"})).replace('"X"', "1e4300")
+    cut = "1" + "0" * 17 + "..." + "0" * 18
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == f"edge entry 1: relevance {cut} on 'f' -> 'd' outside (0, 1]"
+    assert brief(Fraction(-(10**5000), 3)) == f"-{cut}/3"
+    assert brief([Fraction(7, 10), 10**40 - 1]) == f"[7/10, {'9' * 40}]"
 
 
 def test_parse_unknown_category():
@@ -320,6 +349,10 @@ def test_validate_relevance_extra_and_range():
     zero = FDGraph(nodes, kinds, {("d", "f"): Fraction(0)})
     assert [(v.code, v.message) for v in validate(zero).violations] == [
         ("RELEVANCE_RANGE", "relevance 0 outside (0, 1]")
+    ]
+    huge = FDGraph(nodes, kinds, {("d", "f"): Fraction(10**4300)})
+    assert [(v.code, v.message) for v in validate(huge).violations] == [
+        ("RELEVANCE_RANGE", f"relevance 1{'0' * 17}...{'0' * 18} outside (0, 1]")
     ]
 
 

@@ -387,6 +387,10 @@ def test_config_load_errors(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=message):
             OptimizationConfig.load(str(path))
+    # str() of 10**4300 exceeds Python's int-string digit limit
+    path.write_text('{"tf": {"n_1": 1e4300}}')
+    with pytest.raises(ConfigError, match=r"^tf value 10+\.\.\.0+ for 'n_1' outside \[0, 1\]$"):
+        OptimizationConfig.load(str(path))
     edges = tmp_path / "edges.json"
     edges.write_text(json.dumps({"tf": {"n_1": 0, "n_3": 1, "default": 0}}))
     config = OptimizationConfig.load(str(edges))
