@@ -265,6 +265,8 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             raise ChangeError(f"node id {new_id!r} already exists")
         if not adopted:
             raise ChangeError("a new function must adopt at least one child")
+        if not isinstance(adopted, list) or not all(isinstance(c, str) for c in adopted):
+            raise ChangeError("children must be a list of node ids")
         adopted = list(dict.fromkeys(adopted))
         current = set(graph.children(target))
         for c in adopted:

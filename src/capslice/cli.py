@@ -158,7 +158,7 @@ def cmd_metrics(args) -> int:
 
     slice_obj = None
     if args.slice:
-        slice_obj = make_slice(graph, _split_ids(args.slice[0]))
+        slice_obj = make_slice(graph, _split_ids(args.slice))
 
     pair_rows: list[tuple[str, str, Fraction]] = []
     if args.pairs:
@@ -389,16 +389,9 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     graph = _load_graph(args.graph)
     scenarios = parse_scenarios(_read_file(args.scenarios))
-    if not args.slice:
-        raise _usage("simulate needs at least one --slice")
     slices = [make_slice(graph, _split_ids(spec)) for spec in args.slice]
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    try:
-        comparison = compare_slices(graph, slices, scenarios, threshold)
-    except ValueError as exc:
-        if "threshold" in str(exc):
-            raise _usage(str(exc)) from exc
-        raise
+    comparison = compare_slices(graph, slices, scenarios, threshold)
 
     machine = _machine(args)
     if machine:
@@ -455,7 +448,7 @@ def cmd_export(args) -> int:
     if args.manifest:
         if not args.slice:
             raise _usage("--manifest needs a --slice to export")
-        slc = make_slice(graph, _split_ids(args.slice[0]))
+        slc = make_slice(graph, _split_ids(args.slice))
         doc = export_capabilities(graph, slc, lam=lam)
         validate_manifest(doc)
         if machine:
@@ -466,7 +459,7 @@ def cmd_export(args) -> int:
 
     annotations = None
     if args.slice:
-        slc = make_slice(graph, _split_ids(args.slice[0]))
+        slc = make_slice(graph, _split_ids(args.slice))
         annotations = slice_objective(graph, slc, lam)
     text = export_dot(graph, annotations)
     if machine:
@@ -479,36 +472,43 @@ def cmd_export(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a second occurrence is a usage error, not a silent drop."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each flag goes only on the subcommands whose handler reads it
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--format",
         choices=("text", "machine"),
         default=None,
         help="output mode; default is text on a terminal, machine otherwise",
     )
-    common.add_argument(
+    objective = argparse.ArgumentParser(add_help=False)
+    objective.add_argument(
         "--lambda",
         dest="lam",
         type=_fraction_arg,
         default=None,
         help="coupling penalty weight in the slice objective (default 1)",
     )
-    common.add_argument(
-        "--threshold",
-        type=_fraction_arg,
-        default=None,
-        help="impact coupling threshold in (0, 1] (default 0.125)",
-    )
-    common.add_argument(
+    enumeration = argparse.ArgumentParser(add_help=False)
+    enumeration.add_argument(
         "--max-slices", type=int, default=None, help="stop enumeration after this many slices"
     )
-    common.add_argument(
+    enumeration.add_argument(
         "--time-budget",
         type=float,
         default=None,
         help="stop enumeration after this many seconds",
     )
+    searching = [output, objective, enumeration]
 
     parser = argparse.ArgumentParser(
         prog="capslice",
@@ -516,19 +516,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a graph file")
+    p = sub.add_parser("validate", parents=[output], help="check a graph file")
     p.add_argument("graph")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("metrics", parents=[common], help="sizes, cohesion, coupling")
+    p = sub.add_parser("metrics", parents=[output], help="sizes, cohesion, coupling")
     p.add_argument("graph")
     p.add_argument("--pairs", default=None, help="comma list of functions to couple")
-    p.add_argument(
-        "--slice", action="append", default=None, help="slice context for membership"
-    )
+    p.add_argument("--slice", action=_Once, default=None, help="slice context for membership")
     p.set_defaults(handler=cmd_metrics)
 
-    p = sub.add_parser("slices", parents=[common], help="enumerate and rank valid slices")
+    p = sub.add_parser("slices", parents=searching, help="enumerate and rank valid slices")
     p.add_argument("graph")
     p.add_argument(
         "--initial-only",
@@ -537,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_slices)
 
-    p = sub.add_parser("optimize", parents=[common], help="pick the best feasible slice")
+    p = sub.add_parser("optimize", parents=searching, help="pick the best feasible slice")
     p.add_argument("graph")
     p.add_argument(
         "config",
@@ -547,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_optimize)
 
-    p = sub.add_parser("simulate", parents=[common], help="measure change impact per slice")
+    p = sub.add_parser("simulate", parents=[output], help="measure change impact per slice")
     p.add_argument("graph")
     p.add_argument("scenarios", help="JSON list of change scenarios")
     p.add_argument(
@@ -556,12 +554,20 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma list of members; repeat to compare several slices",
     )
+    p.add_argument(
+        "--threshold",
+        type=_fraction_arg,
+        default=None,
+        help="impact coupling threshold in (0, 1] (default 0.125)",
+    )
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("export", parents=[common], help="emit DOT or a capability manifest")
+    p = sub.add_parser(
+        "export", parents=[output, objective], help="emit DOT or a capability manifest"
+    )
     p.add_argument("graph")
     p.add_argument("--manifest", action="store_true", help="emit a capability manifest")
-    p.add_argument("--slice", action="append", default=None, help="slice to export")
+    p.add_argument("--slice", action=_Once, default=None, help="slice to export")
     p.set_defaults(handler=cmd_export)
 
     return parser
@@ -579,13 +585,7 @@ def main(argv=None) -> int:
     except _Failure as failure:
         print(f"error: {failure.message}", file=sys.stderr)
         return failure.code
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ScenarioParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownNodeError as exc:
+    except (GraphParseError, ScenarioParseError, ConfigError, UnknownNodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidSliceError as exc:

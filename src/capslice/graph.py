@@ -177,15 +177,8 @@ class FDGraph:
         self.node(node_id)
         return self._parents[node_id]
 
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return self._neighbors[node_id]
-
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         return [(u, v, self._edge_kinds[(u, v)]) for u, v in sorted(self._edge_kinds)]
-
-    def has_edge(self, parent: str, child: str) -> bool:
-        return (parent, child) in self._edge_kinds
 
     def edge_kind(self, parent: str, child: str) -> EdgeKind:
         try:
@@ -500,6 +493,10 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
             )
         if node.id in node_map:
             raise GraphParseError(f"node entry {i}: duplicate node id {brief(node.id)}")
+        if not isinstance(node.label, str):
+            raise GraphParseError(
+                f"node entry {i}: label must be a string, got {brief(node.label)}"
+            )
         node_map[node.id] = node
 
     raw_edges: list[tuple[str, str, EdgeKind | None]] = []

@@ -398,7 +398,6 @@ def export_capabilities(
     *,
     lam: Fraction = Fraction(1),
     tf: TechFeasibility | None = None,
-    times: Mapping[str, Fraction] | None = None,
 ) -> dict:
     """Implementation-ready manifest for one slice.
 
@@ -411,7 +410,7 @@ def export_capabilities(
 
     metrics = slice_objective(graph, slc, lam)
     tf = tf or TechFeasibility()
-    sched = schedule_slice(graph, slc, times=times, coupling=metrics.coupling)
+    sched = schedule_slice(graph, slc, coupling=metrics.coupling)
     position = {m: i for i, m in enumerate(sched.order)}
 
     capabilities = []

@@ -332,6 +332,12 @@ def test_add_function_errors(fig2):
         apply_change(fig2, scenario("add_function", "n_7", {"id": "n_8", "children": ["d_8"]}))
     with pytest.raises(ChangeError, match="is a directive"):
         apply_change(fig2, scenario("add_function", "d_1", {"id": "n_10", "children": ["x"]}))
+    # children must be a list of ids: not a number, a nested list or one bare string
+    for children in (5, [["d_8"]], "d_8"):
+        with pytest.raises(ChangeError, match="children must be a list of node ids"):
+            apply_change(
+                fig2, scenario("add_function", "n_7", {"id": "n_10", "children": children})
+            )
 
 
 # -- shared behavior ----------------------------------------------------------------

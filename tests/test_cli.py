@@ -172,11 +172,24 @@ def _fig2_with(section: str, index: int, key: str, raw: str) -> str:
             '[{"kind": "delete_directive", "target": [1]}]',
             "scenario entry 0: target must be a string: [1]",
         ),
+        (
+            ["validate", "FILE"],
+            _fig2_with("nodes", 1, "label", "null"),
+            "node entry 1: label must be a string, got None",
+        ),
+        (
+            ["export", "FILE"],
+            _fig2_with("nodes", 1, "label", "5"),
+            "node entry 1: label must be a string, got 5",
+        ),
     ],
-    ids=["edge-kind", "node-kind", "huge-relevance", "scenario-target"],
+    ids=[
+        "edge-kind", "node-kind", "huge-relevance", "scenario-target", "node-label",
+        "node-label-export",
+    ],
 )
 def test_malformed_field_is_usage(tmp_path, capsys, argv, text, message):
-    # each used to exit 1, three of them with a traceback
+    # each is one parse error naming the field, never a traceback or a pass
     path = tmp_path / "input.json"
     path.write_text(text)
     argv = [str(path) if a == "FILE" else a for a in argv]
@@ -613,6 +626,28 @@ def test_simulate_impossible_change_is_domain(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_simulate_bad_children_is_domain(tmp_path, capsys):
+    # a malformed payload is an impossible change, not a traceback
+    path = tmp_path / "adopt.json"
+    payload = {"id": "n_10", "children": 5}
+    path.write_text(json.dumps([{"kind": "add_function", "target": "n_7", "payload": payload}]))
+    rc, out, err = run(capsys, "simulate", FIG, str(path), "--slice", S1)
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err == "error: children must be a list of node ids\n"
+
+
+def test_exit_code_ignores_error_text(tmp_path, capsys):
+    # the exit code follows the exception type, whatever the message says
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps([{"kind": "delete_directive", "target": "threshold"}]))
+    rc, out, err = run(capsys, "simulate", FIG, str(path), "--slice", S1)
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err == "error: unknown directive 'threshold'\n"
+    rc, out, err = run(capsys, "simulate", FIG, str(path), "--slice", S1, "--threshold", "5")
+    assert rc == EXIT_USAGE and out == ""
+    assert err == "error: threshold 5 outside (0, 1]\n"
+
+
 # -- export -----------------------------------------------------------------------
 
 
@@ -664,6 +699,47 @@ def test_export_invalid_slice_is_domain(capsys):
     rc, _, err = run(capsys, "export", FIG, "--slice", "m")
     assert rc == EXIT_DOMAIN
     assert "MISSION_MEMBER" in err
+
+
+# -- flags ------------------------------------------------------------------------
+
+# the formerly global flags each subcommand reads: 14 of the 30 pairs
+READS = {
+    "validate": {"--format"},
+    "metrics": {"--format"},
+    "slices": {"--format", "--lambda", "--max-slices", "--time-budget"},
+    "optimize": {"--format", "--lambda", "--max-slices", "--time-budget"},
+    "simulate": {"--format", "--threshold"},
+    "export": {"--format", "--lambda"},
+}
+FLAG_VALUES = {
+    "--format": "machine",
+    "--lambda": "0.5",
+    "--max-slices": "3",
+    "--time-budget": "60",
+    "--threshold": "0.25",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(READS))
+def test_flag_only_where_read(scenario_file, capsys, command, flag):
+    # a flag the handler does not read is a usage error, never silently ignored
+    operands = [scenario_file, "--slice", S1] if command == "simulate" else []
+    rc, out, err = run(capsys, command, FIG, *operands, flag, FLAG_VALUES[flag])
+    if flag in READS[command]:
+        assert rc == EXIT_OK and out
+    else:
+        assert rc == EXIT_USAGE and out == ""
+        assert f"unrecognized arguments: {flag} " in err
+
+
+@pytest.mark.parametrize("command", ["metrics", "export"])
+def test_single_slice_flag_given_twice(capsys, command):
+    # metrics and export read one slice, so a second is refused, not dropped
+    rc, out, err = run(capsys, command, FIG, "--slice", S1, "--slice", "bogus")
+    assert rc == EXIT_USAGE and out == ""
+    assert "--slice may be given only once" in err
 
 
 # -- determinism ------------------------------------------------------------------

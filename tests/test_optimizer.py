@@ -478,19 +478,15 @@ def test_manifest_validation_catches_damage(fig2):
         validate_manifest(doc)
 
 
-def test_manifest_with_tf_and_times(fig2):
+def test_manifest_with_tf(fig2):
     slc = make_slice(fig2, S2)
     doc = export_capabilities(
-        fig2,
-        slc,
-        lam=Fraction(1, 2),
-        tf=TechFeasibility({"n_5": Fraction(4, 5)}),
-        times={"n_5": 2},
+        fig2, slc, lam=Fraction(1, 2), tf=TechFeasibility({"n_5": Fraction(4, 5)})
     )
     validate_manifest(doc)
     caps = {c["id"]: c for c in doc["capabilities"]}
     assert caps["n_5"]["tf"] == 0.8
-    assert caps["n_5"]["build_time"] == 2.0
+    assert caps["n_5"]["build_time"] == 3.0  # its directive count
     assert caps["n_2"]["tf"] == 1.0
     assert doc["lambda"] == 0.5
-    assert doc["makespan"] == 14.0  # 2 + 5 + 7
+    assert doc["makespan"] == 15.0  # 3 + 5 + 7
