@@ -25,6 +25,7 @@ from .graph import (
     NodeKind,
     Violation,
     build_graph,
+    coerce_relevance,
     distances_from,
     undirected_distance,
     validate,
@@ -163,6 +164,15 @@ def _require(graph: FDGraph, target: str, kind: NodeKind, role: str) -> Node:
     return node
 
 
+def _relevance(raw, parent: str, directive: str) -> Fraction:
+    # checked here, so a bad weight names the scenario's edge and not an
+    # entry of the graph _rebuild assembles
+    try:
+        return coerce_relevance(raw, parent, directive)
+    except GraphParseError as exc:
+        raise ChangeError(str(exc)) from exc
+
+
 def _apply(graph: FDGraph, scenario: ChangeScenario):
     """Return (changed graph, seed directives, evaluate_on_changed)."""
     payload = dict(scenario.payload or {})
@@ -179,7 +189,9 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         if label is None and rel is None:
             raise ChangeError("modification must change a label or a relevance")
         if label is not None:
-            nodes[target] = Node(target, NodeKind.DIRECTIVE, str(label))
+            if not isinstance(label, str):
+                raise ChangeError("label must be a string")
+            nodes[target] = Node(target, NodeKind.DIRECTIVE, label)
         if rel is not None:
             if isinstance(rel, Mapping):
                 updates = dict(rel)
@@ -193,7 +205,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             for parent, value in sorted(updates.items()):
                 if (target, parent) not in relevance:
                     raise ChangeError(f"{parent!r} is not a parent of {target!r}")
-                relevance[(target, parent)] = value
+                relevance[(target, parent)] = _relevance(value, parent, target)
         new = _rebuild(nodes, edges, relevance)
         return new, frozenset((target,)), False
 
@@ -217,11 +229,13 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             raise ChangeError("payload must name the new directive id")
         if graph.has_node(new_id):
             raise ChangeError(f"node id {new_id!r} already exists")
+        if not isinstance(label, str):
+            raise ChangeError("label must be a string")
         if rel is None:
             raise ChangeError("a new directive needs a relevance")
-        nodes[new_id] = Node(new_id, NodeKind.DIRECTIVE, str(label))
+        nodes[new_id] = Node(new_id, NodeKind.DIRECTIVE, label)
         edges.add((target, new_id))
-        relevance[(new_id, target)] = rel
+        relevance[(new_id, target)] = _relevance(rel, target, new_id)
         new = _rebuild(nodes, edges, relevance)
         return new, frozenset((new_id,)), True
 
@@ -263,6 +277,8 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             raise ChangeError("payload must name the new function id")
         if graph.has_node(new_id):
             raise ChangeError(f"node id {new_id!r} already exists")
+        if not isinstance(label, str):
+            raise ChangeError("label must be a string")
         if not adopted:
             raise ChangeError("a new function must adopt at least one child")
         if not isinstance(adopted, list) or not all(isinstance(c, str) for c in adopted):
@@ -272,7 +288,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         for c in adopted:
             if c not in current:
                 raise ChangeError(f"{c!r} is not a child of {target!r}")
-        nodes[new_id] = Node(new_id, NodeKind.FUNCTION, str(label))
+        nodes[new_id] = Node(new_id, NodeKind.FUNCTION, label)
         edges.add((target, new_id))
         for c in adopted:
             edges.discard((target, c))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -481,8 +482,12 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # each flag goes only on the subcommands whose handler reads it
+    # Built once per process and never mutated after: parse_args fills a fresh
+    # Namespace from immutable defaults (None or False) on every call, and the
+    # handlers look library names up as module globals when they run.
+    # Each flag goes only on the subcommands whose handler reads it.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
         "--format",
@@ -574,6 +579,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line (default ``sys.argv[1:]``) and return its exit code.
+
+    Safe to call repeatedly in one process: the parser is built on the first
+    call and shared, unchanged, by every later one, so no call sees another's
+    arguments.  A shell invocation runs main once and gains nothing from this.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -451,16 +451,27 @@ def validate(graph: FDGraph) -> ValidationReport:
 # -- construction ----------------------------------------------------------
 
 
-def _coerce_relevance(raw) -> Fraction:
+def coerce_relevance(raw, parent: str, child: str) -> Fraction:
+    """The relevance of edge parent -> child as an exact Fraction in (0, 1].
+
+    raw is an impact category name or a number; anything else, and a value
+    outside (0, 1], raises GraphParseError.
+    """
     if isinstance(raw, str):
         try:
-            return IMPACT_RELEVANCE[raw.lower()]
+            value = IMPACT_RELEVANCE[raw.lower()]
         except KeyError:
             raise GraphParseError(f"unknown impact category {brief(raw)}") from None
-    try:
-        return to_fraction(raw)
-    except (TypeError, ValueError) as exc:
-        raise GraphParseError(f"bad relevance value {brief(raw)}: {exc}") from None
+    else:
+        try:
+            value = to_fraction(raw)
+        except (TypeError, ValueError) as exc:
+            raise GraphParseError(f"bad relevance value {brief(raw)}: {exc}") from None
+    if not 0 < value <= 1:
+        raise GraphParseError(
+            f"relevance {brief(value)} on {brief(parent)} -> {brief(child)} outside (0, 1]"
+        )
+    return value
 
 
 def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
@@ -532,13 +543,10 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
                 raise GraphParseError(
                     f"edge entry {i}: relevance on a non-directive edge {brief(u)} -> {brief(v)}"
                 )
-            value = _coerce_relevance(rel)
-            if not 0 < value <= 1:
-                raise GraphParseError(
-                    f"edge entry {i}: relevance {brief(value)} on {brief(u)} -> {brief(v)} "
-                    "outside (0, 1]"
-                )
-            relevance[(v, u)] = value
+            try:
+                relevance[(v, u)] = coerce_relevance(rel, u, v)
+            except GraphParseError as exc:
+                raise GraphParseError(f"edge entry {i}: {exc}") from None
         raw_edges.append((u, v, kind))
 
     outdeg: dict[str, int] = {i: 0 for i in node_map}

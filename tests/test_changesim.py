@@ -161,6 +161,42 @@ def test_modify_errors(fig2):
         apply_change(fig2, scenario("modify_directive", "d_1", {"relevance": 0}))
 
 
+def test_bad_relevance_names_the_scenario_edge(fig2):
+    # the range check runs before the rebuild, whose edge list the user never wrote
+    cases = [
+        ("modify_directive", "d_9", {"relevance": 2}, "relevance 2 on 'n_7' -> 'd_9'"),
+        ("modify_directive", "d_3", {"relevance": {"n_6": 0}}, "relevance 0 on 'n_6' -> 'd_3'"),
+        ("add_directive", "n_7", {"id": "d_15", "relevance": 0}, "relevance 0 on 'n_7' -> 'd_15'"),
+    ]
+    for kind, target, payload, named in cases:
+        with pytest.raises(ChangeError) as err:
+            apply_change(fig2, scenario(kind, target, payload))
+        assert str(err.value) == f"{named} outside (0, 1]"
+    with pytest.raises(ChangeError, match="^unknown impact category 'dire'$"):
+        apply_change(fig2, scenario("modify_directive", "d_9", {"relevance": "dire"}))
+
+
+@pytest.mark.parametrize(
+    "kind, target, payload",
+    [
+        ("modify_directive", "d_1", {}),
+        ("add_directive", "n_7", {"id": "d_15", "relevance": 0.7}),
+        ("add_function", "n_7", {"id": "n_10", "children": ["d_8"]}),
+    ],
+)
+def test_label_must_be_a_string(fig2, kind, target, payload):
+    # refused, never turned into a string: ["x"] would become the label "['x']"
+    for label in (["x"], 5, {"a": 1}):
+        with pytest.raises(ChangeError, match="^label must be a string$"):
+            apply_change(fig2, scenario(kind, target, {**payload, "label": label}))
+    if kind != "modify_directive":  # where a null label means "no change"
+        with pytest.raises(ChangeError, match="^label must be a string$"):
+            apply_change(fig2, scenario(kind, target, {**payload, "label": None}))
+    new = apply_change(fig2, scenario(kind, target, {**payload, "label": "renamed"}))
+    changed = target if kind == "modify_directive" else payload["id"]
+    assert new.node(changed).label == "renamed"
+
+
 # -- delete directive -----------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from capslice.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from capslice.cli import CONFIG_ENV, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, main
 from capslice.changesim import compare_slices, parse_scenarios
 from capslice.fixtures import fig2_path, fig2_text
 from capslice.slicing import make_slice
@@ -636,6 +636,36 @@ def test_simulate_bad_children_is_domain(tmp_path, capsys):
     assert err == "error: children must be a list of node ids\n"
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"kind": "modify_directive", "target": "d_9", "payload": {"relevance": 2}},
+            "relevance 2 on 'n_7' -> 'd_9' outside (0, 1]",
+        ),
+        (
+            {"kind": "add_directive", "target": "n_7", "payload": {"id": "d_15", "relevance": 0}},
+            "relevance 0 on 'n_7' -> 'd_15' outside (0, 1]",
+        ),
+        (
+            {"kind": "add_function", "target": "n_7",
+             "payload": {"id": "n_10", "children": ["d_8"], "label": ["x"]}},
+            "label must be a string",
+        ),
+    ],
+    ids=["modify-relevance", "add-relevance", "add-function-label"],
+)
+def test_simulate_bad_payload_names_the_scenario(tmp_path, capsys, entry, message):
+    # an impossible change, reported in the scenario's terms: no entry of the
+    # graph the edit rebuilds internally
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([entry]))
+    rc, out, err = run(capsys, "simulate", FIG, str(path), "--slice", S1)
+    assert rc == EXIT_DOMAIN and out == ""
+    assert err == f"error: {message}\n"
+    assert "edge entry" not in err
+
+
 def test_exit_code_ignores_error_text(tmp_path, capsys):
     # the exit code follows the exception type, whatever the message says
     path = tmp_path / "named.json"
@@ -740,6 +770,57 @@ def test_single_slice_flag_given_twice(capsys, command):
     rc, out, err = run(capsys, command, FIG, "--slice", S1, "--slice", "bogus")
     assert rc == EXIT_USAGE and out == ""
     assert "--slice may be given only once" in err
+
+
+# -- repeated calls ---------------------------------------------------------------
+
+
+def test_main_repeated_calls_agree(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process and shared by every call, so no
+    # call may see a flag, a default or an environment value of an earlier one
+    assert _build_parser() is _build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tf_min": 0.5, "tf": {"n_5": 0.25}, "f_min": 0.52}))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIOS))
+    steps = [
+        (None, ["validate", FIG]),
+        (None, ["metrics", FIG, "--slice", S1]),
+        (None, ["metrics", FIG]),
+        (None, ["slices", FIG, "--max-slices", "2", "--lambda", "0"]),
+        (None, ["slices", FIG, "--max-slices", "1"]),
+        (str(cfg), ["optimize", FIG]),
+        (None, ["optimize", FIG]),
+        (None, ["simulate", FIG, str(scen), "--slice", S1, "--slice", S2]),
+        (None, ["simulate", FIG, str(scen), "--slice", S1]),
+        (None, ["export", FIG, "--slice", S1, "--slice", S2]),
+        (None, ["export", FIG, "--slice", S1]),
+    ]
+
+    def round_():
+        results = []
+        for config, argv in steps:
+            if config is None:
+                monkeypatch.delenv(CONFIG_ENV, raising=False)
+            else:
+                monkeypatch.setenv(CONFIG_ENV, config)
+            results.append(run(capsys, *argv, "--format", "machine"))
+        results.append(run(capsys, "--help"))
+        return results
+
+    first = round_()
+    assert round_() == first
+
+    codes = [rc for rc, _, _ in first]
+    assert codes == [EXIT_OK] * 9 + [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    docs = [machine_docs(out) for _, out, _ in first[:-1]]
+    assert docs[1][0]["slice"] == S1.split(",") and "slice" not in docs[2][0]
+    assert len(docs[3]) == 3 and len(docs[4]) == 2  # two slices or one, and a summary
+    assert docs[5][0]["best"]["members"] == S1.split(",")
+    assert docs[6][0]["best"]["members"] == S2.split(",")
+    assert len(docs[7][0]["matrix"]) == 2 and len(docs[8][0]["matrix"]) == 1
+    assert first[9][1] == "" and "--slice may be given only once" in first[9][2]
+    assert first[-1][1].startswith("usage: capslice")
 
 
 # -- determinism ------------------------------------------------------------------

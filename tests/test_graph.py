@@ -16,6 +16,7 @@ from capslice.graph import (
     UnknownNodeError,
     ancestors,
     build_graph,
+    coerce_relevance,
     descendants,
     distances_from,
     export_dot,
@@ -196,8 +197,23 @@ def test_oversized_relevance_is_named():
 
 
 def test_parse_unknown_category():
-    with pytest.raises(GraphParseError, match="category"):
+    with pytest.raises(GraphParseError, match="^edge entry 1: unknown impact category 'dire'$"):
         parse_graph(json.dumps(_tiny({"relevance": "dire"})))
+
+
+def test_coerce_relevance():
+    assert coerce_relevance("Critical", "f", "d") == Fraction(7, 10)
+    assert coerce_relevance(Fraction(1, 4), "f", "d") == Fraction(1, 4)
+    assert coerce_relevance(1, "f", "d") == 1
+    # the message names the edge and no entry of any list
+    for raw, shown in ((2, "2"), (0, "0"), (Fraction(-1, 3), "-1/3")):
+        with pytest.raises(GraphParseError) as err:
+            coerce_relevance(raw, "f", "d")
+        assert str(err.value) == f"relevance {shown} on 'f' -> 'd' outside (0, 1]"
+    with pytest.raises(GraphParseError, match="^unknown impact category 'dire'$"):
+        coerce_relevance("dire", "f", "d")
+    with pytest.raises(GraphParseError, match="^bad relevance value \\[1\\]"):
+        coerce_relevance([1], "f", "d")
 
 
 def test_parse_relevance_on_function_edge():
