@@ -1,4 +1,4 @@
-"""Property: mutated graph and scenario files never make the CLI raise.
+"""Property: mutated graph, scenario and config files never make the CLI raise.
 
 Every call goes through ``capslice.cli.main`` in this process, so the test
 also runs one parser, built once, through a few hundred command lines.
@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from capslice.cli import EXIT_USAGE, main  # noqa: E402
@@ -68,6 +68,22 @@ scenarios = st.lists(
     ),
     max_size=3,
 )
+numbers = st.sampled_from([0, 0.25, 0.5, 1, 2, -1]) | values
+configs = (
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "tf_min": numbers,
+            "sched_max": numbers,
+            "f_min": numbers,
+            "lambda": numbers,
+            "weights": st.dictionaries(st.sampled_from(["f", "tf", "sched"]), numbers) | values,
+            "tf": st.dictionaries(st.sampled_from(IDS + ["default"]), numbers) | values,
+            "times": st.dictionaries(st.sampled_from(IDS), numbers) | values,
+        },
+    )
+    | values
+)
 commands = st.sampled_from(
     [
         ["validate", "GRAPH"],
@@ -76,6 +92,7 @@ commands = st.sampled_from(
         ["simulate", "GRAPH", "SCENARIOS", "--slice", "n_1,n_3,n_7", "--slice", "n_2,n_3,n_5"],
         ["simulate", "GRAPH", "SCENARIOS", "--slice", "n_2,n_3,n_5"],
         ["export", "GRAPH", "--manifest", "--slice", "n_1,n_3,n_7"],
+        ["optimize", "GRAPH", "CONFIG"],
     ]
 )
 
@@ -97,13 +114,16 @@ def workdir(tmp_path_factory):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(command=commands, edits=graph_edits, scenario_list=scenarios)
-def test_cli_never_raises_on_mutated_input(workdir, command, edits, scenario_list):
-    graph = workdir / "graph.json"
-    graph.write_text(json.dumps(mutated_graph(edits)))
-    scen = workdir / "scenarios.json"
-    scen.write_text(json.dumps(scenario_list))
-    argv = [{"GRAPH": str(graph), "SCENARIOS": str(scen)}.get(a, a) for a in command]
+@given(command=commands, edits=graph_edits, scenario_list=scenarios, config=configs)
+def test_cli_never_raises_on_mutated_input(workdir, command, edits, scenario_list, config):
+    files = {
+        "GRAPH": mutated_graph(edits),
+        "SCENARIOS": scenario_list,
+        "CONFIG": config,
+    }
+    for name, doc in files.items():
+        (workdir / name).write_text(json.dumps(doc))
+    argv = [str(workdir / a) if a in files else a for a in command]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = main(argv + ["--format", "machine"])
