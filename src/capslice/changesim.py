@@ -24,7 +24,6 @@ from .graph import (
     Node,
     NodeKind,
     Violation,
-    build_graph,
     coerce_relevance,
     distances_from,
     undirected_distance,
@@ -113,13 +112,8 @@ def _parts(graph: FDGraph):
 
 
 def _rebuild(nodes, edges, relevance) -> FDGraph:
-    specs = []
-    for u, v in sorted(edges):
-        specs.append((u, v, None, relevance.get((v, u))))
-    try:
-        g = build_graph([nodes[i] for i in sorted(nodes)], specs)
-    except GraphParseError as exc:
-        raise ChangeError(str(exc)) from exc
+    # _apply checked every new part, so the graph is built, not re-parsed
+    g = FDGraph(nodes, dict.fromkeys(edges), relevance)
     report = validate(g)
     if not report.ok:
         raise ChangeError("edit leaves the graph invalid", report.violations)
@@ -165,28 +159,48 @@ def _require(graph: FDGraph, target: str, kind: NodeKind, role: str) -> Node:
 
 
 def _relevance(raw, parent: str, directive: str) -> Fraction:
-    # checked here, so a bad weight names the scenario's edge and not an
-    # entry of the graph _rebuild assembles
     try:
         return coerce_relevance(raw, parent, directive)
     except GraphParseError as exc:
         raise ChangeError(str(exc)) from exc
 
 
+def _take(payload: Mapping | None, **defaults) -> tuple:
+    """The payload's value for each key of defaults, in order; other keys are refused."""
+    payload = payload or {}
+    unknown = set(payload) - set(defaults)
+    if unknown:
+        raise ChangeError(f"unknown payload keys: {', '.join(sorted(unknown))}")
+    return tuple(payload.get(key, default) for key, default in defaults.items())
+
+
+def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> tuple:
+    """Check a new node of kind under parent: (id, label, *values of extra)."""
+    if not graph.has_node(parent):
+        raise ChangeError(f"unknown parent {parent!r}")
+    if graph.node(parent).kind is NodeKind.DIRECTIVE:
+        raise ChangeError(f"parent {parent!r} is a directive")
+    new_id, label, *rest = _take(payload, id=None, label="", **extra)
+    if not new_id or not isinstance(new_id, str):
+        raise ChangeError(f"payload must name the new {kind.value} id")
+    if graph.has_node(new_id):
+        raise ChangeError(f"node id {new_id!r} already exists")
+    if not isinstance(label, str):
+        raise ChangeError("label must be a string")
+    return (new_id, label, *rest)
+
+
 def _apply(graph: FDGraph, scenario: ChangeScenario):
     """Return (changed graph, seed directives, evaluate_on_changed)."""
-    payload = dict(scenario.payload or {})
+    payload = scenario.payload
     nodes, edges, relevance = _parts(graph)
     kind = scenario.kind
     target = scenario.target
 
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
-        label = payload.pop("label", None)
-        rel = payload.pop("relevance", None)
-        if payload:
-            raise ChangeError(f"unknown payload keys: {', '.join(sorted(payload))}")
-        if label is None and rel is None:
+        label, rel = _take(payload, label=None, relevance=None)
+        if label is None and rel in (None, {}):
             raise ChangeError("modification must change a label or a relevance")
         if label is not None:
             if not isinstance(label, str):
@@ -206,41 +220,27 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
                 if (target, parent) not in relevance:
                     raise ChangeError(f"{parent!r} is not a parent of {target!r}")
                 relevance[(target, parent)] = _relevance(value, parent, target)
-        new = _rebuild(nodes, edges, relevance)
-        return new, frozenset((target,)), False
+        seed = frozenset((target,))
 
-    if kind is ScenarioKind.DELETE_DIRECTIVE:
+    elif kind is ScenarioKind.DELETE_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
+        _take(payload)
         removed = _cascade_childless(nodes, edges, {target})
-        new = _rebuild(*_strip(nodes, edges, relevance, removed))
-        return new, frozenset((target,)), False
+        nodes, edges, relevance = _strip(nodes, edges, relevance, removed)
+        seed = frozenset((target,))
 
-    if kind is ScenarioKind.ADD_DIRECTIVE:
-        if not graph.has_node(target):
-            raise ChangeError(f"unknown parent {target!r}")
-        if graph.node(target).kind is NodeKind.DIRECTIVE:
-            raise ChangeError(f"parent {target!r} is a directive")
-        new_id = payload.pop("id", None)
-        label = payload.pop("label", "")
-        rel = payload.pop("relevance", None)
-        if payload:
-            raise ChangeError(f"unknown payload keys: {', '.join(sorted(payload))}")
-        if not new_id or not isinstance(new_id, str):
-            raise ChangeError("payload must name the new directive id")
-        if graph.has_node(new_id):
-            raise ChangeError(f"node id {new_id!r} already exists")
-        if not isinstance(label, str):
-            raise ChangeError("label must be a string")
+    elif kind is ScenarioKind.ADD_DIRECTIVE:
+        new_id, label, rel = _new_node(graph, target, payload, NodeKind.DIRECTIVE, relevance=None)
         if rel is None:
             raise ChangeError("a new directive needs a relevance")
         nodes[new_id] = Node(new_id, NodeKind.DIRECTIVE, label)
         edges.add((target, new_id))
         relevance[(new_id, target)] = _relevance(rel, target, new_id)
-        new = _rebuild(nodes, edges, relevance)
-        return new, frozenset((new_id,)), True
+        seed = frozenset((new_id,))
 
-    if kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
+    elif kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
         _require(graph, target, NodeKind.FUNCTION, "function")
+        _take(payload)
         removed = {target}
         # nodes no longer reachable from the mission went with the subtree
         remaining_children: dict[str, list[str]] = {}
@@ -260,25 +260,10 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         seed = frozenset(
             nid for nid in removed if nodes[nid].kind is NodeKind.DIRECTIVE
         )
-        new = _rebuild(*_strip(nodes, edges, relevance, removed))
-        return new, seed, False
+        nodes, edges, relevance = _strip(nodes, edges, relevance, removed)
 
-    if kind is ScenarioKind.ADD_FUNCTION:
-        if not graph.has_node(target):
-            raise ChangeError(f"unknown parent {target!r}")
-        if graph.node(target).kind is NodeKind.DIRECTIVE:
-            raise ChangeError(f"parent {target!r} is a directive")
-        new_id = payload.pop("id", None)
-        label = payload.pop("label", "")
-        adopted = payload.pop("children", None)
-        if payload:
-            raise ChangeError(f"unknown payload keys: {', '.join(sorted(payload))}")
-        if not new_id or not isinstance(new_id, str):
-            raise ChangeError("payload must name the new function id")
-        if graph.has_node(new_id):
-            raise ChangeError(f"node id {new_id!r} already exists")
-        if not isinstance(label, str):
-            raise ChangeError("label must be a string")
+    elif kind is ScenarioKind.ADD_FUNCTION:
+        new_id, label, adopted = _new_node(graph, target, payload, NodeKind.FUNCTION, children=None)
         if not adopted:
             raise ChangeError("a new function must adopt at least one child")
         if not isinstance(adopted, list) or not all(isinstance(c, str) for c in adopted):
@@ -298,10 +283,11 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         seed = frozenset(
             c for c in adopted if graph.node(c).kind is NodeKind.DIRECTIVE
         )
-        new = _rebuild(nodes, edges, relevance)
-        return new, seed, True
 
-    raise ChangeError(f"unsupported scenario kind {kind!r}")
+    else:
+        raise ChangeError(f"unsupported scenario kind {kind!r}")
+    on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
+    return _rebuild(nodes, edges, relevance), seed, on_changed
 
 
 def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:

@@ -111,15 +111,12 @@ def _violation_doc(v) -> dict:
     return {"code": v.code, "subject": v.subject, "message": v.message}
 
 
-def _load_graph(path: str, *, require_valid: bool = True) -> FDGraph:
+def _load_graph(path: str) -> FDGraph:
     graph = parse_graph(_read_file(path))
-    if require_valid:
-        report = validate(graph)
-        if not report.ok:
-            lines = "; ".join(
-                f"{v.code} {v.subject}: {v.message}" for v in report.violations
-            )
-            raise _domain(f"graph is invalid: {lines}")
+    report = validate(graph)
+    if not report.ok:
+        lines = "; ".join(f"{v.code} {v.subject}: {v.message}" for v in report.violations)
+        raise _domain(f"graph is invalid: {lines}")
     return graph
 
 
@@ -164,7 +161,7 @@ def cmd_metrics(args) -> int:
     pair_rows: list[tuple[str, str, Fraction]] = []
     if args.pairs:
         ids = _split_ids(args.pairs)
-        if len(ids) < 2:
+        if len(set(ids)) < 2:
             raise _usage("--pairs needs at least two node ids")
         for nid in ids:
             node = graph.node(nid)

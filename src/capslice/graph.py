@@ -106,24 +106,29 @@ def _expected_kind(outdeg_parent: int, indeg_child: int) -> EdgeKind:
 class FDGraph:
     """Immutable decomposition graph with cached structural queries.
 
-    Instances are built through build_graph / parse_graph.
+    Built by build_graph / parse_graph from checked outside input, or by
+    change simulation from a checked graph's edited parts.  An edge kind of
+    None is inferred here from node degrees, the one place kinds are inferred.
     """
 
     def __init__(
         self,
         nodes: dict[str, Node],
-        edge_kinds: dict[tuple[str, str], EdgeKind],
+        edge_kinds: dict[tuple[str, str], EdgeKind | None],
         relevance: dict[tuple[str, str], Fraction],
     ):
         self._nodes = dict(nodes)
-        self._edge_kinds = dict(edge_kinds)
         self._relevance = dict(relevance)
 
         children: dict[str, list[str]] = {i: [] for i in self._nodes}
         parents: dict[str, list[str]] = {i: [] for i in self._nodes}
-        for u, v in self._edge_kinds:
+        for u, v in edge_kinds:
             children[u].append(v)
             parents[v].append(u)
+        self._edge_kinds = {
+            (u, v): kind or _expected_kind(len(children[u]), len(parents[v]))
+            for (u, v), kind in edge_kinds.items()
+        }
         self._children = {i: tuple(sorted(c)) for i, c in children.items()}
         self._parents = {i: tuple(sorted(p)) for i, p in parents.items()}
         self._neighbors = {
@@ -479,9 +484,9 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
 
     nodes: Node instances or (id, kind[, label]) tuples.
     edges: (parent, child[, kind[, relevance]]) tuples; kind None means
-    "infer from degrees", and relevance is required only on directive edges
-    (enforced later by validate, so partially annotated graphs can still be
-    inspected).
+    "infer from degrees", which FDGraph does, and relevance is required only
+    on directive edges (enforced later by validate, so partially annotated
+    graphs can still be inspected).
     """
     node_map: dict[str, Node] = {}
     for i, spec in enumerate(nodes):
@@ -510,9 +515,8 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
             )
         node_map[node.id] = node
 
-    raw_edges: list[tuple[str, str, EdgeKind | None]] = []
+    edge_kinds: dict[tuple[str, str], EdgeKind | None] = {}
     relevance: dict[tuple[str, str], Fraction] = {}
-    seen: set[tuple[str, str]] = set()
     for i, spec in enumerate(edges):
         u, v = spec[0], spec[1]
         kind = spec[2] if len(spec) > 2 else None
@@ -526,11 +530,10 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
                 )
         if u == v:
             raise GraphParseError(f"edge entry {i}: self loop on {brief(u)}")
-        if (u, v) in seen:
+        if (u, v) in edge_kinds:
             raise GraphParseError(
                 f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}"
             )
-        seen.add((u, v))
         if isinstance(kind, str):
             try:
                 kind = EdgeKind(kind.lower())
@@ -547,16 +550,7 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
                 relevance[(v, u)] = coerce_relevance(rel, u, v)
             except GraphParseError as exc:
                 raise GraphParseError(f"edge entry {i}: {exc}") from None
-        raw_edges.append((u, v, kind))
-
-    outdeg: dict[str, int] = {i: 0 for i in node_map}
-    indeg: dict[str, int] = {i: 0 for i in node_map}
-    for u, v, _ in raw_edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    edge_kinds: dict[tuple[str, str], EdgeKind] = {}
-    for u, v, kind in raw_edges:
-        edge_kinds[(u, v)] = kind or _expected_kind(outdeg[u], indeg[v])
+        edge_kinds[(u, v)] = kind
 
     return FDGraph(node_map, edge_kinds, relevance)
 

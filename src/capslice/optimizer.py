@@ -235,7 +235,11 @@ class OptimizationConfig:
         if "times" in doc and doc["times"] is not None:
             if not isinstance(doc["times"], Mapping):
                 raise ConfigError("times must map function ids to values")
-            kwargs["times"] = {k: to_fraction(v) for k, v in doc["times"].items()}
+            times = {k: to_fraction(v) for k, v in doc["times"].items()}
+            for k, v in times.items():
+                if v <= 0:
+                    raise ConfigError(f"times value {brief(v)} for {k!r} must be positive")
+            kwargs["times"] = times
         return kwargs
 
     @classmethod

@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 
 from capslice.changesim import ImpactReport, _apply
-from capslice.graph import NodeKind, ancestors, descendants, leaves_of
+from capslice.graph import NodeKind, ancestors, build_graph, descendants, leaves_of
 from capslice.metrics import directive_coupling, resolve_membership
 from capslice.slicing import is_valid_slice
 
@@ -75,6 +75,14 @@ def cohesion_recursive(graph, node_id: str) -> Fraction:
         num += weight * contrib
         den += weight
     return num / den
+
+
+def reparsed(graph):
+    """build_graph run on the graph's own nodes, edges and relevance, with
+    every edge kind unstated: the parser's reading of the same parts."""
+    relevance = {(d, p): r for d, p, r in graph.relevance_items()}
+    specs = [(u, v, None, relevance.get((v, u))) for u, v, _ in graph.edges()]
+    return build_graph([graph.node(i) for i in graph.node_ids], specs)
 
 
 def double_sum_coupling(graph, d_p, d_q) -> Fraction:

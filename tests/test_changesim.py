@@ -27,7 +27,7 @@ from capslice.metrics import (
 )
 from capslice.slicing import Slice, enumerate_slices, make_slice
 from conftest import RELEVANCE_PALETTE, random_fd_graph
-from oracles import bfs_distances, impact_by_coupling
+from oracles import bfs_distances, impact_by_coupling, reparsed
 
 
 def scenario(kind, target, payload=None):
@@ -500,10 +500,10 @@ def test_impact_matches_distance_oracle(fig2, s1):
     assert r.affected_directives == frozenset(expected)
 
 
-def random_scenario(rng, g):
+def random_scenario(rng, g, kind=None):
     dirs = list(g.directive_ids)
     funs = list(g.function_ids)
-    kind = rng.choice(list(ScenarioKind))
+    kind = kind or rng.choice(list(ScenarioKind))
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         d = rng.choice(dirs)
         value = rng.choice(RELEVANCE_PALETTE)
@@ -561,6 +561,23 @@ def test_impact_randomized_properties():
             assert r.evaluated_on == expected_on
         tried += 1
     assert tried >= 25
+
+
+def test_changed_graph_matches_the_reparsed_parts():
+    # the changed graph is built from its edited parts, never parsed: it must
+    # still equal what build_graph makes of those parts
+    rng = random.Random(5150)
+    applied = dict.fromkeys(ScenarioKind, 0)
+    for _ in range(40):
+        g = random_fd_graph(rng, max_internal=8, max_directives=10)
+        for kind in ScenarioKind:
+            try:
+                new = apply_change(g, random_scenario(rng, g, kind))
+            except ChangeError:
+                continue
+            assert new == reparsed(new)
+            applied[kind] += 1
+    assert min(applied.values()) >= 10, applied
 
 
 # -- comparison -----------------------------------------------------------------------

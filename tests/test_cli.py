@@ -260,6 +260,12 @@ def test_metrics_pairs_shared_owner(capsys):
     )
     assert rc == EXIT_OK
     assert "Cp(n_5,n_6) = 0.1667" in out
+    # a repeated id is listed once: still two distinct functions
+    rc, again, _ = run(
+        capsys, "metrics", FIG, "--pairs", "n_5,n_6,n_5",
+        "--slice", "n_3,n_5,n_6,n_7", "--format", "text",
+    )
+    assert rc == EXIT_OK and again == out
 
 
 def test_metrics_pairs_standalone(capsys):
@@ -277,6 +283,8 @@ def test_metrics_pairs_usage_errors(capsys):
     assert rc == EXIT_USAGE and "function nodes" in err
     rc, _, err = run(capsys, "metrics", FIG, "--pairs", "n_1")
     assert rc == EXIT_USAGE and "at least two" in err
+    rc, out, err = run(capsys, "metrics", FIG, "--pairs", "n_1,n_1")
+    assert rc == EXIT_USAGE and "at least two" in err and out == ""
     rc, _, err = run(capsys, "metrics", FIG, "--pairs", "n_1,zz")
     assert rc == EXIT_USAGE and "unknown node" in err
     rc, _, err = run(capsys, "metrics", FIG, "--pairs", "n_1,n_2", "--slice", S1)
@@ -505,6 +513,16 @@ def test_optimize_bad_config(tmp_path, capsys):
     assert "weights" in err
 
 
+def test_optimize_nonpositive_time_is_usage(tmp_path, capsys):
+    # refused when the config is read, whether or not n_4 is in a candidate slice
+    cfg = tmp_path / "times.json"
+    for node in ("n_1", "n_4"):
+        cfg.write_text(json.dumps({"times": {node: -1}}))
+        rc, out, err = run(capsys, "optimize", FIG, str(cfg))
+        assert rc == EXIT_USAGE and out == ""
+        assert err == f"error: times value -1 for '{node}' must be positive\n"
+
+
 def test_optimize_missing_config(tmp_path, capsys):
     missing = tmp_path / "nonexistent.json"
     rc, out, err = run(capsys, "optimize", FIG, str(missing))
@@ -652,8 +670,27 @@ def test_simulate_bad_children_is_domain(tmp_path, capsys):
              "payload": {"id": "n_10", "children": ["d_8"], "label": ["x"]}},
             "label must be a string",
         ),
+        (
+            {"kind": "delete_directive", "target": "d_1", "payload": {"bogus": 1, "label": 5}},
+            "unknown payload keys: bogus, label",
+        ),
+        (
+            {"kind": "delete_function_subtree", "target": "n_8", "payload": {"id": "zzz"}},
+            "unknown payload keys: id",
+        ),
+        (
+            {"kind": "modify_directive", "target": "d_9", "payload": {"relevance": {}}},
+            "modification must change a label or a relevance",
+        ),
     ],
-    ids=["modify-relevance", "add-relevance", "add-function-label"],
+    ids=[
+        "modify-relevance",
+        "add-relevance",
+        "add-function-label",
+        "delete-directive-payload",
+        "delete-subtree-payload",
+        "modify-empty-relevance",
+    ],
 )
 def test_simulate_bad_payload_names_the_scenario(tmp_path, capsys, entry, message):
     # an impossible change, reported in the scenario's terms: no entry of the

@@ -30,7 +30,7 @@ from capslice.graph import (
 )
 from capslice.rational import brief, to_fraction
 from conftest import random_fd_graph
-from oracles import bfs_distance, bfs_distances, reachable_leaves
+from oracles import bfs_distance, bfs_distances, reachable_leaves, reparsed
 
 
 def test_fig2_shape(fig2):
@@ -63,6 +63,17 @@ def test_edge_kinds_follow_degrees(fig2):
         else:
             expected = EdgeKind.DECOMPOSITION
         assert kind is expected, (u, v)
+
+
+def test_unstated_kinds_inferred_like_build_graph(fig2):
+    rng = random.Random(4117)
+    for g in [fig2] + [random_fd_graph(rng, max_internal=10) for _ in range(20)]:
+        nodes = {i: g.node(i) for i in g.node_ids}
+        edges = dict.fromkeys((u, v) for u, v, _ in g.edges())
+        relevance = {(d, p): r for d, p, r in g.relevance_items()}
+        built = FDGraph(nodes, edges, relevance)
+        assert built == reparsed(g)
+        assert built == g  # g is valid, so its kinds are the inferred ones
 
 
 def test_category_parsing(fig2):

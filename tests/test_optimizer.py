@@ -381,6 +381,8 @@ def test_config_load_errors(tmp_path):
         ({"tf": [1]}, "tf must map"),
         ({"tf": None}, "tf must map"),
         ({"times": [1]}, "times must map"),
+        ({"times": {"n_4": 0}}, "^times value 0 for 'n_4' must be positive$"),
+        ({"times": {"n_4": -0.5}}, "must be positive"),
         ({"tf_min": [1]}, "cannot interpret"),
     ]:
         path = tmp_path / "cfg.json"
