@@ -174,6 +174,10 @@ def cmd_metrics(args) -> int:
             membership = dict(slice_obj.membership)
         else:
             membership = resolve_membership(graph, ids, complete=False)
+            owners = set(membership.values())
+            for nid in sorted(set(ids)):
+                if nid not in owners:
+                    raise _domain(f"--pairs member {nid} owns no directives after resolution")
         matrix = coupling_matrix(graph, ids, membership)
         pair_rows = [(p, q, matrix[(p, q)]) for p, q in sorted(matrix)]
 
@@ -199,7 +203,7 @@ def cmd_metrics(args) -> int:
             doc["slice"] = list(slice_obj.members)
         _emit(doc)
     else:
-        width = max(len(n) for n in graph.function_ids)
+        width = max((len(n) for n in graph.function_ids), default=0)
         print(f"{'node'.ljust(width)}  size  cohesion")
         for n in graph.function_ids:
             mark = "  refinement" if refinement[n] else ""

@@ -137,9 +137,8 @@ class FDGraph:
         self._node_ids = tuple(sorted(self._nodes))
 
         # lazy caches
-        self._leaves: dict[str, frozenset[str]] = {}
+        self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
         self._descendants: dict[str, frozenset[str]] = {}
-        self._ancestors: dict[str, frozenset[str]] = {}
         self._dist: dict[str, dict[str, int]] = {}
         self._cohesion: dict[str, Fraction] = {}  # filled by metrics.cohesion
 
@@ -241,9 +240,27 @@ def descendants(graph: FDGraph, node_id: str) -> frozenset[str]:
 def ancestors(graph: FDGraph, node_id: str) -> frozenset[str]:
     """All nodes from which node_id is reachable (excluding itself)."""
     graph.node(node_id)
-    cache = graph._ancestors
+    return graph._closure(node_id, graph._parents)
+
+
+def entry_parents(graph: FDGraph, node_id: str) -> Mapping[str, tuple[str, ...]]:
+    """Each directive under a node, with the parents the node reaches it through.
+
+    Those parents are node_id itself or lie below it.  Directives and parents
+    come in id order; a directive maps to itself with no parents.
+    """
+    node = graph.node(node_id)
+    cache = graph._entry
     if node_id not in cache:
-        cache[node_id] = graph._closure(node_id, graph._parents)
+        if node.kind is NodeKind.DIRECTIVE:
+            cache[node_id] = {node_id: ()}
+        else:
+            down = descendants(graph, node_id)
+            cache[node_id] = {
+                d: tuple(p for p in graph._parents[d] if p == node_id or p in down)
+                for d in sorted(down)
+                if graph._nodes[d].kind is NodeKind.DIRECTIVE
+            }
     return cache[node_id]
 
 
@@ -252,17 +269,7 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
 
     Set semantics: a directive reachable along several paths counts once.
     """
-    node = graph.node(node_id)
-    cache = graph._leaves
-    if node_id not in cache:
-        if node.kind is NodeKind.DIRECTIVE:
-            cache[node_id] = frozenset((node_id,))
-        else:
-            down = descendants(graph, node_id)
-            cache[node_id] = frozenset(
-                x for x in down if graph.node(x).kind is NodeKind.DIRECTIVE
-            )
-    return cache[node_id]
+    return frozenset(entry_parents(graph, node_id))
 
 
 def distances_from(graph: FDGraph, u: str) -> Mapping[str, int]:

@@ -28,9 +28,8 @@ from .graph import (
     FDGraph,
     GraphError,
     NodeKind,
-    descendants,
     distances_from,
-    leaves_of,
+    entry_parents,
     undirected_distance,
 )
 
@@ -62,9 +61,7 @@ class UnresolvableSharingError(MembershipError):
 
 def size_of(graph: FDGraph, node_id: str) -> int:
     """Number of distinct directives under a node; 1 for a directive."""
-    if graph.node(node_id).kind is NodeKind.DIRECTIVE:
-        return 1
-    return len(leaves_of(graph, node_id))
+    return len(entry_parents(graph, node_id))
 
 
 def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fraction:
@@ -133,47 +130,46 @@ def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
 # -- membership ------------------------------------------------------------
 
 
-def parent_routes(graph: FDGraph, member: str, directive: str) -> frozenset[str]:
-    """Immediate parents of a directive through which a member reaches it."""
-    reach = descendants(graph, member)
-    return frozenset(p for p in graph.parents(directive) if p == member or p in reach)
+#: {directive: {member: the parents the member enters the directive through}}
+Cover = dict[str, dict[str, tuple[str, ...]]]
 
 
-def cover_map(graph: FDGraph, members: Iterable[str]) -> dict[str, list[str]]:
-    """The members covering each covered directive, members in id order."""
-    cover: dict[str, list[str]] = {}
+def cover_map(graph: FDGraph, members: Iterable[str]) -> Cover:
+    """The members covering each covered directive, members in id order,
+    each with its entry parents of that directive (see entry_parents)."""
+    cover: Cover = {}
     for m in sorted(set(members)):
-        for d in sorted(leaves_of(graph, m)):
-            cover.setdefault(d, []).append(m)
+        for d, routes in entry_parents(graph, m).items():
+            cover.setdefault(d, {})[m] = routes
     return cover
 
 
-def _conflicts(
-    graph: FDGraph, cover: Mapping[str, list[str]]
-) -> list[tuple[str, str, tuple[str, str]]]:
+def sharing_conflicts(cover: Cover) -> list[tuple[str, str, tuple[str, str]]]:
+    """All (directive, parent, member pair) entries of a cover map where two
+    members reach the same directive through the same immediate parent."""
     conflicts: list[tuple[str, str, tuple[str, str]]] = []
     for d, owners in sorted(cover.items()):
         if len(owners) < 2:
             continue
         seen: dict[str, str] = {}
-        for m in owners:
-            for p in sorted(parent_routes(graph, m, d)):
-                if p in seen and seen[p] != m:
+        for m, routes in owners.items():
+            for p in routes:
+                if p in seen:
                     conflicts.append((d, p, (seen[p], m)))
                 else:
                     seen[p] = m
     return conflicts
 
 
-def sharing_conflicts(
-    graph: FDGraph, members: Iterable[str]
-) -> list[tuple[str, str, tuple[str, str]]]:
-    """All (directive, parent, member pair) entries where two members reach
-    the same directive through the same immediate parent."""
-    return _conflicts(graph, cover_map(graph, members))
+def entry_parent(graph: FDGraph, directive: str, routes: Iterable[str]) -> str:
+    """The entry parent with the highest relevance; ties go to the smallest id.
+
+    routes come in id order, as entry_parents gives them.
+    """
+    return max(routes, key=lambda p: graph.relevance(directive, p))
 
 
-def assign_owners(graph: FDGraph, cover: Mapping[str, list[str]]) -> dict[str, str]:
+def assign_owners(graph: FDGraph, cover: Cover) -> dict[str, str]:
     """Give each directive of a cover map to one of its covering members.
 
     The member whose best entry parent carries the highest relevance wins;
@@ -182,14 +178,11 @@ def assign_owners(graph: FDGraph, cover: Mapping[str, list[str]]) -> dict[str, s
     assignment: dict[str, str] = {}
     for d, owners in sorted(cover.items()):
         if len(owners) == 1:
-            assignment[d] = owners[0]
-            continue
-        best_rel = {
-            m: max(graph.relevance(d, p) for p in parent_routes(graph, m, d))
-            for m in owners
-        }
-        top = max(best_rel.values())
-        assignment[d] = min(m for m, r in best_rel.items() if r == top)
+            (assignment[d],) = owners
+        else:  # owners come in id order, so max keeps the smallest id of a tie
+            assignment[d] = max(
+                owners, key=lambda m: graph.relevance(d, entry_parent(graph, d, owners[m]))
+            )
     return assignment
 
 
@@ -203,15 +196,12 @@ def resolve_membership(
     UncoveredDirectiveError when some directive of the graph is covered by
     nobody.
     """
-    members = sorted(set(members))
-    for m in members:
-        graph.node(m)
     cover = cover_map(graph, members)
     if complete:
         missing = set(graph.directive_ids) - set(cover)
         if missing:
             raise UncoveredDirectiveError(missing)
-    conflicts = _conflicts(graph, cover)
+    conflicts = sharing_conflicts(cover)
     if conflicts:
         raise UnresolvableSharingError(*conflicts[0])
     return assign_owners(graph, cover)

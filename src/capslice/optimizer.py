@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .metrics import coupling_matrix, size_of
+from .graph import entry_parents, impact_category
+from .metrics import coupling_matrix, entry_parent, size_of
 from .rational import brief, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
@@ -409,9 +410,6 @@ def export_capabilities(
     winning entry parent, its coupling to and from every other capability,
     and its position in the suggested build order.
     """
-    from .graph import impact_category
-    from .metrics import parent_routes
-
     metrics = slice_objective(graph, slc, lam)
     tf = tf or TechFeasibility()
     sched = schedule_slice(graph, slc, coupling=metrics.coupling)
@@ -419,12 +417,11 @@ def export_capabilities(
 
     capabilities = []
     for m in slc.members:
-        owned = slc.owned(m)
+        routes = entry_parents(graph, m)
         directives = []
-        for d in owned:
-            routes = sorted(parent_routes(graph, m, d))
-            rel = max(graph.relevance(d, p) for p in routes)
-            via = min(p for p in routes if graph.relevance(d, p) == rel)
+        for d in slc.owned(m):
+            via = entry_parent(graph, d, routes[d])
+            rel = graph.relevance(d, via)
             directives.append(
                 {
                     "id": d,

@@ -13,9 +13,10 @@ slice, so supersets of already-complete covers are found too (a member can
 join an existing cover by winning shared directives on relevance).
 
 The search runs on Python-int bitsets built once per search: the
-directives under each function, the directive edges (parent, directive)
-that it reaches, and its ancestors and descendants.  Each branch costs a
-few mask tests; only a complete cover goes through membership assignment.
+directives under each function and the directive edges (parent, directive)
+it enters them through, both read from graph.entry_parents, and its
+ancestors and descendants.  Each branch costs a few mask tests; only a
+complete cover goes through membership assignment.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .graph import FDGraph, NodeKind, Violation, ancestors, descendants, leaves_of
+from .graph import FDGraph, NodeKind, Violation, ancestors, descendants, entry_parents
 from .metrics import (
     assign_owners,
     cohesion,
@@ -88,8 +89,6 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
     members = sorted(set(candidate))
     if not members:
         raise ValueError("candidate slice is empty")
-    for m in members:
-        graph.node(m)
 
     violations: list[Violation] = []
     for m in members:
@@ -117,10 +116,8 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
                     )
                 )
 
-    covered: set[str] = set()
-    for m in members:
-        covered |= leaves_of(graph, m)
-    missing = sorted(set(graph.directive_ids) - covered)
+    cover = cover_map(graph, members)
+    missing = sorted(set(graph.directive_ids) - set(cover))
     if missing:
         violations.append(
             Violation("UNCOVERED", ",".join(missing), "some directives are covered by no member")
@@ -131,7 +128,7 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
         v.code in ("MISSION_MEMBER", "DIRECTIVE_MEMBER") for v in violations
     )
     if not blocking:
-        conflicts = sharing_conflicts(graph, members)
+        conflicts = sharing_conflicts(cover)
         for d, p, pair in conflicts:
             violations.append(
                 Violation(
@@ -141,7 +138,7 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
                 )
             )
         if not conflicts:
-            assignment = assign_owners(graph, cover_map(graph, members))
+            assignment = assign_owners(graph, cover)
             owners = set(assignment.values())
             for m in members:
                 if m not in owners:
@@ -198,20 +195,23 @@ class SliceSearch:
         graph = self.graph
         internals = graph.function_ids
         n = len(internals)
-        # Bit masks, numbered in id order: directives, directive edges
-        # (parent, directive) and functions.  Two members conflict exactly
-        # when both reach some directive edge, so entry masks replace the
-        # pairwise parent-route comparison.
+        # Bit masks: directives and functions in id order, and the directive
+        # edges (parent, directive) functions enter through, as first met in
+        # the entry table.  Two members conflict exactly when their entry
+        # masks meet, which replaces the pairwise parent-route comparison.
         d_bit = {d: 1 << j for j, d in enumerate(graph.directive_ids)}
-        parents = [p for p, d, _ in graph.edges() if d in d_bit]
-        own: dict[str, int] = {}  # the directive edges leaving each node
-        for j, p in enumerate(parents):
-            own[p] = own.get(p, 0) | 1 << j
         f_bit = {m: 1 << i for i, m in enumerate(internals)}
-        leaf = [_mask(d_bit, leaves_of(graph, m)) for m in internals]
-        entry = [_mask(own, descendants(graph, m) | {m}) for m in internals]
+        e_bit: dict[tuple[str, str], int] = {}
+        leaf = [0] * n
+        entry = [0] * n
+        for i, m in enumerate(internals):
+            for d, routes in entry_parents(graph, m).items():
+                leaf[i] |= d_bit[d]
+                for p in routes:
+                    entry[i] |= e_bit.setdefault((p, d), 1 << len(e_bit))
         related = [
-            _mask(f_bit, ancestors(graph, m) | descendants(graph, m)) for m in internals
+            sum(f_bit[x] for x in ancestors(graph, m) | descendants(graph, m) if x in f_bit)
+            for m in internals
         ]
         suffix = [0] * (n + 1)  # directives some member from i on covers
         for i in range(n - 1, -1, -1):
@@ -271,14 +271,6 @@ class SliceSearch:
         if len(set(assignment.values())) < len(chosen):
             return None
         return Slice(tuple(chosen), assignment)
-
-
-def _mask(bits: Mapping[str, int], ids: Iterable[str]) -> int:
-    # the union of the bits of those ids that have one
-    out = 0
-    for x in ids:
-        out |= bits.get(x, 0)
-    return out
 
 
 def enumerate_slices(

@@ -62,6 +62,66 @@ def reachable_leaves(graph, start: str) -> set[str]:
     return out
 
 
+def below(graph, start: str) -> set[str]:
+    """Every node reachable from start along child edges, by a plain walk."""
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        for c in graph.children(stack.pop()):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def entry_routes(graph, member: str) -> dict[str, set[str]]:
+    """Each directive a member reaches, with the parents it reaches it through:
+    the directive's parents that are the member itself or lie below it."""
+    if graph.node(member).kind is NodeKind.DIRECTIVE:
+        return {member: set()}
+    down = below(graph, member)
+    return {
+        d: {p for p in graph.parents(d) if p == member or p in down}
+        for d in down
+        if graph.node(d).kind is NodeKind.DIRECTIVE
+    }
+
+
+def best_entry(graph, directive: str, parents) -> tuple[Fraction, str]:
+    """The highest relevance among the parents and the smallest parent id
+    carrying it."""
+    top = max(graph.relevance(directive, p) for p in parents)
+    return top, min(p for p in parents if graph.relevance(directive, p) == top)
+
+
+def membership_bruteforce(graph, members):
+    """(membership, conflicts) of a member set under the membership rule.
+
+    Each reached directive goes to the member with the best entry relevance,
+    ties to the smallest member id.  A conflict is two members reaching a
+    directive through one parent: (directive, parent, (first, second)) in
+    directive, member and parent order.
+    """
+    members = sorted(set(members))
+    routes = {m: entry_routes(graph, m) for m in members}
+    membership: dict[str, str] = {}
+    conflicts = []
+    for d in graph.directive_ids:
+        owners = [m for m in members if d in routes[m]]
+        if not owners:
+            continue
+        taken: dict[str, str] = {}
+        for m in owners:
+            for p in sorted(routes[m][d]):
+                if p in taken:
+                    conflicts.append((d, p, (taken[p], m)))
+                else:
+                    taken[p] = m
+        best = {m: best_entry(graph, d, routes[m][d])[0] for m in owners}
+        membership[d] = min(m for m in owners if best[m] == max(best.values()))
+    return membership, conflicts
+
+
 def cohesion_recursive(graph, node_id: str) -> Fraction:
     num = Fraction(0)
     den = Fraction(0)

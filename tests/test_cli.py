@@ -300,11 +300,36 @@ def test_metrics_pairs_unresolvable_is_domain(capsys):
     assert "d_3" in err
 
 
+@pytest.mark.parametrize("ids", ["n_3,n_9", "n_8,n_9"])
+def test_metrics_pairs_empty_member_is_domain(capsys, ids):
+    # n_9 ties n_3 (via n_8) and n_8 on d_13 and d_14 and loses both to the
+    # smaller id, so it owns nothing to couple
+    rc, out, err = run(capsys, "metrics", FIG, "--pairs", ids, "--format", "machine")
+    assert rc == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: --pairs member n_9 owns no directives after resolution\n"
+
+
 def test_metrics_invalid_slice_is_domain(capsys):
     rc, _, err = run(capsys, "metrics", FIG, "--slice", "n_1,n_5")
     assert rc == EXIT_DOMAIN
     assert "ANCESTOR_PAIR" in err
     assert "UNCOVERED" in err
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+@pytest.mark.parametrize("command", ["validate", "metrics", "slices", "optimize", "export"])
+def test_graph_without_functions(tmp_path, capsys, command, fmt):
+    # a valid graph: the mission refines straight into its one directive
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "m", "kind": "mission"}, {"id": "d", "kind": "directive"}],
+        "edges": [{"from": "m", "to": "d", "relevance": 0.7}],
+    }))
+    rc, out, err = run(capsys, command, str(path), "--format", fmt)
+    assert rc == EXIT_OK, err
+    if command == "metrics" and fmt == "text":
+        assert out == "node  size  cohesion\n"
 
 
 # -- slices -----------------------------------------------------------------------

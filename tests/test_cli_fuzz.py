@@ -1,7 +1,9 @@
 """Property: mutated graph, scenario and config files never make the CLI raise.
 
 Every call goes through ``capslice.cli.main`` in this process, so the test
-also runs one parser, built once, through a few hundred command lines.
+also runs one parser, built once, through a few hundred command lines.  Each
+command line runs in both output formats, which must agree on the exit code
+and on stderr.
 """
 
 import io
@@ -124,9 +126,13 @@ def test_cli_never_raises_on_mutated_input(workdir, command, edits, scenario_lis
     for name, doc in files.items():
         (workdir / name).write_text(json.dumps(doc))
     argv = [str(workdir / a) if a in files else a for a in command]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        rc = main(argv + ["--format", "machine"])
-    assert rc in (0, 1, 2), err.getvalue()
-    if rc == EXIT_USAGE:
-        assert out.getvalue() == ""
+    runs = []
+    for fmt in ("machine", "text"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv + ["--format", fmt])
+        assert rc in (0, 1, 2), err.getvalue()
+        if rc == EXIT_USAGE:
+            assert out.getvalue() == ""
+        runs.append((rc, err.getvalue()))
+    assert runs[0] == runs[1]

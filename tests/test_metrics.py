@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from capslice.graph import GraphError, NodeKind, build_graph, validate
+from capslice.graph import GraphError, NodeKind, build_graph, entry_parents, validate
 from capslice.metrics import (
     CohesionUndefinedError,
     UncoveredDirectiveError,
@@ -12,15 +13,24 @@ from capslice.metrics import (
     cohesion,
     cohesion_map,
     coupling_matrix,
+    cover_map,
     directive_coupling,
     owned_directives,
-    parent_routes,
     resolve_membership,
     sharing_conflicts,
     size_of,
 )
 from conftest import random_fd_graph
-from oracles import cohesion_recursive, double_sum_coupling
+from capslice.optimizer import export_capabilities
+from capslice.slicing import Slice, is_valid_slice
+from oracles import (
+    below,
+    best_entry,
+    cohesion_recursive,
+    double_sum_coupling,
+    entry_routes,
+    membership_bruteforce,
+)
 
 
 def test_size_of(fig2):
@@ -140,10 +150,11 @@ def test_cohesion_bounds():
 
 
 def test_parent_routes(fig2):
-    assert parent_routes(fig2, "n_1", "d_3") == frozenset({"n_5", "n_6"})
-    assert parent_routes(fig2, "n_2", "d_3") == frozenset({"n_6"})
-    assert parent_routes(fig2, "n_5", "d_3") == frozenset({"n_5"})
-    assert parent_routes(fig2, "n_3", "d_1") == frozenset()
+    # the parents through which a member reaches a directive
+    assert entry_parents(fig2, "n_1")["d_3"] == ("n_5", "n_6")
+    assert entry_parents(fig2, "n_2")["d_3"] == ("n_6",)
+    assert entry_parents(fig2, "n_5")["d_3"] == ("n_5",)
+    assert "d_1" not in entry_parents(fig2, "n_3")
 
 
 def test_resolve_membership_s1(fig2):
@@ -200,7 +211,7 @@ def test_resolve_membership_unresolvable(fig2):
     assert err.value.parent == "n_6"
     assert err.value.members == ("n_1", "n_2")
 
-    conflicts = sharing_conflicts(fig2, ["n_1", "n_2"])
+    conflicts = sharing_conflicts(cover_map(fig2, ["n_1", "n_2"]))
     assert [(d, p) for d, p, _ in conflicts] == [
         ("d_3", "n_6"),
         ("d_4", "n_6"),
@@ -224,8 +235,55 @@ def test_resolve_membership_coverage(fig2):
 
 
 def test_sharing_conflicts_clean_slices(fig2):
-    assert sharing_conflicts(fig2, ["n_1", "n_3", "n_7"]) == []
-    assert sharing_conflicts(fig2, ["n_2", "n_3", "n_5"]) == []
+    assert sharing_conflicts(cover_map(fig2, ["n_1", "n_3", "n_7"])) == []
+    assert sharing_conflicts(cover_map(fig2, ["n_2", "n_3", "n_5"])) == []
+
+
+def test_membership_matches_oracle_random(fig2):
+    # every function set of 1 to 3 members, up to a cap per graph
+    rng = random.Random(10)
+    graphs = [fig2] + [
+        random_fd_graph(rng, max_internal=10, max_directives=14) for _ in range(100)
+    ]
+    manifests = 0
+    for g in graphs:
+        for n in g.node_ids:
+            expected = {d: tuple(sorted(ps)) for d, ps in sorted(entry_routes(g, n).items())}
+            assert list(entry_parents(g, n).items()) == list(expected.items()), n
+        sets = [s for k in (1, 2, 3) for s in itertools.combinations(g.function_ids, k)]
+        for members in sets[:130]:
+            membership, conflicts = membership_bruteforce(g, members)
+            if conflicts:
+                with pytest.raises(UnresolvableSharingError) as err:
+                    resolve_membership(g, members, complete=False)
+                assert str(err.value) == str(UnresolvableSharingError(*conflicts[0]))
+            else:
+                assert resolve_membership(g, members, complete=False) == membership
+
+            related = any(
+                b in below(g, a) or a in below(g, b)
+                for a, b in itertools.combinations(members, 2)
+            )
+            valid = (
+                not related
+                and not conflicts
+                and set(membership) == set(g.directive_ids)
+                and set(membership.values()) == set(members)
+            )
+            check = is_valid_slice(g, members)
+            assert check.ok == valid, members
+            assert check.membership == (membership if valid else None), members
+            if not valid:
+                continue
+            manifest = export_capabilities(g, Slice(members, membership))
+            manifests += 1
+            routes = {m: entry_routes(g, m) for m in members}
+            for cap in manifest["capabilities"]:
+                for entry in cap["directives"]:
+                    d = entry["id"]
+                    rel, via = best_entry(g, d, routes[cap["id"]][d])
+                    assert (entry["via_parent"], entry["relevance"]) == (via, float(rel))
+    assert manifests > 100
 
 
 # -- coupling -----------------------------------------------------------------
