@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from capslice.changesim import ChangeScenario, ScenarioKind
 from capslice.fixtures import load_fig2
 from capslice.graph import build_graph, validate
 
@@ -70,6 +71,34 @@ def random_fd_graph(rng: random.Random, max_internal=16, max_directives=24, extr
     report = validate(graph)
     assert report.ok, f"generator bug: {report.violations}"
     return graph
+
+
+def random_scenario(rng, g, kind=None):
+    """A seeded scenario on g, of the given kind or a random one.
+
+    Targets and payloads are drawn from g, so most scenarios apply; some
+    leave the graph invalid, which is part of what they test.
+    """
+    dirs = list(g.directive_ids)
+    funs = list(g.function_ids)
+    kind = kind or rng.choice(list(ScenarioKind))
+    if kind is ScenarioKind.MODIFY_DIRECTIVE:
+        d = rng.choice(dirs)
+        value = rng.choice(RELEVANCE_PALETTE)
+        return ChangeScenario(kind, d, {"relevance": {p: value for p in g.parents(d)}})
+    if kind is ScenarioKind.DELETE_DIRECTIVE:
+        return ChangeScenario(kind, rng.choice(dirs), None)
+    if kind is ScenarioKind.ADD_DIRECTIVE:
+        return ChangeScenario(
+            kind, rng.choice(funs), {"id": "zz_d", "relevance": rng.choice(RELEVANCE_PALETTE)}
+        )
+    if kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
+        return ChangeScenario(kind, rng.choice(funs), None)
+    f = rng.choice(funs)
+    kids = list(g.children(f))
+    return ChangeScenario(
+        kind, f, {"id": "zz_f", "children": rng.sample(kids, rng.randint(1, len(kids)))}
+    )
 
 
 def wide_graph(k: int):

@@ -26,7 +26,7 @@ from capslice.metrics import (
     resolve_membership,
 )
 from capslice.slicing import Slice, enumerate_slices, make_slice
-from conftest import RELEVANCE_PALETTE, random_fd_graph
+from conftest import RELEVANCE_PALETTE, random_fd_graph, random_scenario
 from oracles import bfs_distances, impact_by_coupling, reparsed
 
 
@@ -498,29 +498,6 @@ def test_impact_matches_distance_oracle(fig2, s1):
     }
     r = impact_set(fig2, s1, scenario("modify_directive", "d_9", {"relevance": 0.7}), thr)
     assert r.affected_directives == frozenset(expected)
-
-
-def random_scenario(rng, g, kind=None):
-    dirs = list(g.directive_ids)
-    funs = list(g.function_ids)
-    kind = kind or rng.choice(list(ScenarioKind))
-    if kind is ScenarioKind.MODIFY_DIRECTIVE:
-        d = rng.choice(dirs)
-        value = rng.choice(RELEVANCE_PALETTE)
-        return ChangeScenario(kind, d, {"relevance": {p: value for p in g.parents(d)}})
-    if kind is ScenarioKind.DELETE_DIRECTIVE:
-        return ChangeScenario(kind, rng.choice(dirs), None)
-    if kind is ScenarioKind.ADD_DIRECTIVE:
-        return ChangeScenario(
-            kind, rng.choice(funs), {"id": "zz_d", "relevance": rng.choice(RELEVANCE_PALETTE)}
-        )
-    if kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
-        return ChangeScenario(kind, rng.choice(funs), None)
-    f = rng.choice(funs)
-    kids = list(g.children(f))
-    return ChangeScenario(
-        kind, f, {"id": "zz_f", "children": rng.sample(kids, rng.randint(1, len(kids)))}
-    )
 
 
 def test_impact_randomized_properties():
