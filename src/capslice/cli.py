@@ -203,7 +203,7 @@ def cmd_metrics(args) -> int:
             doc["slice"] = list(slice_obj.members)
         _emit(doc)
     else:
-        width = max((len(n) for n in graph.function_ids), default=0)
+        width = max([len("node")] + [len(n) for n in graph.function_ids])
         print(f"{'node'.ljust(width)}  size  cohesion")
         for n in graph.function_ids:
             mark = "  refinement" if refinement[n] else ""

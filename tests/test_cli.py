@@ -222,8 +222,10 @@ def test_metrics_text_table(capsys):
     lines = out.splitlines()
     assert lines[0].split() == ["node", "size", "cohesion"]
     assert lines[1].split() == ["n_1", "5", "0.5667"]
-    assert "n_7     4  0.5250" in out
-    assert "n_4     2  0.7000  refinement" in out
+    assert lines[0] == "node  size  cohesion"
+    assert lines[1] == "n_1      5  0.5667"
+    assert "n_7      4  0.5250" in out
+    assert "n_4      2  0.7000  refinement" in out
     # one row per function, nothing for mission or directives
     assert len(lines) == 10
 
