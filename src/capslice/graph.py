@@ -108,7 +108,8 @@ class FDGraph:
 
     Built by build_graph / parse_graph from checked outside input, or by
     change simulation from a checked graph's edited parts.  An edge kind of
-    None is inferred here from node degrees, the one place kinds are inferred.
+    None is inferred here from node degrees, the one place kinds are inferred;
+    only the kinds stated in the input can contradict the degrees.
     """
 
     def __init__(
@@ -129,18 +130,22 @@ class FDGraph:
             (u, v): kind or _expected_kind(len(children[u]), len(parents[v]))
             for (u, v), kind in edge_kinds.items()
         }
+        self._stated = frozenset(e for e, kind in edge_kinds.items() if kind is not None)
         self._children = {i: tuple(sorted(c)) for i, c in children.items()}
         self._parents = {i: tuple(sorted(p)) for i, p in parents.items()}
         self._neighbors = {
             i: tuple(sorted(set(children[i]) | set(parents[i]))) for i in self._nodes
         }
         self._node_ids = tuple(sorted(self._nodes))
+        self._ids_by_kind = {
+            k: tuple(i for i in self._node_ids if self._nodes[i].kind is k) for k in NodeKind
+        }
 
         # lazy caches
         self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
         self._descendants: dict[str, frozenset[str]] = {}
         self._dist: dict[str, dict[str, int]] = {}
-        self._cohesion: dict[str, Fraction] = {}  # filled by metrics.cohesion
+        self._cohesion: dict[str, Fraction] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -154,15 +159,15 @@ class FDGraph:
 
     @property
     def mission_ids(self) -> tuple[str, ...]:
-        return tuple(i for i in self._node_ids if self._nodes[i].kind is NodeKind.MISSION)
+        return self._ids_by_kind[NodeKind.MISSION]
 
     @property
     def function_ids(self) -> tuple[str, ...]:
-        return tuple(i for i in self._node_ids if self._nodes[i].kind is NodeKind.FUNCTION)
+        return self._ids_by_kind[NodeKind.FUNCTION]
 
     @property
     def directive_ids(self) -> tuple[str, ...]:
-        return tuple(i for i in self._node_ids if self._nodes[i].kind is NodeKind.DIRECTIVE)
+        return self._ids_by_kind[NodeKind.DIRECTIVE]
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -241,6 +246,11 @@ def ancestors(graph: FDGraph, node_id: str) -> frozenset[str]:
     """All nodes from which node_id is reachable (excluding itself)."""
     graph.node(node_id)
     return graph._closure(node_id, graph._parents)
+
+
+def cohesion_memo(graph: FDGraph) -> dict[str, Fraction]:
+    """The graph's cohesion memo, {node: cohesion}, which metrics.cohesion fills."""
+    return graph._cohesion
 
 
 def entry_parents(graph: FDGraph, node_id: str) -> Mapping[str, tuple[str, ...]]:
@@ -422,7 +432,10 @@ def validate(graph: FDGraph) -> ValidationReport:
                     Violation("UNREACHABLE", nid, "node is not reachable from the mission")
                 )
 
-    for u, v, kind in graph.edges():
+    # an inferred kind was derived from these same degrees, so only a stated
+    # kind can contradict them
+    for u, v in sorted(graph._stated):
+        kind = graph._edge_kinds[(u, v)]
         expected = _expected_kind(len(graph._children[u]), len(graph._parents[v]))
         if kind is not expected:
             violations.append(
@@ -433,16 +446,15 @@ def validate(graph: FDGraph) -> ValidationReport:
                 )
             )
 
-    edge_set = set(graph._edge_kinds)
-    for u, v, _ in graph.edges():
-        if graph.node(v).kind is NodeKind.DIRECTIVE and (v, u) not in graph._relevance:
+    for u, v in sorted(graph._edge_kinds):
+        if graph._nodes[v].kind is NodeKind.DIRECTIVE and (v, u) not in graph._relevance:
             violations.append(
                 Violation(
                     "RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight"
                 )
             )
     for (d, p), value in sorted(graph._relevance.items()):
-        if (p, d) not in edge_set or graph.node(d).kind is not NodeKind.DIRECTIVE:
+        if (p, d) not in graph._edge_kinds or graph._nodes[d].kind is not NodeKind.DIRECTIVE:
             violations.append(
                 Violation(
                     "RELEVANCE_EXTRA",
@@ -450,7 +462,7 @@ def validate(graph: FDGraph) -> ValidationReport:
                     "relevance recorded for a missing or non-directive edge",
                 )
             )
-        elif not 0 < value <= 1:
+        elif not 0 < value.numerator <= value.denominator:  # denominator > 0
             violations.append(
                 Violation(
                     "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"

@@ -28,6 +28,7 @@ from .graph import (
     FDGraph,
     GraphError,
     NodeKind,
+    cohesion_memo,
     distances_from,
     entry_parents,
     undirected_distance,
@@ -115,7 +116,7 @@ def cohesion(graph: FDGraph, node_id: str) -> Fraction:
     node = graph.node(node_id)
     if node.kind is NodeKind.DIRECTIVE:
         raise CohesionUndefinedError(f"cohesion is undefined for directive {node_id!r}")
-    return _cohesion_eval(graph, node_id, graph._cohesion)
+    return _cohesion_eval(graph, node_id, cohesion_memo(graph))
 
 
 def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
@@ -123,7 +124,7 @@ def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for nid in graph.node_ids:
         if graph.node(nid).kind is not NodeKind.DIRECTIVE:
-            out[nid] = _cohesion_eval(graph, nid, graph._cohesion)
+            out[nid] = _cohesion_eval(graph, nid, cohesion_memo(graph))
     return out
 
 

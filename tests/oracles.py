@@ -13,8 +13,19 @@ from collections import deque
 from fractions import Fraction
 
 from capslice.changesim import ImpactReport, _apply
-from capslice.graph import NodeKind, ancestors, build_graph, descendants, leaves_of
+from capslice.graph import (
+    EdgeKind,
+    NodeKind,
+    ValidationReport,
+    Violation,
+    ancestors,
+    build_graph,
+    descendants,
+    find_cycle,
+    leaves_of,
+)
 from capslice.metrics import directive_coupling, resolve_membership
+from capslice.rational import brief
 from capslice.slicing import is_valid_slice
 
 
@@ -41,6 +52,82 @@ def bfs_distances(graph, source: str) -> dict[str, int]:
 
 def bfs_distance(graph, u: str, v: str) -> int:
     return bfs_distances(graph, u)[v]
+
+
+def validate_reference(graph) -> ValidationReport:
+    """Every structural rule checked on every node and edge, reports in the
+    package's order: mission count, cycle, node degrees, reachability, edge
+    kinds (stated or inferred alike), missing relevance, then extra or
+    out-of-range relevance compared as Fractions."""
+    out = []
+    missions = [n for n in graph.node_ids if graph.node(n).kind is NodeKind.MISSION]
+    if len(missions) != 1:
+        out.append(
+            Violation(
+                "MISSION_COUNT",
+                ",".join(missions) or "-",
+                f"expected exactly one mission node, found {len(missions)}",
+            )
+        )
+    cycle = find_cycle(graph)
+    if cycle:
+        out.append(Violation("CYCLE", " -> ".join(cycle), "decomposition must be acyclic"))
+
+    for n in graph.node_ids:
+        kind = graph.node(n).kind.value
+        has_parents, has_children = bool(graph.parents(n)), bool(graph.children(n))
+        if kind == "mission" and has_parents:
+            out.append(Violation("NODE_DEGREE", n, "mission node cannot have parents"))
+        if kind == "function" and not has_parents:
+            out.append(Violation("NODE_DEGREE", n, "function node has no parents"))
+        if kind != "directive" and not has_children:
+            out.append(Violation("NODE_DEGREE", n, f"{kind} node has no children"))
+        if kind == "directive" and has_children:
+            out.append(Violation("NODE_DEGREE", n, "directive node cannot have children"))
+
+    if missions and not cycle:
+        reachable = set(missions).union(*(below(graph, m) for m in missions))
+        for n in graph.node_ids:
+            if n not in reachable:
+                out.append(Violation("UNREACHABLE", n, "node is not reachable from the mission"))
+
+    edges = graph.edges()
+    for u, v, kind in edges:
+        if len(graph.children(u)) == 1:
+            expected = EdgeKind.REFINEMENT
+        elif len(graph.parents(v)) >= 2:
+            expected = EdgeKind.INTERSECTION
+        else:
+            expected = EdgeKind.DECOMPOSITION
+        if kind is not expected:
+            out.append(
+                Violation(
+                    "EDGE_KIND",
+                    f"{u}->{v}",
+                    f"edge labeled {kind.value} but degrees imply {expected.value}",
+                )
+            )
+    recorded = {(d, p) for d, p, _ in graph.relevance_items()}
+    for u, v, _ in edges:
+        if graph.node(v).kind is NodeKind.DIRECTIVE and (v, u) not in recorded:
+            out.append(
+                Violation("RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight")
+            )
+    edge_set = {(u, v) for u, v, _ in edges}
+    for d, p, value in graph.relevance_items():
+        if (p, d) not in edge_set or graph.node(d).kind is not NodeKind.DIRECTIVE:
+            out.append(
+                Violation(
+                    "RELEVANCE_EXTRA",
+                    f"{p}->{d}",
+                    "relevance recorded for a missing or non-directive edge",
+                )
+            )
+        elif not Fraction(0) < Fraction(value) <= Fraction(1):
+            out.append(
+                Violation("RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]")
+            )
+    return ValidationReport(not out, tuple(out))
 
 
 def reachable_leaves(graph, start: str) -> set[str]:

@@ -29,8 +29,10 @@ from capslice.graph import (
     validate,
 )
 from capslice.rational import brief, to_fraction
-from conftest import random_fd_graph
-from oracles import bfs_distance, bfs_distances, reachable_leaves, reparsed
+import capslice.changesim as changesim
+from capslice.changesim import ChangeError, apply_change
+from conftest import random_fd_graph, random_scenario
+from oracles import bfs_distance, bfs_distances, reachable_leaves, reparsed, validate_reference
 
 
 def test_fig2_shape(fig2):
@@ -381,6 +383,75 @@ def test_validate_relevance_extra_and_range():
     assert [(v.code, v.message) for v in validate(huge).violations] == [
         ("RELEVANCE_RANGE", f"relevance 1{'0' * 17}...{'0' * 18} outside (0, 1]")
     ]
+
+
+def _broken_parts(rng, graph):
+    """A random graph's parts with one to three defects the builders refuse
+    or validate reports; every edge kind is stated or left to inference."""
+    nodes = {i: graph.node(i) for i in graph.node_ids}
+    kinds = {(u, v): rng.choice([None, kind]) for u, v, kind in graph.edges()}
+    relevance = {(d, p): r for d, p, r in graph.relevance_items()}
+    funs, dirs = list(graph.function_ids), list(graph.directive_ids)
+    for defect in rng.sample(range(8), rng.randint(1, 3)):
+        if defect == 0:  # wrong stated kinds
+            for e in rng.sample(sorted(kinds), min(3, len(kinds))):
+                kinds[e] = rng.choice(list(EdgeKind))
+        elif defect == 1:  # a cycle back up to the mission or a function
+            kinds[(rng.choice(funs + dirs), rng.choice(["m"] + funs))] = None
+        elif defect == 2:  # relevance 0, above 1 or huge
+            key = rng.choice(sorted(relevance))
+            relevance[key] = rng.choice([Fraction(0), Fraction(3, 2), Fraction(10**4300)])
+        elif defect == 3:  # orphans
+            nodes["zz_f"] = Node("zz_f", NodeKind.FUNCTION)
+            nodes["zz_d"] = Node("zz_d", NodeKind.DIRECTIVE)
+        elif defect == 4:  # missing relevance
+            for key in rng.sample(sorted(relevance), 2):
+                del relevance[key]
+        elif defect == 5:  # relevance on a non-edge and on a function edge
+            relevance[(rng.choice(dirs), "m")] = Fraction(1, 2)
+            relevance[(funs[0], "m")] = Fraction(1, 2)
+        elif defect == 6:  # a second mission
+            nodes["m2"] = Node("m2", NodeKind.MISSION)
+            kinds[("m2", rng.choice(funs))] = rng.choice([None, EdgeKind.DECOMPOSITION])
+        else:  # a function left without children
+            f = rng.choice(funs)
+            for e in [e for e in kinds if e[0] == f]:
+                del kinds[e]
+    return nodes, kinds, relevance
+
+
+def test_validate_matches_reference(monkeypatch):
+    # full reports, order included, on valid graphs (kinds inferred and
+    # stated), on every graph change simulation re-validates, and on broken ones
+    rng = random.Random(1107)
+    changed = []
+
+    def recording(graph):
+        changed.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(changesim, "validate", recording)
+    graphs = []
+    for _ in range(60):
+        g = random_fd_graph(rng, max_internal=10, max_directives=14)
+        graphs += [g, parse_graph(serialize_graph(g))]
+        for _ in range(3):
+            try:
+                apply_change(g, random_scenario(rng, g))
+            except ChangeError:
+                pass
+        graphs.append(FDGraph(*_broken_parts(rng, g)))
+    graphs += changed
+    codes = set()
+    for g in graphs:
+        report = validate(g)
+        assert report == validate_reference(g)
+        codes |= {v.code for v in report.violations}
+    assert not all(validate(g).ok for g in changed)  # some edits break the graph
+    assert codes == {
+        "MISSION_COUNT", "CYCLE", "NODE_DEGREE", "UNREACHABLE",
+        "EDGE_KIND", "RELEVANCE_MISSING", "RELEVANCE_EXTRA", "RELEVANCE_RANGE",
+    }
 
 
 # -- queries ----------------------------------------------------------------
