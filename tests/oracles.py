@@ -111,7 +111,9 @@ def validate_reference(graph) -> ValidationReport:
     for u, v, _ in edges:
         if graph.node(v).kind is NodeKind.DIRECTIVE and (v, u) not in recorded:
             out.append(
-                Violation("RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight")
+                Violation(
+                    "RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight"
+                )
             )
     edge_set = {(u, v) for u, v, _ in edges}
     for d, p, value in graph.relevance_items():
@@ -125,7 +127,9 @@ def validate_reference(graph) -> ValidationReport:
             )
         elif not Fraction(0) < Fraction(value) <= Fraction(1):
             out.append(
-                Violation("RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]")
+                Violation(
+                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"
+                )
             )
     return ValidationReport(not out, tuple(out))
 

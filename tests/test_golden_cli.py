@@ -26,18 +26,8 @@ SEEDS = range(24)
 FORMATS = ("machine", "text")
 
 
-def _number(value):
-    return float(value) if hasattr(value, "denominator") else value
-
-
 def _scenario_doc(sc) -> dict:
-    payload = sc.payload
-    if payload is not None:
-        payload = {
-            k: {p: _number(x) for p, x in v.items()} if isinstance(v, dict) else _number(v)
-            for k, v in payload.items()
-        }
-    return {"kind": sc.kind.value, "target": sc.target, "payload": payload}
+    return {"kind": sc.kind.value, "target": sc.target, "payload": sc.payload}
 
 
 def _without_kinds(text: str) -> str:
@@ -96,7 +86,7 @@ def _inputs(workdir: Path):
             cases["export-manifest"] = ["export", path, "--manifest", "--slice", members]
             scenarios = workdir / f"{name}.scenarios.json"
             docs = [_scenario_doc(random_scenario(rng, graph)) for _ in range(3)]
-            scenarios.write_text(json.dumps(docs))
+            scenarios.write_text(json.dumps(docs, default=float))  # Fraction weights
             argv = ["simulate", path, scenarios]
             for members in picked:
                 argv += ["--slice", ",".join(members)]
@@ -107,7 +97,7 @@ def _inputs(workdir: Path):
 def _config(rng, funs) -> dict:
     doc = {"lambda": rng.choice([0.5, 1, 2])}
     if rng.random() < 0.5:
-        doc["weights"] = {"f": rng.randint(1, 5), "tf": rng.randint(0, 3), "sched": rng.randint(0, 3)}
+        doc["weights"] = dict(f=rng.randint(1, 5), tf=rng.randint(0, 3), sched=rng.randint(0, 3))
     if funs and rng.random() < 0.7:
         doc["tf"] = {f: rng.choice([0.2, 0.6, 1]) for f in rng.sample(funs, len(funs) // 2)}
         doc["tf_min"] = rng.choice([0, 0.3, 0.5])
