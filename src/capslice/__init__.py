@@ -29,7 +29,6 @@ from .graph import (
     UnknownNodeError,
     ValidationReport,
     Violation,
-    ancestors,
     build_graph,
     descendants,
     distances_from,
@@ -37,7 +36,6 @@ from .graph import (
     leaves_of,
     parse_graph,
     serialize_graph,
-    topological_order,
     undirected_distance,
     validate,
 )
@@ -50,7 +48,6 @@ from .metrics import (
     cohesion,
     cohesion_map,
     coupling_matrix,
-    directive_coupling,
     resolve_membership,
     size_of,
 )

@@ -26,6 +26,7 @@ from .graph import (
     Violation,
     coerce_relevance,
     distances_from,
+    parts,
     undirected_distance,
     validate,
 )
@@ -102,13 +103,6 @@ def parse_scenarios(text: str) -> list[ChangeScenario]:
 
 
 # -- edit mechanics ------------------------------------------------------------
-
-
-def _parts(graph: FDGraph):
-    nodes = {nid: graph.node(nid) for nid in graph.node_ids}
-    edges = {(u, v) for u, v, _ in graph.edges()}
-    relevance = {(d, p): r for d, p, r in graph.relevance_items()}
-    return nodes, edges, relevance
 
 
 def _rebuild(nodes, edges, relevance) -> FDGraph:
@@ -193,7 +187,7 @@ def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> 
 def _apply(graph: FDGraph, scenario: ChangeScenario):
     """Return (changed graph, seed directives, evaluate_on_changed)."""
     payload = scenario.payload
-    nodes, edges, relevance = _parts(graph)
+    nodes, edges, relevance = parts(graph)
     kind = scenario.kind
     target = scenario.target
 

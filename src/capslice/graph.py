@@ -133,9 +133,6 @@ class FDGraph:
         self._stated = frozenset(e for e, kind in edge_kinds.items() if kind is not None)
         self._children = {i: tuple(sorted(c)) for i, c in children.items()}
         self._parents = {i: tuple(sorted(p)) for i, p in parents.items()}
-        self._neighbors = {
-            i: tuple(sorted(set(children[i]) | set(parents[i]))) for i in self._nodes
-        }
         self._node_ids = tuple(sorted(self._nodes))
         self._ids_by_kind = {
             k: tuple(i for i in self._node_ids if self._nodes[i].kind is k) for k in NodeKind
@@ -220,37 +217,35 @@ class FDGraph:
     def __repr__(self) -> str:
         return f"<FDGraph nodes={self.n_nodes} edges={len(self._edge_kinds)}>"
 
-    # -- cached closures -------------------------------------------------
-
-    def _closure(self, start: str, adjacency: dict[str, tuple[str, ...]]) -> frozenset[str]:
-        seen: set[str] = set()
-        queue = deque(adjacency[start])
-        while queue:
-            x = queue.popleft()
-            if x not in seen:
-                seen.add(x)
-                queue.extend(adjacency[x])
-        return frozenset(seen)
-
 
 def descendants(graph: FDGraph, node_id: str) -> frozenset[str]:
     """All nodes reachable from node_id along child edges (excluding itself)."""
     graph.node(node_id)
     cache = graph._descendants
     if node_id not in cache:
-        cache[node_id] = graph._closure(node_id, graph._children)
+        children = graph._children
+        seen: set[str] = set()
+        stack = list(children[node_id])
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack.extend(children[x])
+        cache[node_id] = frozenset(seen)
     return cache[node_id]
-
-
-def ancestors(graph: FDGraph, node_id: str) -> frozenset[str]:
-    """All nodes from which node_id is reachable (excluding itself)."""
-    graph.node(node_id)
-    return graph._closure(node_id, graph._parents)
 
 
 def cohesion_memo(graph: FDGraph) -> dict[str, Fraction]:
     """The graph's cohesion memo, {node: cohesion}, which metrics.cohesion fills."""
     return graph._cohesion
+
+
+def parts(
+    graph: FDGraph,
+) -> tuple[dict[str, Node], set[tuple[str, str]], dict[tuple[str, str], Fraction]]:
+    """Fresh, unordered copies of the graph's nodes, edge keys and relevance,
+    for change simulation to edit into a new graph."""
+    return dict(graph._nodes), set(graph._edge_kinds), dict(graph._relevance)
 
 
 def entry_parents(graph: FDGraph, node_id: str) -> Mapping[str, tuple[str, ...]]:
@@ -285,16 +280,18 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
 def distances_from(graph: FDGraph, u: str) -> Mapping[str, int]:
     """Undirected hop count from u to every node of its component.
 
-    One breadth-first search per source, cached on the graph.
+    One breadth-first search per source over children and parents, cached
+    on the graph.
     """
     graph.node(u)
     cache = graph._dist
     if u not in cache:
+        children, parents = graph._children, graph._parents
         dist = {u: 0}
         queue = deque((u,))
         while queue:
             x = queue.popleft()
-            for y in graph._neighbors[x]:
+            for y in children[x] + parents[x]:
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -314,26 +311,6 @@ def undirected_distance(graph: FDGraph, u: str, v: str) -> int:
         return distances_from(graph, u)[v]
     except KeyError:
         raise GraphError(f"{u!r} and {v!r} are not connected") from None
-
-
-def topological_order(graph: FDGraph) -> tuple[str, ...]:
-    """Deterministic topological order; GraphError if a cycle exists."""
-    indeg = {i: len(graph._parents[i]) for i in graph.node_ids}
-    ready = sorted(i for i, d in indeg.items() if d == 0)
-    out: list[str] = []
-    import heapq
-
-    heapq.heapify(ready)
-    while ready:
-        x = heapq.heappop(ready)
-        out.append(x)
-        for c in graph._children[x]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(ready, c)
-    if len(out) != graph.n_nodes:
-        raise GraphError("graph contains a cycle")
-    return tuple(out)
 
 
 def find_cycle(graph: FDGraph) -> list[str] | None:

@@ -230,26 +230,6 @@ def _nonempty(owned: Mapping[str, list[str]], member: str) -> list[str]:
 # -- coupling ----------------------------------------------------------------
 
 
-def directive_coupling(
-    graph: FDGraph, u: str, v: str, owner_of_v: Iterable[str]
-) -> Fraction:
-    """Chance that a change in directive v ripples back to directive u.
-
-    owner_of_v is the resolved directive set of v's capability; the chance
-    that v is the directive touched within it is uniform, and influence
-    decays with undirected distance.
-    """
-    if u == v:
-        raise ValueError("coupling is defined between distinct directives")
-    for d in (u, v):
-        if graph.node(d).kind is not NodeKind.DIRECTIVE:
-            raise ValueError(f"{d!r} is not a directive")
-    owner = frozenset(owner_of_v)
-    if v not in owner:
-        raise ValueError(f"{v!r} does not belong to its stated owner set")
-    return Fraction(1, len(owner)) / undirected_distance(graph, u, v)
-
-
 def _inverse_distance_sum(graph: FDGraph, d_p: list[str], d_q: list[str]) -> tuple[int, int]:
     # S = sum of 1/dist(a, b) over a in d_p, b in d_q, symmetric in the two
     # sets.  Distances are small integers, so count them and rescale by the
@@ -275,11 +255,7 @@ def capability_coupling(
     """
     if p == q:
         raise ValueError("capability coupling is defined between distinct members")
-    owned = _owned_by(membership)
-    d_p = _nonempty(owned, p)
-    d_q = _nonempty(owned, q)
-    total, scale = _inverse_distance_sum(graph, d_p, d_q)
-    return Fraction(total, scale * len(d_p) * len(d_q) ** 2)
+    return coupling_matrix(graph, (p, q), membership)[(p, q)]
 
 
 def coupling_matrix(

@@ -14,9 +14,10 @@ join an existing cover by winning shared directives on relevance).
 
 The search runs on Python-int bitsets built once per search: the
 directives under each function and the directive edges (parent, directive)
-it enters them through, both read from graph.entry_parents, and its
-ancestors and descendants.  Each branch costs a few mask tests; only a
-complete cover goes through membership assignment.
+it enters them through, both read from graph.entry_parents, and the
+functions it is related to by decomposition, read from the cached
+descendants.  Each branch costs a few mask tests; only a complete cover goes
+through membership assignment.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .graph import FDGraph, NodeKind, Violation, ancestors, descendants, entry_parents
+from .graph import FDGraph, NodeKind, Violation, descendants, entry_parents
 from .metrics import (
     assign_owners,
     cohesion,
@@ -45,10 +46,10 @@ class InvalidSliceError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Graph exceeds the configured node cap for enumeration."""
+    """Graph exceeds the node cap for enumeration."""
 
 
-DEFAULT_NODE_CAP = 10_000
+NODE_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -176,11 +177,10 @@ class SliceSearch:
         *,
         max_slices: int | None = None,
         time_budget: float | None = None,
-        node_cap: int = DEFAULT_NODE_CAP,
     ):
-        if graph.n_nodes > node_cap:
+        if graph.n_nodes > NODE_CAP:
             raise EnumerationCapError(
-                f"graph has {graph.n_nodes} nodes, enumeration cap is {node_cap}"
+                f"graph has {graph.n_nodes} nodes, enumeration cap is {NODE_CAP}"
             )
         if max_slices is not None and max_slices < 1:
             raise ValueError("max_slices must be positive")
@@ -200,19 +200,22 @@ class SliceSearch:
         # the entry table.  Two members conflict exactly when their entry
         # masks meet, which replaces the pairwise parent-route comparison.
         d_bit = {d: 1 << j for j, d in enumerate(graph.directive_ids)}
-        f_bit = {m: 1 << i for i, m in enumerate(internals)}
+        index = {m: i for i, m in enumerate(internals)}
         e_bit: dict[tuple[str, str], int] = {}
         leaf = [0] * n
         entry = [0] * n
+        related = [0] * n
         for i, m in enumerate(internals):
             for d, routes in entry_parents(graph, m).items():
                 leaf[i] |= d_bit[d]
                 for p in routes:
                     entry[i] |= e_bit.setdefault((p, d), 1 << len(e_bit))
-        related = [
-            sum(f_bit[x] for x in ancestors(graph, m) | descendants(graph, m) if x in f_bit)
-            for m in internals
-        ]
+            # a function below m blocks m and is blocked by it
+            for x in descendants(graph, m):
+                j = index.get(x)
+                if j is not None:
+                    related[i] |= 1 << j
+                    related[j] |= 1 << i
         suffix = [0] * (n + 1)  # directives some member from i on covers
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] | leaf[i]
@@ -278,12 +281,9 @@ def enumerate_slices(
     *,
     max_slices: int | None = None,
     time_budget: float | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> Enumeration:
     """All valid slices in canonical order, with a completeness flag."""
-    search = SliceSearch(
-        graph, max_slices=max_slices, time_budget=time_budget, node_cap=node_cap
-    )
+    search = SliceSearch(graph, max_slices=max_slices, time_budget=time_budget)
     slices = tuple(search)
     return Enumeration(slices, bool(search.complete))
 

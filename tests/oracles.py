@@ -18,13 +18,10 @@ from capslice.graph import (
     NodeKind,
     ValidationReport,
     Violation,
-    ancestors,
     build_graph,
-    descendants,
     find_cycle,
-    leaves_of,
 )
-from capslice.metrics import directive_coupling, resolve_membership
+from capslice.metrics import resolve_membership
 from capslice.rational import brief
 from capslice.slicing import is_valid_slice
 
@@ -248,6 +245,12 @@ def double_sum_coupling(graph, d_p, d_q) -> Fraction:
     return total / (len(d_p) * len(d_q))
 
 
+def directive_coupling(graph, u: str, v: str, owner_of_v) -> Fraction:
+    """Cp(u, v, D) = (1 / |D|) / dist(u, v): the chance that a change in
+    directive v, one of the owner set D, ripples back to directive u."""
+    return Fraction(1, len(owner_of_v)) / bfs_distance(graph, u, v)
+
+
 def impact_by_coupling(graph, slc, scenario, threshold: Fraction) -> ImpactReport:
     """One (slice, scenario) cell: the scenario applied afresh, and one
     Fraction coupling compared with the threshold per (seed, directive)."""
@@ -278,8 +281,9 @@ def impact_by_coupling(graph, slc, scenario, threshold: Fraction) -> ImpactRepor
 def valid_slices_bruteforce(graph) -> list[tuple[str, ...]]:
     """Filter the full powerset of function nodes through is_valid_slice.
 
-    Bitmask prechecks skip subsets that provably fail the ancestor-pair or
-    coverage constraints; everything else goes through the real check.
+    Bitmask prechecks, built from plain walks, skip subsets that provably
+    fail the ancestor-pair or coverage constraints; everything else goes
+    through the real check.
     """
     internals = list(graph.function_ids)
     k = len(internals)
@@ -288,17 +292,16 @@ def valid_slices_bruteforce(graph) -> list[tuple[str, ...]]:
     full = (1 << len(dir_index)) - 1
 
     leaf_mask = []
-    blocked_mask = []
-    for m in internals:
+    blocked_mask = [0] * k
+    for i, m in enumerate(internals):
         mask = 0
-        for d in leaves_of(graph, m):
+        for d in reachable_leaves(graph, m):
             mask |= 1 << dir_index[d]
         leaf_mask.append(mask)
-        bmask = 0
-        for x in ancestors(graph, m) | descendants(graph, m):
+        for x in below(graph, m):
             if x in index:
-                bmask |= 1 << index[x]
-        blocked_mask.append(bmask)
+                blocked_mask[i] |= 1 << index[x]
+                blocked_mask[index[x]] |= 1 << i
 
     out = []
     for subset in range(1, 1 << k):

@@ -22,12 +22,11 @@ from capslice.metrics import (
     UncoveredDirectiveError,
     cohesion,
     cohesion_map,
-    directive_coupling,
     resolve_membership,
 )
 from capslice.slicing import Slice, enumerate_slices, make_slice
 from conftest import RELEVANCE_PALETTE, random_fd_graph, random_scenario
-from oracles import bfs_distances, impact_by_coupling, reparsed
+from oracles import bfs_distances, directive_coupling, impact_by_coupling, reparsed
 
 
 def scenario(kind, target, payload=None):
@@ -691,8 +690,6 @@ def test_impact_not_connected_error():
     applied = (g, frozenset({"a"}), False)
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
         _impact(g, slc, sc, applied, Fraction(1, 8))
-    with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
-        directive_coupling(g, "z", "a", {"a", "b"})
 
 
 def test_compare_slices_checks_threshold_once(fig2, s1):

@@ -1,20 +1,20 @@
+import ast
 import json
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from capslice.graph import (
     EdgeKind,
     FDGraph,
-    GraphError,
     GraphParseError,
     IMPACT_RELEVANCE,
     Node,
     NodeKind,
     UnknownNodeError,
-    ancestors,
     build_graph,
     coerce_relevance,
     descendants,
@@ -24,7 +24,6 @@ from capslice.graph import (
     leaves_of,
     parse_graph,
     serialize_graph,
-    topological_order,
     undirected_distance,
     validate,
 )
@@ -32,7 +31,14 @@ from capslice.rational import brief, to_fraction
 import capslice.changesim as changesim
 from capslice.changesim import ChangeError, apply_change
 from conftest import random_fd_graph, random_scenario
-from oracles import bfs_distance, bfs_distances, reachable_leaves, reparsed, validate_reference
+from oracles import (
+    below,
+    bfs_distance,
+    bfs_distances,
+    reachable_leaves,
+    reparsed,
+    validate_reference,
+)
 
 
 def test_fig2_shape(fig2):
@@ -466,11 +472,16 @@ def test_leaves_of_fig2(fig2):
 
 
 def test_ancestors_descendants_fig2(fig2):
-    assert ancestors(fig2, "d_3") == frozenset({"n_5", "n_6", "n_1", "n_2", "m"})
+    def above(node):
+        return {a for a in fig2.node_ids if node in descendants(fig2, a)}
+
+    assert above("d_3") == {"n_5", "n_6", "n_1", "n_2", "m"}
     assert descendants(fig2, "n_1") == frozenset(
         {"n_5", "n_6", "d_1", "d_2", "d_3", "d_4", "d_5"}
     )
-    assert ancestors(fig2, "m") == frozenset()
+    assert above("m") == set()
+    for n in fig2.node_ids:
+        assert descendants(fig2, n) == below(fig2, n)
 
 
 def test_distance_fig2(fig2):
@@ -490,20 +501,6 @@ def test_unknown_node_raises(fig2):
         undirected_distance(fig2, "d_1", "nope")
     with pytest.raises(UnknownNodeError):
         distances_from(fig2, "nope")
-
-
-def test_topological_order(fig2):
-    order = topological_order(fig2)
-    pos = {n: i for i, n in enumerate(order)}
-    for u, v, _ in fig2.edges():
-        assert pos[u] < pos[v]
-
-    cyclic = build_graph(
-        [("m", "mission"), ("a", "function"), ("b", "function"), ("d", "directive")],
-        [("m", "a"), ("a", "b"), ("b", "a"), ("b", "d", None, Fraction(1, 2))],
-    )
-    with pytest.raises(GraphError):
-        topological_order(cyclic)
 
 
 def test_queries_match_oracles_on_random_graphs():
@@ -526,7 +523,7 @@ def test_leaf_ancestor_duality():
         g = random_fd_graph(rng, max_internal=8, max_directives=10)
         for n in g.function_ids:
             for d in g.directive_ids:
-                assert (d in leaves_of(g, n)) == (n in ancestors(g, d))
+                assert (d in leaves_of(g, n)) == (d in below(g, n))
 
 
 # -- round trip and rendering -------------------------------------------------
@@ -571,3 +568,34 @@ def test_export_dot_single_node():
     dot = export_dot(g)
     assert dot.count("shape=") == 1
     assert "peripheries=2" in dot
+
+
+# -- encapsulation ----------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _private_reads(source: str, fields: set[str]) -> list[str]:
+    # every attribute access, read or write, whose name is a graph field
+    return [
+        f"{node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+
+
+def test_no_private_graph_fields_outside_graph_module(fig2):
+    fields = {name for name in vars(fig2) if name.startswith("_")}
+    assert {"_children", "_parents", "_descendants", "_dist"} <= fields
+    assert _private_reads("x = graph._children[n]\ny = graph.children(n)", fields) == [
+        "1: ._children"
+    ]
+    files = [p for p in sorted((ROOT / "src" / "capslice").glob("*.py")) if p.name != "graph.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert len(files) > 20
+    hits = [
+        f"{path.relative_to(ROOT)}:{hit}"
+        for path in files
+        for hit in _private_reads(path.read_text(), fields)
+    ]
+    assert hits == []

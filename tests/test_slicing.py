@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from capslice import slicing
 from capslice.graph import UnknownNodeError, build_graph
 from capslice.metrics import cohesion, coupling_matrix
 from capslice.slicing import (
@@ -220,9 +221,12 @@ def test_truncation_by_time():
     assert len(enum.slices) < 1024
 
 
-def test_node_cap(fig2):
+def test_node_cap(fig2, monkeypatch):
+    monkeypatch.setattr(slicing, "NODE_CAP", 5)
+    with pytest.raises(EnumerationCapError, match="^graph has 24 nodes, enumeration cap is 5$"):
+        list(SliceSearch(fig2))
     with pytest.raises(EnumerationCapError):
-        list(SliceSearch(fig2, node_cap=5))
+        enumerate_slices(fig2)
 
 
 def test_search_argument_validation(fig2):
