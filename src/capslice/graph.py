@@ -15,6 +15,7 @@ given as one of four named impact categories.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -142,6 +143,7 @@ class FDGraph:
         self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
         self._descendants: dict[str, frozenset[str]] = {}
         self._dist: dict[str, dict[str, int]] = {}
+        self._weights: tuple[int, dict[str, int], list[list[int | None]]] | None = None
         self._cohesion: dict[str, Fraction] = {}
 
     # -- basic accessors -------------------------------------------------
@@ -277,6 +279,20 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
     return frozenset(entry_parents(graph, node_id))
 
 
+def _bfs(graph: FDGraph, u: str) -> dict[str, int]:
+    # undirected hop counts from u over children and parents, not cached
+    children, parents = graph._children, graph._parents
+    dist = {u: 0}
+    queue = deque((u,))
+    while queue:
+        x = queue.popleft()
+        for y in children[x] + parents[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 def distances_from(graph: FDGraph, u: str) -> Mapping[str, int]:
     """Undirected hop count from u to every node of its component.
 
@@ -286,17 +302,34 @@ def distances_from(graph: FDGraph, u: str) -> Mapping[str, int]:
     graph.node(u)
     cache = graph._dist
     if u not in cache:
-        children, parents = graph._children, graph._parents
-        dist = {u: 0}
-        queue = deque((u,))
-        while queue:
-            x = queue.popleft()
-            for y in children[x] + parents[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        cache[u] = dist
+        cache[u] = _bfs(graph, u)
     return cache[u]
+
+
+def directive_weights(
+    graph: FDGraph,
+) -> tuple[int, Mapping[str, int], list[list[int | None]]]:
+    """Inverse directive-to-directive distances as integers over one scale.
+
+    Returns (scale, index, rows): index numbers the directives in id order,
+    scale is the lcm of the distances between connected directives, and
+    rows[i][j] is scale // dist(d_i, d_j), so 1/dist = rows[i][j] / scale
+    exactly.  A pair in different components holds None, and the diagonal
+    0.  Built once per graph from one uncached breadth-first search per
+    directive, so these rows are not also kept by distances_from.
+    """
+    if graph._weights is None:
+        ids = graph.directive_ids
+        hops = [list(map(_bfs(graph, d).get, ids)) for d in ids]
+        present = {k for row in hops for k in row if k}
+        scale = math.lcm(*present)
+        # one int object per distance, shared by every row
+        weight = {k: scale // k for k in present}
+        weight[0] = 0
+        weight[None] = None
+        rows = [list(map(weight.__getitem__, row)) for row in hops]
+        graph._weights = (scale, {d: j for j, d in enumerate(ids)}, rows)
+    return graph._weights
 
 
 def undirected_distance(graph: FDGraph, u: str, v: str) -> int:

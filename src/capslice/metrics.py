@@ -29,7 +29,7 @@ from .graph import (
     GraphError,
     NodeKind,
     cohesion_memo,
-    distances_from,
+    directive_weights,
     entry_parents,
     undirected_distance,
 )
@@ -88,20 +88,20 @@ def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fra
         if pending:
             stack.extend(pending)
             continue
-        num = Fraction(0)
-        den = Fraction(0)
+        # each child's contribution as an integer over the lcm of their
+        # denominators, finished as one Fraction
+        terms = []
         for c in graph.children(n):
             if graph.node(c).kind is NodeKind.DIRECTIVE:
-                weight = Fraction(1)
-                contrib = graph.relevance(c, n)
+                terms.append((1, graph.relevance(c, n)))
             else:
-                weight = Fraction(size_of(graph, c))
-                contrib = memo[c]
-            num += weight * contrib
-            den += weight
+                terms.append((size_of(graph, c), memo[c]))
+        den = sum(w for w, _ in terms)
         if den == 0:
             raise GraphError(f"{n!r} has no children, cohesion undefined")
-        memo[n] = num / den
+        scale = math.lcm(*(v.denominator for _, v in terms))
+        num = sum(w * v.numerator * (scale // v.denominator) for w, v in terms)
+        memo[n] = Fraction(num, den * scale)
         stack.pop()
         on_stack.discard(n)
     return memo[start]
@@ -113,10 +113,14 @@ def cohesion(graph: FDGraph, node_id: str) -> Fraction:
     Values are memoised on the graph, so each node is evaluated at most once
     per graph, and only when some caller asks for it or for an ancestor.
     """
+    memo = cohesion_memo(graph)
+    value = memo.get(node_id)  # the memo holds only mission and function nodes
+    if value is not None:
+        return value
     node = graph.node(node_id)
     if node.kind is NodeKind.DIRECTIVE:
         raise CohesionUndefinedError(f"cohesion is undefined for directive {node_id!r}")
-    return _cohesion_eval(graph, node_id, cohesion_memo(graph))
+    return _cohesion_eval(graph, node_id, memo)
 
 
 def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
@@ -212,15 +216,7 @@ def owned_directives(membership: Mapping[str, str], member: str) -> tuple[str, .
     return tuple(sorted(d for d, o in membership.items() if o == member))
 
 
-def _owned_by(membership: Mapping[str, str]) -> dict[str, list[str]]:
-    # every owner's directives in id order, from one pass over the membership
-    owned: dict[str, list[str]] = {}
-    for d, o in sorted(membership.items()):
-        owned.setdefault(o, []).append(d)
-    return owned
-
-
-def _nonempty(owned: Mapping[str, list[str]], member: str) -> list[str]:
+def _nonempty(owned: Mapping[str, list[int]], member: str) -> list[int]:
     directives = owned.get(member)
     if not directives:
         raise ValueError(f"capability {member!r} resolves to an empty directive set")
@@ -230,19 +226,12 @@ def _nonempty(owned: Mapping[str, list[str]], member: str) -> list[str]:
 # -- coupling ----------------------------------------------------------------
 
 
-def _inverse_distance_sum(graph: FDGraph, d_p: list[str], d_q: list[str]) -> tuple[int, int]:
-    # S = sum of 1/dist(a, b) over a in d_p, b in d_q, symmetric in the two
-    # sets.  Distances are small integers, so count them and rescale by the
-    # lcm of the distances present: S = total / scale, exactly.
-    hist: dict[int, int] = {}
+def _not_connected(graph: FDGraph, d_p: list[int], d_q: list[int]) -> None:
+    # undirected_distance raises for the first pair in different components
+    ids = graph.directive_ids
     for a in d_p:
-        row = distances_from(graph, a)
         for b in d_q:
-            # a pair outside row goes through undirected_distance to raise
-            k = row[b] if b in row else undirected_distance(graph, a, b)
-            hist[k] = hist.get(k, 0) + 1
-    scale = math.lcm(*hist)
-    return sum(n * (scale // k) for k, n in hist.items()), scale
+            undirected_distance(graph, ids[a], ids[b])
 
 
 def capability_coupling(
@@ -264,16 +253,31 @@ def coupling_matrix(
     """Capability coupling for every ordered pair of members.
 
     The distance sum S is shared by (p, q) and (q, p), so it is computed
-    once per unordered pair.  Keys come in sorted (p, q) order.
+    once per unordered pair, on integers: each 1/dist is read from the
+    graph's directive_weights table over one common scale.  Keys come in
+    sorted (p, q) order.
     """
     members = sorted(set(members))
-    owned = _owned_by(membership)
+    if len(members) < 2:
+        return {}
+    scale, index, rows = directive_weights(graph)
+    owned: dict[str, list[int]] = {}
+    for d, o in membership.items():
+        try:
+            owned.setdefault(o, []).append(index[d])
+        except KeyError:
+            raise ValueError(f"membership key {d!r} is not a directive of the graph") from None
+    sets = [_nonempty(owned, p) for p in members]
     half: dict[tuple[str, str], Fraction] = {}
     for i, p in enumerate(members):
-        for q in members[i + 1 :]:
-            d_p = _nonempty(owned, p)
-            d_q = _nonempty(owned, q)
-            total, scale = _inverse_distance_sum(graph, d_p, d_q)
+        d_p = sets[i]
+        rows_p = [rows[a] for a in d_p]
+        for q, d_q in zip(members[i + 1 :], sets[i + 1 :]):
+            try:  # scale * S; a None weight marks a pair that is not connected
+                total = sum([sum(map(row.__getitem__, d_q)) for row in rows_p])
+            except TypeError:
+                _not_connected(graph, sorted(d_p), sorted(d_q))
+                raise
             half[(p, q)] = Fraction(total, scale * len(d_p) * len(d_q) ** 2)
             half[(q, p)] = Fraction(total, scale * len(d_q) * len(d_p) ** 2)
     return {(p, q): half[(p, q)] for p in members for q in members if p != q}

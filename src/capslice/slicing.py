@@ -6,18 +6,22 @@ never members, no member may be an ancestor of another, resolution must be
 unambiguous, and every member must end up owning at least one directive.
 
 Enumeration walks the candidate functions in id order with an
-include/exclude decision per node, pruning branches that repeat an
-ancestor conflict, create unresolvable sharing, or can no longer cover some
-directive.  This visits every antichain that could still become a valid
-slice, so supersets of already-complete covers are found too (a member can
-join an existing cover by winning shared directives on relevance).
+include/exclude decision per node, pruning branches that create
+unresolvable sharing, leave a chosen member owning nothing, or can no
+longer cover some directive.  This visits every member set that could still
+become a valid slice, so supersets of already-complete covers are found too
+(a member can join an existing cover by winning shared directives on
+relevance).  No ancestor test is needed: a function above a member enters
+that member's directives through the same edges, so the sharing rule cuts
+it, and a function with no directive under it owns nothing.
 
 The search runs on Python-int bitsets built once per search: the
 directives under each function and the directive edges (parent, directive)
-it enters them through, both read from graph.entry_parents, and the
-functions it is related to by decomposition, read from the cached
-descendants.  Each branch costs a few mask tests; only a complete cover goes
-through membership assignment.
+it enters them through, both read from graph.entry_parents, and for every
+directive its owner order, the functions covering it ranked as
+metrics.assign_owners ranks them.  Each branch costs a few mask tests, and
+every complete cover the search reaches is a valid slice whose membership
+is read off the owner order.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .graph import FDGraph, NodeKind, Violation, descendants, entry_parents
@@ -33,6 +38,7 @@ from .metrics import (
     cohesion,
     coupling_matrix,
     cover_map,
+    entry_parent,
     owned_directives,
     sharing_conflicts,
 )
@@ -200,22 +206,35 @@ class SliceSearch:
         # the entry table.  Two members conflict exactly when their entry
         # masks meet, which replaces the pairwise parent-route comparison.
         d_bit = {d: 1 << j for j, d in enumerate(graph.directive_ids)}
-        index = {m: i for i, m in enumerate(internals)}
         e_bit: dict[tuple[str, str], int] = {}
         leaf = [0] * n
         entry = [0] * n
-        related = [0] * n
+        ranked: dict[str, list[tuple[Fraction, int]]] = {d: [] for d in d_bit}
         for i, m in enumerate(internals):
             for d, routes in entry_parents(graph, m).items():
                 leaf[i] |= d_bit[d]
                 for p in routes:
                     entry[i] |= e_bit.setdefault((p, d), 1 << len(e_bit))
-            # a function below m blocks m and is blocked by it
-            for x in descendants(graph, m):
-                j = index.get(x)
-                if j is not None:
-                    related[i] |= 1 << j
-                    related[j] |= 1 << i
+                ranked[d].append((graph.relevance(d, entry_parent(graph, d, routes)), i))
+        # Owner order: the functions covering a directive, best entry
+        # relevance first and ties to the smaller id (a stable sort keeps id
+        # order), so the first chosen one owns it, as in metrics.assign_owners.
+        # beats[i] holds, per directive under i, the functions that would take
+        # it from i, and rivals[i] the functions i would take some directive
+        # from.
+        owners: list[list[int]] = []
+        beats: list[list[int]] = [[] for _ in range(n)]
+        rivals = [0] * n
+        for covering in ranked.values():
+            order = [i for _, i in sorted(covering, key=itemgetter(0), reverse=True)]
+            owners.append(order)
+            rest = sum(1 << i for i in order)
+            ahead = 0
+            for i in order:
+                beats[i].append(ahead)
+                ahead |= 1 << i
+                rivals[i] |= rest & ~ahead
+        self._owners = owners
         suffix = [0] * (n + 1)  # directives some member from i on covers
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] | leaf[i]
@@ -229,11 +248,9 @@ class SliceSearch:
         truncated = False
         # Preorder over the subset tree in id order, which emits slices in
         # lexicographic order of their sorted member tuples.  A frame is
-        # [cursor, covered, used entry edges, blocked members]; the members
+        # [cursor, covered, used entry edges, chosen members]; the members
         # before its cursor that it did not choose are excluded, so it is dead
         # once its cover and all undecided members together miss a directive.
-        # The cursor of every frame below the top sits one past the member its
-        # child frame included.
         stack = [[0, 0, 0, 0]]
         while stack:
             steps += 1
@@ -245,35 +262,51 @@ class SliceSearch:
                 truncated = True
                 break
             frame = stack[-1]
-            i, covered, used, blocked = frame
+            i, covered, used, chosen = frame
             if i == n or covered | suffix[i] != universe:
                 stack.pop()
                 continue
             frame[0] = i + 1
-            if blocked >> i & 1:  # ancestor rule
-                continue
             if entry[i] & used:  # sharing rule
                 continue
+            # empty-member rule: adding members only adds competitors, so once
+            # i or a chosen member it beats owns nothing, every extension fails
+            chosen |= 1 << i
+            if all(b & chosen for b in beats[i]):
+                continue
+            if any(all(b & chosen for b in beats[j]) for j in _bits(chosen & rivals[i])):
+                continue
             covered |= leaf[i]
-            stack.append([i + 1, covered, used | entry[i], blocked | related[i]])
+            stack.append([i + 1, covered, used | entry[i], chosen])
             if covered == universe:
-                slc = self._finish([internals[f[0] - 1] for f in stack[:-1]])
-                if slc is not None:
-                    yield slc
-                    emitted += 1
-                    if self.max_slices is not None and emitted >= self.max_slices:
-                        truncated = True
-                        break
+                yield self._finish(chosen)
+                emitted += 1
+                if self.max_slices is not None and emitted >= self.max_slices:
+                    truncated = True
+                    break
 
         self.complete = not truncated
 
-    def _finish(self, chosen: list[str]) -> Slice | None:
-        # Coverage and resolvable sharing already hold on this path; a member
-        # that wins no directive disqualifies the candidate.
-        assignment = assign_owners(self.graph, cover_map(self.graph, chosen))
-        if len(set(assignment.values())) < len(chosen):
-            return None
-        return Slice(tuple(chosen), assignment)
+    def _finish(self, chosen: int) -> Slice:
+        # Coverage, resolvable sharing and a directive for every member
+        # already hold on this path, so the cover is a valid slice; each
+        # directive goes to the first chosen function in its owner order.
+        internals = self.graph.function_ids
+        membership = {}
+        for d, order in zip(self.graph.directive_ids, self._owners):
+            for i in order:
+                if chosen >> i & 1:
+                    membership[d] = internals[i]
+                    break
+        return Slice(tuple(internals[i] for i in _bits(chosen)), membership)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_slices(

@@ -397,6 +397,8 @@ def test_coupling_matrix_errors(fig2):
         coupling_matrix(fig2, ["n_9", "n_1", "n_4", "n_3"], ms)
     # a lone member has no pairs, so nothing is checked
     assert coupling_matrix(fig2, ["n_9"], ms) == {}
+    with pytest.raises(ValueError, match="^membership key 'n_5' is not a directive of the graph$"):
+        coupling_matrix(fig2, ["n_1", "n_3", "n_7"], {**ms, "n_5": "n_1"})
 
     split = build_graph(
         [("m", "mission"), ("a", "function"), ("b", "function"), ("x", "directive"),
@@ -408,5 +410,5 @@ def test_coupling_matrix_errors(fig2):
         lambda: coupling_matrix(split, ["a", "b"], ms),
         lambda: capability_coupling(split, "b", "a", ms),
     ):
-        with pytest.raises(GraphError, match="not connected"):
+        with pytest.raises(GraphError, match="^'x' and 'y' are not connected$"):
             call()

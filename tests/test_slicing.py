@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from capslice import slicing
-from capslice.graph import UnknownNodeError, build_graph
-from capslice.metrics import cohesion, coupling_matrix
+from capslice.graph import Node, NodeKind, UnknownNodeError, build_graph, validate
+from capslice.metrics import cohesion, coupling_matrix, resolve_membership
 from capslice.slicing import (
     EnumerationCapError,
     InvalidSliceError,
@@ -20,7 +20,12 @@ from capslice.slicing import (
     slice_objective,
 )
 from conftest import random_fd_graph
-from oracles import cohesion_recursive, double_sum_coupling, valid_slices_bruteforce
+from oracles import (
+    bfs_distance,
+    cohesion_recursive,
+    double_sum_coupling,
+    valid_slices_bruteforce,
+)
 
 FIG2_SLICES = [
     ("n_1", "n_3", "n_7"),
@@ -64,6 +69,44 @@ def power_family(k):
             (f"b{i:02d}", f"d{i:02d}x", None, Fraction(7, 10)),
             (f"b{i:02d}", f"d{i:02d}y", None, Fraction(7, 10)),
         ]
+    return build_graph(nodes, edges)
+
+
+
+def with_childless(rng, g, k):
+    """g plus k function nodes without children, each hung under the mission
+    or a function of g and named to sort right after an existing function,
+    so they interleave with the others in id order.  validate refuses it."""
+    relevance = {(d, p): r for d, p, r in g.relevance_items()}
+    nodes = [g.node(i) for i in g.node_ids]
+    edges = [(u, v, None, relevance.get((v, u))) for u, v, _ in g.edges()]
+    for j in range(k):
+        nid = f"{rng.choice(g.function_ids)}z{j}"
+        nodes.append(Node(nid, NodeKind.FUNCTION))
+        edges.append((rng.choice(("m",) + g.function_ids), nid))
+    return build_graph(nodes, edges)
+
+
+def long_chain_graph(rng):
+    """Two to four function chains of 4-9 links under the mission, with
+    directives at the chain ends and now and then part way down, so
+    directives on different chains sit 12 or more hops apart."""
+    palette = (Fraction(1), Fraction(7, 10), Fraction(3, 10), Fraction(9, 20))
+    nodes = [("m", "mission")]
+    edges = []
+    for c in range(rng.randint(2, 4)):
+        up = "m"
+        depth = rng.randint(4, 9)
+        for k in range(depth):
+            f = f"c{c}f{k}"
+            nodes.append((f, "function"))
+            edges.append((up, f))
+            up = f
+            if k == depth - 1 or rng.random() < 0.15:
+                for j in range(1 if k < depth - 1 else rng.randint(1, 3)):
+                    d = f"c{c}d{k}{j}"
+                    nodes.append((d, "directive"))
+                    edges.append((f, d, None, rng.choice(palette)))
     return build_graph(nodes, edges)
 
 
@@ -169,6 +212,89 @@ def test_enumerate_matches_bruteforce_random():
             enum = enumerate_slices(g)
             assert enum.complete
             assert [s.members for s in enum.slices] == valid_slices_bruteforce(g)
+
+
+
+def test_enumerate_matches_bruteforce_childless():
+    # graphs validate refuses: a function without children owns nothing, so
+    # the empty-member rule cuts it, and with it every member set where it
+    # sits below another member, without an ancestor rule in the search
+    rng = random.Random(2718)
+    for _ in range(300):
+        base = random_fd_graph(rng, max_internal=8, max_directives=10)
+        g = with_childless(rng, base, rng.randint(1, 2))
+        assert not validate(g).ok
+        enum = enumerate_slices(g)
+        assert enum.complete
+        assert [s.members for s in enum.slices] == valid_slices_bruteforce(g)
+
+
+def test_owner_order_ties_go_to_smaller_id():
+    # a and b reach x through their own parents with equal relevance
+    g = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"), ("p", "function"),
+         ("x", "directive"), ("y", "directive"), ("z", "directive")],
+        [("m", "b"), ("m", "p"), ("p", "a"), ("a", "x", None, "critical"),
+         ("a", "y", None, "marginal"), ("b", "x", None, "critical"),
+         ("b", "z", None, "catastrophic")],
+    )
+    by_members = {s.members: s for s in enumerate_slices(g).slices}
+    slc = by_members[("a", "b")]
+    assert slc.membership == {"x": "a", "y": "a", "z": "b"}
+    assert slc.membership == resolve_membership(g, slc.members)
+
+
+def test_owner_order_ranks_by_best_entry_parent():
+    # k enters x through p1 (0.3) and p2 (1), b through itself (0.7): k's
+    # best entry parent wins x although its first one would lose, and
+    # although b has the smaller id
+    g = build_graph(
+        [("m", "mission"), ("b", "function"), ("k", "function"), ("p1", "function"),
+         ("p2", "function"), ("x", "directive"), ("y", "directive"), ("z", "directive")],
+        [("m", "b"), ("m", "k"), ("k", "p1"), ("k", "p2"),
+         ("p1", "x", None, "marginal"), ("p1", "y", None, "catastrophic"),
+         ("p2", "x", None, "catastrophic"), ("b", "x", None, "critical"),
+         ("b", "z", None, "catastrophic")],
+    )
+    slices = enumerate_slices(g).slices
+    assert [s.members for s in slices] == valid_slices_bruteforce(g)
+    by_members = {s.members: s for s in slices}
+    assert by_members[("b", "k")].membership == {"x": "k", "y": "k", "z": "b"}
+    assert by_members[("b", "p1", "p2")].membership == {"x": "p2", "y": "p1", "z": "b"}
+    for slc in slices:
+        assert slc.membership == resolve_membership(g, slc.members)
+
+
+def baseline_graph():
+    """The densest of 400 random_fd_graph(random.Random(7), max_internal=22,
+    max_directives=40) draws: 22 functions and 8 directives."""
+    rng = random.Random(7)
+    for _ in range(47):
+        g = random_fd_graph(rng, max_internal=22, max_directives=40)
+    return g
+
+
+def test_baseline_graph(monkeypatch):
+    g = baseline_graph()
+    assert (g.n_nodes, len(g.function_ids), len(g.directive_ids)) == (31, 22, 8)
+    finish = SliceSearch._finish
+    covers = []
+
+    def counted(self, chosen):
+        covers.append(finish(self, chosen))
+        return covers[-1]
+
+    monkeypatch.setattr(SliceSearch, "_finish", counted)
+    enum = enumerate_slices(g)
+    assert enum.complete
+    assert len(enum.slices) == 474
+    # every cover that reaches _finish becomes a slice; none is dropped
+    assert list(enum.slices) == covers
+    assert all(isinstance(slc, Slice) for slc in covers)
+    for slc in enum.slices:
+        check = is_valid_slice(g, slc.members)
+        assert check.ok
+        assert dict(check.membership) == dict(slc.membership)
 
 
 def test_enumerated_slices_self_consistent():
@@ -289,10 +415,15 @@ def test_scoring_kernel_matches_oracle():
     # which slices were scored before it
     rng = random.Random(3141)
     checked = 0
-    for _ in range(30):
+    far = 0
+
+    def random_graph(r):
+        return random_fd_graph(r, max_internal=16, max_directives=20)
+
+    for build in [random_graph] * 30 + [long_chain_graph] * 12:
         seed = rng.randrange(2**32)
-        g = random_fd_graph(random.Random(seed), max_internal=16, max_directives=20)
-        twin = random_fd_graph(random.Random(seed), max_internal=16, max_directives=20)
+        g = build(random.Random(seed))
+        twin = build(random.Random(seed))
         slices = enumerate_slices(g, max_slices=60).slices
         first = [slice_objective(g, s) for s in slices]
         assert [slice_objective(g, s) for s in slices] == first
@@ -308,6 +439,10 @@ def test_scoring_kernel_matches_oracle():
             matrix = coupling_matrix(g, members, slc.membership)
             assert matrix == expected and list(matrix) == list(expected)
             assert m.coupling == expected
+            if build is long_chain_graph and len(members) > 1:
+                # pairs 12+ hops apart put large distances into the scale
+                a, b = slc.owned(members[0])[0], slc.owned(members[1])[0]
+                far += bfs_distance(g, a, b) >= 12
             per_node = {p: cohesion_recursive(g, p) for p in members}
             assert m.per_node_cohesion == per_node
             mean_ch = sum(per_node.values(), Fraction(0)) / len(members)
@@ -318,6 +453,7 @@ def test_scoring_kernel_matches_oracle():
             assert m.aggregate == mean_ch - mean_cp
             checked += len(members) > 1
     assert checked >= 150
+    assert far >= 200
 
 
 def test_objective_lambda(fig2):
