@@ -298,7 +298,8 @@ class SliceSearch:
                 if chosen >> i & 1:
                     membership[d] = internals[i]
                     break
-        return Slice(tuple(internals[i] for i in _bits(chosen)), membership)
+        # a tuple built from a list is allocated at its size, not grown and cut
+        return Slice(tuple([internals[i] for i in _bits(chosen)]), membership)
 
 
 def _bits(mask: int) -> Iterator[int]:
