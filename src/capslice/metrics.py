@@ -226,14 +226,6 @@ def _nonempty(owned: Mapping[str, list[int]], member: str) -> list[int]:
 # -- coupling ----------------------------------------------------------------
 
 
-def _not_connected(graph: FDGraph, d_p: list[int], d_q: list[int]) -> None:
-    # undirected_distance raises for the first pair in different components
-    ids = graph.directive_ids
-    for a in d_p:
-        for b in d_q:
-            undirected_distance(graph, ids[a], ids[b])
-
-
 def capability_coupling(
     graph: FDGraph, p: str, q: str, membership: Mapping[str, str]
 ) -> Fraction:
@@ -275,8 +267,11 @@ def coupling_matrix(
         for q, d_q in zip(members[i + 1 :], sets[i + 1 :]):
             try:  # scale * S; a None weight marks a pair that is not connected
                 total = sum([sum(map(row.__getitem__, d_q)) for row in rows_p])
-            except TypeError:
-                _not_connected(graph, sorted(d_p), sorted(d_q))
+            except TypeError:  # raise for the first such pair in id order
+                ids = graph.directive_ids
+                for a in sorted(d_p):
+                    for b in sorted(d_q):
+                        undirected_distance(graph, ids[a], ids[b])
                 raise
             half[(p, q)] = Fraction(total, scale * len(d_p) * len(d_q) ** 2)
             half[(q, p)] = Fraction(total, scale * len(d_q) * len(d_p) ** 2)
