@@ -42,6 +42,7 @@ from .graph import (
 from .metrics import (
     CohesionUndefinedError,
     MembershipError,
+    PairCoupling,
     UncoveredDirectiveError,
     UnresolvableSharingError,
     capability_coupling,

@@ -214,6 +214,10 @@ def cmd_metrics(args) -> int:
 
 
 def _slice_doc(slc, metrics) -> dict:
+    # int true division is correctly rounded, so u / scale is the float of
+    # the exact coupling, the same double float() of its Fraction gives
+    coupling = metrics.coupling
+    scale = coupling.scale
     return {
         "type": "slice",
         "members": list(slc.members),
@@ -221,7 +225,7 @@ def _slice_doc(slc, metrics) -> dict:
         "mean_cohesion": float(metrics.mean_cohesion),
         "mean_coupling": float(metrics.mean_coupling),
         "cohesion": {m: float(c) for m, c in sorted(metrics.per_node_cohesion.items())},
-        "coupling": {f"{p}->{q}": float(v) for (p, q), v in sorted(metrics.coupling.items())},
+        "coupling": {f"{p}->{q}": u / scale for (p, q), u in coupling.units.items()},
         "membership": dict(sorted(slc.membership.items())),
     }
 

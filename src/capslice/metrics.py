@@ -21,8 +21,9 @@ asymmetric.
 from __future__ import annotations
 
 import math
+from collections import abc
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .graph import (
     FDGraph,
@@ -239,19 +240,47 @@ def capability_coupling(
     return coupling_matrix(graph, (p, q), membership)[(p, q)]
 
 
+class PairCoupling(abc.Mapping):
+    """Capability coupling of every ordered member pair over one denominator.
+
+    Cp(p, q) is units[(p, q)] / scale exactly.  Read as a mapping it gives
+    that value as a Fraction, built when the pair is read, so it equals the
+    dict of Fractions it stands for; units keeps the sorted (p, q) order.
+    """
+
+    __slots__ = ("units", "scale")
+
+    def __init__(self, units: dict[tuple[str, str], int], scale: int):
+        self.units = units
+        self.scale = scale
+
+    def __getitem__(self, pair: tuple[str, str]) -> Fraction:
+        return Fraction(self.units[pair], self.scale)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self.units)
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __repr__(self) -> str:
+        return f"PairCoupling({self.units!r}, {self.scale!r})"
+
+
 def coupling_matrix(
     graph: FDGraph, members: Iterable[str], membership: Mapping[str, str]
-) -> dict[tuple[str, str], Fraction]:
+) -> PairCoupling:
     """Capability coupling for every ordered pair of members.
 
     The distance sum S is shared by (p, q) and (q, p), so it is computed
     once per unordered pair, on integers: each 1/dist is read from the
-    graph's directive_weights table over one common scale.  Keys come in
-    sorted (p, q) order.
+    graph's directive_weights table over its scale L.  With c the lcm of the
+    members' set sizes, both directions land on the one denominator L * c**3
+    without a Fraction.  Keys come in sorted (p, q) order.
     """
     members = sorted(set(members))
     if len(members) < 2:
-        return {}
+        return PairCoupling({}, 1)
     scale, index, rows = directive_weights(graph)
     owned: dict[str, list[int]] = {}
     for d, o in membership.items():
@@ -260,7 +289,8 @@ def coupling_matrix(
         except KeyError:
             raise ValueError(f"membership key {d!r} is not a directive of the graph") from None
     sets = [_nonempty(owned, p) for p in members]
-    half: dict[tuple[str, str], Fraction] = {}
+    cube = math.lcm(*map(len, sets)) ** 3
+    half: dict[tuple[str, str], int] = {}
     for i, p in enumerate(members):
         d_p = sets[i]
         rows_p = [rows[a] for a in d_p]
@@ -273,6 +303,8 @@ def coupling_matrix(
                     for b in sorted(d_q):
                         undirected_distance(graph, ids[a], ids[b])
                 raise
-            half[(p, q)] = Fraction(total, scale * len(d_p) * len(d_q) ** 2)
-            half[(q, p)] = Fraction(total, scale * len(d_q) * len(d_p) ** 2)
-    return {(p, q): half[(p, q)] for p in members for q in members if p != q}
+            n_p, n_q = len(d_p), len(d_q)
+            half[(p, q)] = total * (cube // (n_p * n_q * n_q))
+            half[(q, p)] = total * (cube // (n_q * n_p * n_p))
+    units = {(p, q): half[(p, q)] for p in members for q in members if p != q}
+    return PairCoupling(units, scale * cube)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .graph import entry_parents, impact_category
-from .metrics import coupling_matrix, entry_parent, size_of
+from .metrics import PairCoupling, coupling_matrix, entry_parent, size_of
 from .rational import brief, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
@@ -63,9 +63,13 @@ class ScheduleModel:
 
 def _int_costs(
     members: Sequence[str], coupling: Mapping[tuple[str, str], Fraction]
-) -> tuple[dict[tuple[str, str], int], int]:
-    # Rescale pair couplings to integers over a common denominator so the
-    # order search adds machine ints instead of Fractions.
+) -> tuple[Mapping[tuple[str, str], int], int]:
+    # Pair couplings as integers over one denominator, so the order search
+    # adds machine ints instead of Fractions.  coupling_matrix keeps them in
+    # that form already; any other mapping is rescaled to the lcm of its
+    # denominators.
+    if isinstance(coupling, PairCoupling):
+        return coupling.units, coupling.scale
     pairs = [(p, q) for p in members for q in members if p != q]
     if not pairs:
         return {}, 1
@@ -149,9 +153,9 @@ def schedule_slice(graph, slc: Slice, times=None, coupling=None) -> ScheduleMode
             raise ValueError(f"build time for {m!r} must be positive")
         per[m] = t
 
-    if coupling is None and len(slc.members) > 1:
+    if coupling is None:
         coupling = coupling_matrix(graph, slc.members, slc.membership)
-    cost, denom = _int_costs(slc.members, coupling or {})
+    cost, denom = _int_costs(slc.members, coupling)
 
     if len(slc.members) <= EXHAUSTIVE_LIMIT:
         order, raw = _exhaustive_order(slc.members, cost)

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .graph import FDGraph, NodeKind, Violation, descendants, entry_parents
 from .metrics import (
+    PairCoupling,
     assign_owners,
     cohesion,
     coupling_matrix,
@@ -72,7 +73,7 @@ class Slice:
 @dataclass(frozen=True)
 class SliceMetrics:
     per_node_cohesion: Mapping[str, Fraction]
-    coupling: Mapping[tuple[str, str], Fraction]
+    coupling: PairCoupling
     mean_cohesion: Fraction
     mean_coupling: Fraction
     aggregate: Fraction
@@ -337,7 +338,11 @@ def slice_objective(graph: FDGraph, slc: Slice, lam: Fraction = Fraction(1)) -> 
     coupling = coupling_matrix(graph, members, slc.membership)
     mean_ch = exact_sum(per_node.values()) / len(members)
     n_pairs = len(members) * (len(members) - 1)
-    mean_cp = exact_sum(coupling.values()) / n_pairs if n_pairs else Fraction(0)
+    mean_cp = (
+        Fraction(sum(coupling.units.values()), coupling.scale * n_pairs)
+        if n_pairs
+        else Fraction(0)
+    )
     return SliceMetrics(per_node, coupling, mean_ch, mean_cp, mean_ch - lam * mean_cp)
 
 
@@ -372,11 +377,13 @@ def rank_slices(slices: list[Slice], metrics: list[SliceMetrics]) -> Ranking:
         raise ValueError("slices and metrics must align")
     if not slices:
         raise ValueError("nothing to rank")
-    mean = sum((m.aggregate for m in metrics), Fraction(0)) / len(metrics)
-    all_equal = len({m.aggregate for m in metrics}) == 1
-    order = sorted(
-        zip(slices, metrics), key=lambda sm: (-sm[1].aggregate, sm[0].members)
-    )
+    aggregates = [m.aggregate for m in metrics]
+    mean = exact_sum(aggregates) / len(aggregates)
+    first = aggregates[0]
+    all_equal = all(a == first for a in aggregates)
+    # a stable sort keeps equal aggregates in member order, reverse included
+    order = sorted(zip(slices, metrics), key=lambda sm: sm[0].members)
+    order.sort(key=lambda sm: sm[1].aggregate, reverse=True)
     entries = tuple(
         RankedSlice(s, m, all_equal or m.aggregate > mean) for s, m in order
     )

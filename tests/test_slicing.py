@@ -6,6 +6,8 @@ import pytest
 from capslice import slicing
 from capslice.graph import Node, NodeKind, UnknownNodeError, build_graph, validate
 from capslice.metrics import cohesion, coupling_matrix, resolve_membership
+from capslice.optimizer import schedule_slice
+from capslice.rational import exact_sum
 from capslice.slicing import (
     EnumerationCapError,
     InvalidSliceError,
@@ -409,19 +411,25 @@ def test_objective_coupling_matches_oracle(fig2):
         assert m.mean_coupling == total / (len(slc.members) * (len(slc.members) - 1))
 
 
-def test_scoring_kernel_matches_oracle():
-    # exact coupling and cohesion against the brute-force oracles on random
-    # graphs; the per-graph cohesion memo must not make a score depend on
-    # which slices were scored before it
+def scoring_graphs():
+    """(builder, seed) of the 30 random and 12 long-chain graphs the scoring
+    kernel is checked on."""
     rng = random.Random(3141)
-    checked = 0
-    far = 0
 
     def random_graph(r):
         return random_fd_graph(r, max_internal=16, max_directives=20)
 
     for build in [random_graph] * 30 + [long_chain_graph] * 12:
-        seed = rng.randrange(2**32)
+        yield build, rng.randrange(2**32)
+
+
+def test_scoring_kernel_matches_oracle():
+    # exact coupling and cohesion against the brute-force oracles on random
+    # graphs; the per-graph cohesion memo must not make a score depend on
+    # which slices were scored before it
+    checked = 0
+    far = 0
+    for build, seed in scoring_graphs():
         g = build(random.Random(seed))
         twin = build(random.Random(seed))
         slices = enumerate_slices(g, max_slices=60).slices
@@ -454,6 +462,42 @@ def test_scoring_kernel_matches_oracle():
             checked += len(members) > 1
     assert checked >= 150
     assert far >= 200
+
+
+def test_coupling_integer_form(fig2):
+    # every pair's integer units over the slice's one scale: the machine
+    # float, the mean and the build order read them, never the Fractions
+    graphs = [fig2] + [build(random.Random(seed)) for build, seed in scoring_graphs()]
+    checked = 0
+    for g in graphs:
+        for slc in enumerate_slices(g, max_slices=60).slices:
+            m = slice_objective(g, slc)
+            coupling = m.coupling
+            members = slc.members
+            if len(members) == 1:
+                lone = coupling_matrix(g, members, slc.membership)
+                assert lone == {} and not lone and not coupling
+                continue
+            pairs = {
+                (p, q): double_sum_coupling(g, slc.owned(p), slc.owned(q))
+                for p in members
+                for q in members
+                if p != q
+            }
+            assert list(coupling.units) == list(pairs)
+            for pq, value in pairs.items():
+                assert coupling.units[pq] / coupling.scale == float(value)
+                assert coupling[pq] == value
+            assert m.mean_coupling == exact_sum(pairs.values()) / len(pairs)
+            packed = schedule_slice(g, slc, coupling=coupling)
+            plain = schedule_slice(g, slc, coupling=dict(coupling))
+            assert (packed.order, packed.order_cost, packed.method) == (
+                plain.order,
+                plain.order_cost,
+                plain.method,
+            )
+            checked += 1
+    assert checked >= 150
 
 
 def test_objective_lambda(fig2):
