@@ -487,7 +487,6 @@ def test_coupling_integer_form(fig2):
             assert list(coupling.units) == list(pairs)
             for pq, value in pairs.items():
                 assert coupling.units[pq] / coupling.scale == float(value)
-                assert coupling[pq] == value
             assert m.mean_coupling == exact_sum(pairs.values()) / len(pairs)
             packed = schedule_slice(g, slc, coupling=coupling)
             plain = schedule_slice(g, slc, coupling=dict(coupling))
