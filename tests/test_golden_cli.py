@@ -74,7 +74,11 @@ def _inputs(workdir: Path):
             "validate": ["validate", path],
             "metrics": ["metrics", path],
             "slices": ["slices", path],
+            "slices-initial-only": ["slices", path, "--initial-only"],
+            "slices-max-1": ["slices", path, "--max-slices", "1"],
             "optimize": ["optimize", path, config],
+            "optimize-lambda": ["optimize", path, config, "--lambda", "0.5"],
+            "optimize-max-2": ["optimize", path, config, "--max-slices", "2"],
             "export-dot": ["export", path],
         }
         if len(funs) >= 2:
@@ -91,6 +95,12 @@ def _inputs(workdir: Path):
             for members in picked:
                 argv += ["--slice", ",".join(members)]
             cases["simulate"] = argv
+            # drawn last, so the arguments of every case above stay as they were
+            first = ",".join(picked[0])
+            cases["metrics-slice"] = ["metrics", path, "--slice", first]
+            if len(picked[0]) >= 2:
+                pair = ",".join(rng.sample(picked[0], 2))
+                cases["metrics-slice-pairs"] = ["metrics", path, "--slice", first, "--pairs", pair]
         yield name, cases
 
 
