@@ -114,26 +114,6 @@ def _rebuild(nodes, edges, relevance) -> FDGraph:
     return g
 
 
-def _cascade_childless(nodes, edges, removed: set[str]) -> set[str]:
-    # A function whose children all vanished goes too; the mission never
-    # cascades, a childless mission is reported by validation instead.
-    removed = set(removed)
-    while True:
-        out_count = {nid: 0 for nid in nodes if nid not in removed}
-        for u, v in edges:
-            if u in removed or v in removed:
-                continue
-            out_count[u] += 1
-        newly = [
-            nid
-            for nid, cnt in out_count.items()
-            if cnt == 0 and nodes[nid].kind is NodeKind.FUNCTION
-        ]
-        if not newly:
-            return removed
-        removed.update(newly)
-
-
 def _strip(nodes, edges, relevance, removed: set[str]):
     nodes = {i: n for i, n in nodes.items() if i not in removed}
     edges = {(u, v) for (u, v) in edges if u not in removed and v not in removed}
@@ -216,12 +196,36 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
                 relevance[(target, parent)] = _relevance(value, parent, target)
         seed = frozenset((target,))
 
-    elif kind is ScenarioKind.DELETE_DIRECTIVE:
-        _require(graph, target, NodeKind.DIRECTIVE, "directive")
+    elif kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):
+        subtree = kind is ScenarioKind.DELETE_FUNCTION_SUBTREE
+        role = NodeKind.FUNCTION if subtree else NodeKind.DIRECTIVE
+        _require(graph, target, role, role.value)
         _take(payload)
-        removed = _cascade_childless(nodes, edges, {target})
+        removed = {target}
+        if subtree:
+            # nodes no longer reachable from the mission went with the subtree
+            reachable = set(graph.mission_ids)
+            frontier = list(reachable)
+            while frontier:
+                for c in graph.children(frontier.pop()):
+                    if c not in reachable and c != target:
+                        reachable.add(c)
+                        frontier.append(c)
+            removed.update(nid for nid in graph.node_ids if nid not in reachable)
+        # A function whose children all vanished goes too, and so does one
+        # that had none; the mission never cascades, a childless mission is
+        # reported by validation instead.
+        while True:
+            newly = [
+                f
+                for f in graph.function_ids
+                if f not in removed and all(c in removed for c in graph.children(f))
+            ]
+            if not newly:
+                break
+            removed.update(newly)
+        seed = frozenset(nid for nid in removed if graph.node(nid).kind is NodeKind.DIRECTIVE)
         nodes, edges, relevance = _strip(nodes, edges, relevance, removed)
-        seed = frozenset((target,))
 
     elif kind is ScenarioKind.ADD_DIRECTIVE:
         new_id, label, rel = _new_node(graph, target, payload, NodeKind.DIRECTIVE, relevance=None)
@@ -231,30 +235,6 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         edges.add((target, new_id))
         relevance[(new_id, target)] = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
-
-    elif kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
-        _require(graph, target, NodeKind.FUNCTION, "function")
-        _take(payload)
-        removed = {target}
-        # nodes no longer reachable from the mission went with the subtree
-        remaining_children: dict[str, list[str]] = {}
-        for u, v in edges:
-            if u not in removed and v not in removed:
-                remaining_children.setdefault(u, []).append(v)
-        reachable = set(graph.mission_ids)
-        frontier = list(reachable)
-        while frontier:
-            x = frontier.pop()
-            for c in remaining_children.get(x, ()):
-                if c not in reachable:
-                    reachable.add(c)
-                    frontier.append(c)
-        removed |= {nid for nid in nodes if nid not in reachable}
-        removed = _cascade_childless(nodes, edges, removed)
-        seed = frozenset(
-            nid for nid in removed if nodes[nid].kind is NodeKind.DIRECTIVE
-        )
-        nodes, edges, relevance = _strip(nodes, edges, relevance, removed)
 
     elif kind is ScenarioKind.ADD_FUNCTION:
         new_id, label, adopted = _new_node(graph, target, payload, NodeKind.FUNCTION, children=None)

@@ -431,7 +431,6 @@ def cmd_simulate(args) -> int:
         )
     else:
         names = [",".join(s.members) for s in comparison.slices]
-        width = max((len(n) for n in names), default=8)
         for i, row in enumerate(comparison.reports):
             print(f"slice {names[i]}  (total impact {comparison.totals[i]})")
             for r in row:
@@ -441,7 +440,7 @@ def cmd_simulate(args) -> int:
                     f"  capabilities={','.join(sorted(r.affected_capabilities)) or '-'}"
                 )
         for j, sc in enumerate(comparison.scenarios):
-            best = " ".join(names[i].ljust(width).rstrip() for i in comparison.winners[j])
+            best = " ".join(names[i] for i in comparison.winners[j])
             print(f"least impacted by {sc.kind.value} {sc.target}: {best}")
     return EXIT_OK
 

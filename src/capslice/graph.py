@@ -122,18 +122,21 @@ class FDGraph:
         self._nodes = dict(nodes)
         self._relevance = dict(relevance)
 
+        # the one sort: (parent, child) order puts every child list, every
+        # parent list and every ordered view of the edges in id order
+        keys = sorted(edge_kinds)
         children: dict[str, list[str]] = {i: [] for i in self._nodes}
         parents: dict[str, list[str]] = {i: [] for i in self._nodes}
-        for u, v in edge_kinds:
+        for u, v in keys:
             children[u].append(v)
             parents[v].append(u)
         self._edge_kinds = {
-            (u, v): kind or _expected_kind(len(children[u]), len(parents[v]))
-            for (u, v), kind in edge_kinds.items()
+            (u, v): edge_kinds[(u, v)] or _expected_kind(len(children[u]), len(parents[v]))
+            for u, v in keys
         }
-        self._stated = frozenset(e for e, kind in edge_kinds.items() if kind is not None)
-        self._children = {i: tuple(sorted(c)) for i, c in children.items()}
-        self._parents = {i: tuple(sorted(p)) for i, p in parents.items()}
+        self._stated = tuple(e for e in keys if edge_kinds[e] is not None)
+        self._children = {i: tuple(c) for i, c in children.items()}
+        self._parents = {i: tuple(p) for i, p in parents.items()}
         self._node_ids = tuple(sorted(self._nodes))
         self._ids_by_kind = {
             k: tuple(i for i in self._node_ids if self._nodes[i].kind is k) for k in NodeKind
@@ -186,7 +189,7 @@ class FDGraph:
         return self._parents[node_id]
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
-        return [(u, v, self._edge_kinds[(u, v)]) for u, v in sorted(self._edge_kinds)]
+        return [(u, v, kind) for (u, v), kind in self._edge_kinds.items()]
 
     def edge_kind(self, parent: str, child: str) -> EdgeKind:
         try:
@@ -201,9 +204,6 @@ class FDGraph:
             raise GraphError(
                 f"no relevance recorded for directive {directive!r} under {parent!r}"
             ) from None
-
-    def relevance_items(self) -> list[tuple[str, str, Fraction]]:
-        return [(d, p, self._relevance[(d, p)]) for d, p in sorted(self._relevance)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FDGraph):
@@ -444,7 +444,7 @@ def validate(graph: FDGraph) -> ValidationReport:
 
     # an inferred kind was derived from these same degrees, so only a stated
     # kind can contradict them
-    for u, v in sorted(graph._stated):
+    for u, v in graph._stated:
         kind = graph._edge_kinds[(u, v)]
         expected = _expected_kind(len(graph._children[u]), len(graph._parents[v]))
         if kind is not expected:
@@ -456,7 +456,7 @@ def validate(graph: FDGraph) -> ValidationReport:
                 )
             )
 
-    for u, v in sorted(graph._edge_kinds):
+    for u, v in graph._edge_kinds:
         if graph._nodes[v].kind is NodeKind.DIRECTIVE and (v, u) not in graph._relevance:
             violations.append(
                 Violation(

@@ -12,14 +12,16 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from capslice.changesim import ImpactReport, _apply
+from capslice.changesim import ChangeError, ImpactReport, ScenarioKind, _apply
 from capslice.graph import (
     EdgeKind,
+    FDGraph,
     NodeKind,
     ValidationReport,
     Violation,
     build_graph,
     find_cycle,
+    parts,
 )
 from capslice.metrics import resolve_membership
 from capslice.rational import brief
@@ -88,7 +90,7 @@ def validate_reference(graph) -> ValidationReport:
             if n not in reachable:
                 out.append(Violation("UNREACHABLE", n, "node is not reachable from the mission"))
 
-    edges = graph.edges()
+    edges = sorted(graph.edges())
     for u, v, kind in edges:
         if len(graph.children(u)) == 1:
             expected = EdgeKind.REFINEMENT
@@ -104,16 +106,16 @@ def validate_reference(graph) -> ValidationReport:
                     f"edge labeled {kind.value} but degrees imply {expected.value}",
                 )
             )
-    recorded = {(d, p) for d, p, _ in graph.relevance_items()}
+    relevance = parts(graph)[2]
     for u, v, _ in edges:
-        if graph.node(v).kind is NodeKind.DIRECTIVE and (v, u) not in recorded:
+        if graph.node(v).kind is NodeKind.DIRECTIVE and (v, u) not in relevance:
             out.append(
                 Violation(
                     "RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight"
                 )
             )
     edge_set = {(u, v) for u, v, _ in edges}
-    for d, p, value in graph.relevance_items():
+    for (d, p), value in sorted(relevance.items()):
         if (p, d) not in edge_set or graph.node(d).kind is not NodeKind.DIRECTIVE:
             out.append(
                 Violation(
@@ -228,7 +230,7 @@ def cohesion_recursive(graph, node_id: str) -> Fraction:
 def reparsed(graph):
     """build_graph run on the graph's own nodes, edges and relevance, with
     every edge kind unstated: the parser's reading of the same parts."""
-    relevance = {(d, p): r for d, p, r in graph.relevance_items()}
+    relevance = parts(graph)[2]
     specs = [(u, v, None, relevance.get((v, u))) for u, v, _ in graph.edges()]
     return build_graph([graph.node(i) for i in graph.node_ids], specs)
 
@@ -276,6 +278,71 @@ def impact_by_coupling(graph, slc, scenario, threshold: Fraction) -> ImpactRepor
         threshold=threshold,
         evaluated_on="changed" if on_changed else "base",
     )
+
+
+def _cascade_childless(nodes, edges, removed: set[str]) -> set[str]:
+    # every round recounts each surviving node's surviving out-edges; a
+    # function left with none goes, the mission never does
+    removed = set(removed)
+    while True:
+        out_count = {nid: 0 for nid in nodes if nid not in removed}
+        for u, v in edges:
+            if u not in removed and v not in removed:
+                out_count[u] += 1
+        newly = [
+            nid
+            for nid, cnt in out_count.items()
+            if cnt == 0 and nodes[nid].kind is NodeKind.FUNCTION
+        ]
+        if not newly:
+            return removed
+        removed.update(newly)
+
+
+def deletion_reference(graph, scenario):
+    """(changed graph, seed) of a delete_directive or delete_function_subtree
+    scenario without a payload, worked out on the raw edge set alone.
+
+    A subtree deletion also removes what the mission no longer reaches over
+    the remaining edges; then every function left without children goes,
+    round by round.  Raises ChangeError, with _apply's messages, for a target
+    of the wrong kind and for an invalid result.
+    """
+    nodes, edges, relevance = parts(graph)
+    target = scenario.target
+    subtree = scenario.kind is ScenarioKind.DELETE_FUNCTION_SUBTREE
+    role = "function" if subtree else "directive"
+    if target not in nodes:
+        raise ChangeError(f"unknown {role} {target!r}")
+    if nodes[target].kind.value != role:
+        raise ChangeError(
+            f"{role} {target!r} is a {nodes[target].kind.value}, expected {role}"
+        )
+    removed = {target}
+    if subtree:
+        remaining_children: dict[str, list[str]] = {}
+        for u, v in edges:
+            if u not in removed and v not in removed:
+                remaining_children.setdefault(u, []).append(v)
+        reachable = {n for n, node in nodes.items() if node.kind is NodeKind.MISSION}
+        frontier = list(reachable)
+        while frontier:
+            for c in remaining_children.get(frontier.pop(), ()):
+                if c not in reachable:
+                    reachable.add(c)
+                    frontier.append(c)
+        removed |= {n for n in nodes if n not in reachable}
+    removed = _cascade_childless(nodes, edges, removed)
+    seed = frozenset(n for n in removed if nodes[n].kind is NodeKind.DIRECTIVE)
+    changed = FDGraph(
+        {n: node for n, node in nodes.items() if n not in removed},
+        {(u, v): None for u, v in edges if u not in removed and v not in removed},
+        {(d, p): r for (d, p), r in relevance.items() if d not in removed and p not in removed},
+    )
+    report = validate_reference(changed)
+    if not report.ok:
+        raise ChangeError("edit leaves the graph invalid", report.violations)
+    return changed, seed
 
 
 def valid_slices_bruteforce(graph) -> list[tuple[str, ...]]:

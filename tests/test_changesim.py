@@ -10,13 +10,23 @@ from capslice.changesim import (
     ChangeScenario,
     ScenarioKind,
     ScenarioParseError,
+    _apply,
     _impact,
     apply_change,
     compare_slices,
     impact_set,
     parse_scenarios,
 )
-from capslice.graph import EdgeKind, GraphError, build_graph, parse_graph, serialize_graph, validate
+from capslice.graph import (
+    EdgeKind,
+    FDGraph,
+    GraphError,
+    build_graph,
+    parse_graph,
+    parts,
+    serialize_graph,
+    validate,
+)
 from capslice.metrics import (
     MembershipError,
     UncoveredDirectiveError,
@@ -26,7 +36,13 @@ from capslice.metrics import (
 )
 from capslice.slicing import Slice, enumerate_slices, make_slice
 from conftest import RELEVANCE_PALETTE, random_fd_graph, random_scenario
-from oracles import bfs_distances, directive_coupling, impact_by_coupling, reparsed
+from oracles import (
+    bfs_distances,
+    deletion_reference,
+    directive_coupling,
+    impact_by_coupling,
+    reparsed,
+)
 
 
 def scenario(kind, target, payload=None):
@@ -554,6 +570,58 @@ def test_changed_graph_matches_the_reparsed_parts():
             assert new == reparsed(new)
             applied[kind] += 1
     assert min(applied.values()) >= 10, applied
+
+
+def _assert_in_id_order(g):
+    keys = [(u, v) for u, v, _ in g.edges()]
+    assert keys == sorted(keys)
+    for nid in g.node_ids:
+        assert list(g.children(nid)) == sorted(g.children(nid))
+        assert list(g.parents(nid)) == sorted(g.parents(nid))
+
+
+def _dropped_edges(rng, g):
+    # an invalid base: one or two edges gone, with their relevance
+    nodes, edges, relevance = parts(g)
+    gone = set(rng.sample(sorted(edges), rng.randint(1, 2)))
+    relevance = {(d, p): r for (d, p), r in relevance.items() if (p, d) not in gone}
+    return FDGraph(nodes, dict.fromkeys(edges - gone), relevance)
+
+
+def _deletion_outcome(apply, g, sc):
+    try:
+        changed, seed = apply(g, sc)[:2]
+    except ChangeError as exc:
+        return type(exc), str(exc)
+    return changed, seed
+
+
+def test_deletions_match_the_edge_set_reference(fig2):
+    # both deletions at every node, on valid bases and on bases missing an
+    # edge or two (functions left childless, subtrees cut off the mission)
+    rng = random.Random(1515)
+    bases = [fig2] + [random_fd_graph(rng, max_internal=10, max_directives=16) for _ in range(60)]
+    bases += [_dropped_edges(rng, g) for g in bases]
+    outcomes = {"changed": 0, "refused": 0}
+    for g in bases:
+        shuffled = [(u, v, kind) for u, v, kind in g.edges()]
+        rng.shuffle(shuffled)
+        rebuilt = FDGraph(
+            {i: g.node(i) for i in g.node_ids}, {(u, v): k for u, v, k in shuffled}, parts(g)[2]
+        )
+        assert rebuilt == g
+        _assert_in_id_order(rebuilt)
+        for target in g.node_ids:
+            for kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):
+                sc = ChangeScenario(kind, target)
+                got = _deletion_outcome(_apply, g, sc)
+                assert got == _deletion_outcome(deletion_reference, g, sc), (g, sc)
+                if isinstance(got[0], FDGraph):
+                    _assert_in_id_order(got[0])
+                    outcomes["changed"] += 1
+                elif g.node(target).kind.value in kind.value:
+                    outcomes["refused"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # -- comparison -----------------------------------------------------------------------

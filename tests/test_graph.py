@@ -23,6 +23,7 @@ from capslice.graph import (
     impact_category,
     leaves_of,
     parse_graph,
+    parts,
     serialize_graph,
     undirected_distance,
     validate,
@@ -78,7 +79,7 @@ def test_unstated_kinds_inferred_like_build_graph(fig2):
     for g in [fig2] + [random_fd_graph(rng, max_internal=10) for _ in range(20)]:
         nodes = {i: g.node(i) for i in g.node_ids}
         edges = dict.fromkeys((u, v) for u, v, _ in g.edges())
-        relevance = {(d, p): r for d, p, r in g.relevance_items()}
+        relevance = parts(g)[2]
         built = FDGraph(nodes, edges, relevance)
         assert built == reparsed(g)
         assert built == g  # g is valid, so its kinds are the inferred ones
@@ -396,7 +397,7 @@ def _broken_parts(rng, graph):
     or validate reports; every edge kind is stated or left to inference."""
     nodes = {i: graph.node(i) for i in graph.node_ids}
     kinds = {(u, v): rng.choice([None, kind]) for u, v, kind in graph.edges()}
-    relevance = {(d, p): r for d, p, r in graph.relevance_items()}
+    relevance = parts(graph)[2]
     funs, dirs = list(graph.function_ids), list(graph.directive_ids)
     for defect in rng.sample(range(8), rng.randint(1, 3)):
         if defect == 0:  # wrong stated kinds

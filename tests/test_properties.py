@@ -12,7 +12,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from capslice.graph import parse_graph, serialize_graph  # noqa: E402
+from capslice.graph import FDGraph, Node, parse_graph, parts, serialize_graph, validate  # noqa: E402
+from capslice.slicing import enumerate_slices, slice_objective  # noqa: E402
 from conftest import random_fd_graph  # noqa: E402
 
 
@@ -21,3 +22,40 @@ from conftest import random_fd_graph  # noqa: E402
 def test_serialize_parse_roundtrip(seed):
     g = random_fd_graph(random.Random(seed))
     assert parse_graph(serialize_graph(g)) == g
+
+
+def relabeled(g, new_id):
+    """g with every node id replaced through the map new_id."""
+    nodes, edges, relevance = parts(g)
+    return FDGraph(
+        {new_id[i]: Node(new_id[i], n.kind, n.label) for i, n in nodes.items()},
+        {(new_id[u], new_id[v]): g.edge_kind(u, v) for u, v in edges},
+        {(new_id[d], new_id[p]): r for (d, p), r in relevance.items()},
+    )
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_order_keeping_relabel_keeps_slices_and_metrics(seed):
+    # Ownership ties go to the smaller id, so only a map that keeps id order
+    # may leave the slices alone; each id becomes its zero-padded rank.
+    g = random_fd_graph(random.Random(seed))
+    new_id = {nid: f"x{rank:03d}" for rank, nid in enumerate(g.node_ids)}
+    back = {v: k for k, v in new_id.items()}
+    h = relabeled(g, new_id)
+    assert validate(h).ok
+    ours, theirs = enumerate_slices(g, max_slices=100), enumerate_slices(h, max_slices=100)
+    assert theirs.complete == ours.complete
+    assert [tuple(back[m] for m in s.members) for s in theirs.slices] == [
+        s.members for s in ours.slices
+    ]
+    for a, b in zip(ours.slices, theirs.slices):
+        assert {back[d]: back[o] for d, o in b.membership.items()} == dict(a.membership)
+        ma, mb = slice_objective(g, a), slice_objective(h, b)
+        assert {back[m]: c for m, c in mb.per_node_cohesion.items()} == ma.per_node_cohesion
+        assert {(back[p], back[q]): c for (p, q), c in mb.coupling.items()} == dict(ma.coupling)
+        assert (mb.mean_cohesion, mb.mean_coupling, mb.aggregate) == (
+            ma.mean_cohesion,
+            ma.mean_coupling,
+            ma.aggregate,
+        )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from capslice import slicing
-from capslice.graph import Node, NodeKind, UnknownNodeError, build_graph, validate
+from capslice.graph import Node, NodeKind, UnknownNodeError, build_graph, parts, validate
 from capslice.metrics import cohesion, coupling_matrix, resolve_membership
 from capslice.optimizer import schedule_slice
 from capslice.rational import exact_sum
@@ -79,7 +79,7 @@ def with_childless(rng, g, k):
     """g plus k function nodes without children, each hung under the mission
     or a function of g and named to sort right after an existing function,
     so they interleave with the others in id order.  validate refuses it."""
-    relevance = {(d, p): r for d, p, r in g.relevance_items()}
+    relevance = parts(g)[2]
     nodes = [g.node(i) for i in g.node_ids]
     edges = [(u, v, None, relevance.get((v, u))) for u, v, _ in g.edges()]
     for j in range(k):
