@@ -619,7 +619,7 @@ def test_deletions_match_the_edge_set_reference(fig2):
                 if isinstance(got[0], FDGraph):
                     _assert_in_id_order(got[0])
                     outcomes["changed"] += 1
-                elif g.node(target).kind.value in kind.value:
+                elif got[1].startswith("edit leaves the graph invalid"):
                     outcomes["refused"] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
