@@ -9,6 +9,7 @@ these with exact rational equality.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -392,18 +393,29 @@ def valid_slices_bruteforce(graph) -> list[tuple[str, ...]]:
 
 
 def schedule_bruteforce(members, coupling) -> tuple[tuple[str, ...], Fraction]:
-    """Minimum forward order cost over all permutations, lex-first winner."""
+    """Minimum forward order cost over all permutations, lex-first winner.
+
+    Every pair cost is rescaled to an integer over the lcm of the coupling
+    denominators, so each order's cost is an exact integer sum.
+    """
+    members = sorted(members)
+    values = {
+        (i, j): Fraction(coupling[(p, q)])
+        for i, p in enumerate(members)
+        for j, q in enumerate(members)
+        if i != j
+    }
+    scale = math.lcm(1, *(v.denominator for v in values.values()))
+    units = {pair: v.numerator * (scale // v.denominator) for pair, v in values.items()}
     best_order = None
     best_cost = None
-    for perm in itertools.permutations(sorted(members)):
-        cost = Fraction(0)
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                cost += coupling[(perm[i], perm[j])]
+    for perm in itertools.permutations(range(len(members))):
+        # combinations keep perm's order: every (earlier, later) pair once
+        cost = sum(map(units.__getitem__, itertools.combinations(perm, 2)))
         if best_cost is None or cost < best_cost:
             best_order = perm
             best_cost = cost
-    return best_order, best_cost
+    return tuple(members[i] for i in best_order), Fraction(best_cost, scale)
 
 
 def pareto_bruteforce(points):

@@ -394,12 +394,14 @@ def test_validate_relevance_extra_and_range():
 
 def _broken_parts(rng, graph):
     """A random graph's parts with one to three defects the builders refuse
-    or validate reports; every edge kind is stated or left to inference."""
+    or validate reports, and the defects drawn; every edge kind is stated or
+    left to inference."""
     nodes = {i: graph.node(i) for i in graph.node_ids}
     kinds = {(u, v): rng.choice([None, kind]) for u, v, kind in graph.edges()}
     relevance = parts(graph)[2]
     funs, dirs = list(graph.function_ids), list(graph.directive_ids)
-    for defect in rng.sample(range(8), rng.randint(1, 3)):
+    defects = rng.sample(range(11), rng.randint(1, 3))
+    for defect in defects:
         if defect == 0:  # wrong stated kinds
             for e in rng.sample(sorted(kinds), min(3, len(kinds))):
                 kinds[e] = rng.choice(list(EdgeKind))
@@ -420,11 +422,24 @@ def _broken_parts(rng, graph):
         elif defect == 6:  # a second mission
             nodes["m2"] = Node("m2", NodeKind.MISSION)
             kinds[("m2", rng.choice(funs))] = rng.choice([None, EdgeKind.DECOMPOSITION])
-        else:  # a function left without children
+        elif defect == 7:  # a function left without children
             f = rng.choice(funs)
             for e in [e for e in kinds if e[0] == f]:
                 del kinds[e]
-    return nodes, kinds, relevance
+        elif defect == 8:  # a cycle among new orphan functions, the mission side sound
+            ring = ["zz_c0", "zz_c1", "zz_c2"]
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                nodes[a] = Node(a, NodeKind.FUNCTION)
+                kinds[(a, b)] = None
+        elif defect == 9:  # an orphan function with an edge into the mission
+            nodes["zz_m"] = Node("zz_m", NodeKind.FUNCTION)
+            kinds[("zz_m", "m")] = None
+        else:  # an orphan function with an edge into a reachable directive
+            nodes["zz_r"] = Node("zz_r", NodeKind.FUNCTION)
+            d = rng.choice(dirs)
+            kinds[("zz_r", d)] = None
+            relevance[(d, "zz_r")] = Fraction(1, 2)
+    return (nodes, kinds, relevance), defects
 
 
 def test_validate_matches_reference(monkeypatch):
@@ -439,6 +454,7 @@ def test_validate_matches_reference(monkeypatch):
 
     monkeypatch.setattr(changesim, "validate", recording)
     graphs = []
+    defects = set()
     for _ in range(60):
         g = random_fd_graph(rng, max_internal=10, max_directives=14)
         graphs += [g, parse_graph(serialize_graph(g))]
@@ -447,7 +463,10 @@ def test_validate_matches_reference(monkeypatch):
                 apply_change(g, random_scenario(rng, g))
             except ChangeError:
                 pass
-        graphs.append(FDGraph(*_broken_parts(rng, g)))
+        broken, drawn = _broken_parts(rng, g)
+        graphs.append(FDGraph(*broken))
+        defects.update(drawn)
+    assert defects == set(range(11))
     graphs += changed
     codes = set()
     for g in graphs:
