@@ -31,7 +31,7 @@ from .graph import (
     validate,
 )
 from .metrics import resolve_membership
-from .rational import brief, to_fraction
+from .rational import brief, literal_reader, to_fraction
 from .slicing import Slice
 
 DEFAULT_THRESHOLD = Fraction(1, 8)
@@ -68,7 +68,7 @@ class ScenarioParseError(ValueError):
 def parse_scenarios(text: str) -> list[ChangeScenario]:
     """Parse a JSON list of {kind, target, payload?} records."""
     try:
-        doc = json.loads(text, parse_float=to_fraction)
+        doc = json.loads(text, parse_float=literal_reader())
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid scenario JSON: {exc.msg} (line {exc.lineno})") from exc
     except RecursionError:

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .rational import brief, fixed, to_fraction
+from .rational import brief, fixed, literal_reader, to_fraction
 
 
 class NodeKind(Enum):
@@ -130,17 +130,24 @@ class FDGraph:
         for u, v in keys:
             children[u].append(v)
             parents[v].append(u)
-        self._edge_kinds = {
-            (u, v): edge_kinds[(u, v)] or _expected_kind(len(children[u]), len(parents[v]))
-            for u, v in keys
-        }
-        self._stated = tuple(e for e in keys if edge_kinds[e] is not None)
+        kinds: dict[tuple[str, str], EdgeKind] = {}
+        stated = []
+        for e in keys:
+            kind = edge_kinds[e]
+            if kind is None:
+                kind = _expected_kind(len(children[e[0]]), len(parents[e[1]]))
+            else:
+                stated.append(e)
+            kinds[e] = kind
+        self._edge_kinds = kinds
+        self._stated = tuple(stated)
         self._children = {i: tuple(c) for i, c in children.items()}
         self._parents = {i: tuple(p) for i, p in parents.items()}
         self._node_ids = tuple(sorted(self._nodes))
-        self._ids_by_kind = {
-            k: tuple(i for i in self._node_ids if self._nodes[i].kind is k) for k in NodeKind
-        }
+        by_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
+        for i in self._node_ids:
+            by_kind[self._nodes[i].kind].append(i)
+        self._ids_by_kind = {k: tuple(ids) for k, ids in by_kind.items()}
 
         # lazy caches
         self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
@@ -384,9 +391,34 @@ def find_cycle(graph: FDGraph) -> list[str] | None:
 # -- validation ----------------------------------------------------------
 
 
+def _swept(graph: FDGraph) -> bool:
+    """True when one topological sweep from the single mission takes every node.
+
+    The sweep (Kahn's algorithm) takes a node once its last parent is taken.
+    Taking every node orders all of them parents first, so the graph is
+    acyclic, and gives each a taken parent, so every node is reachable.
+    """
+    missions = graph.mission_ids
+    if len(missions) != 1 or graph._parents[missions[0]]:
+        return False
+    children, parents = graph._children, graph._parents
+    waiting: dict[str, int] = {}
+    stack = list(missions)
+    taken = 1
+    while stack:
+        for y in children[stack.pop()]:
+            left = waiting.get(y, len(parents[y])) - 1
+            waiting[y] = left
+            if not left:
+                taken += 1
+                stack.append(y)
+    return taken == len(graph._nodes)
+
+
 def validate(graph: FDGraph) -> ValidationReport:
     """Check every structural rule and report all violations found."""
     violations: list[Violation] = []
+    nodes, children, parents = graph._nodes, graph._children, graph._parents
 
     missions = graph.mission_ids
     if len(missions) != 1:
@@ -398,17 +430,21 @@ def validate(graph: FDGraph) -> ValidationReport:
             )
         )
 
-    cycle = find_cycle(graph)
+    # a sweep that takes every node leaves no cycle and nothing unreachable;
+    # only a graph it falls short on is searched for the cycle and the
+    # unreachable nodes it reports
+    swept = _swept(graph)
+    cycle = None if swept else find_cycle(graph)
     if cycle:
         violations.append(
             Violation("CYCLE", " -> ".join(cycle), "decomposition must be acyclic")
         )
 
     for nid in graph.node_ids:
-        node = graph.node(nid)
-        indeg = len(graph._parents[nid])
-        outdeg = len(graph._children[nid])
-        if node.kind is NodeKind.MISSION:
+        kind = nodes[nid].kind
+        indeg = len(parents[nid])
+        outdeg = len(children[nid])
+        if kind is NodeKind.MISSION:
             if indeg > 0:
                 violations.append(
                     Violation("NODE_DEGREE", nid, "mission node cannot have parents")
@@ -417,7 +453,7 @@ def validate(graph: FDGraph) -> ValidationReport:
                 violations.append(
                     Violation("NODE_DEGREE", nid, "mission node has no children")
                 )
-        elif node.kind is NodeKind.FUNCTION:
+        elif kind is NodeKind.FUNCTION:
             if indeg == 0:
                 violations.append(
                     Violation("NODE_DEGREE", nid, "function node has no parents")
@@ -432,7 +468,7 @@ def validate(graph: FDGraph) -> ValidationReport:
                     Violation("NODE_DEGREE", nid, "directive node cannot have children")
                 )
 
-    if missions and not cycle:
+    if missions and not swept and not cycle:
         reachable = set(missions)
         for m in missions:
             reachable |= descendants(graph, m)
@@ -446,7 +482,7 @@ def validate(graph: FDGraph) -> ValidationReport:
     # kind can contradict them
     for u, v in graph._stated:
         kind = graph._edge_kinds[(u, v)]
-        expected = _expected_kind(len(graph._children[u]), len(graph._parents[v]))
+        expected = _expected_kind(len(children[u]), len(parents[v]))
         if kind is not expected:
             violations.append(
                 Violation(
@@ -456,28 +492,28 @@ def validate(graph: FDGraph) -> ValidationReport:
                 )
             )
 
+    relevance = graph._relevance
     for u, v in graph._edge_kinds:
-        if graph._nodes[v].kind is NodeKind.DIRECTIVE and (v, u) not in graph._relevance:
+        if nodes[v].kind is NodeKind.DIRECTIVE and (v, u) not in relevance:
             violations.append(
                 Violation(
                     "RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight"
                 )
             )
-    for (d, p), value in sorted(graph._relevance.items()):
-        if (p, d) not in graph._edge_kinds or graph._nodes[d].kind is not NodeKind.DIRECTIVE:
-            violations.append(
-                Violation(
-                    "RELEVANCE_EXTRA",
-                    f"{p}->{d}",
-                    "relevance recorded for a missing or non-directive edge",
-                )
+    # found in any order, reported in (directive, parent) order
+    found: dict[tuple[str, str], Violation] = {}
+    for (d, p), value in relevance.items():
+        if (p, d) not in graph._edge_kinds or nodes[d].kind is not NodeKind.DIRECTIVE:
+            found[(d, p)] = Violation(
+                "RELEVANCE_EXTRA",
+                f"{p}->{d}",
+                "relevance recorded for a missing or non-directive edge",
             )
         elif not 0 < value.numerator <= value.denominator:  # denominator > 0
-            violations.append(
-                Violation(
-                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"
-                )
+            found[(d, p)] = Violation(
+                "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"
             )
+    violations += [found[key] for key in sorted(found)]
 
     return ValidationReport(not violations, tuple(violations))
 
@@ -501,7 +537,7 @@ def coerce_relevance(raw, parent: str, child: str) -> Fraction:
             value = to_fraction(raw)
         except (TypeError, ValueError) as exc:
             raise GraphParseError(f"bad relevance value {brief(raw)}: {exc}") from None
-    if not 0 < value <= 1:
+    if not 0 < value.numerator <= value.denominator:  # denominator > 0
         raise GraphParseError(
             f"relevance {brief(value)} on {brief(parent)} -> {brief(child)} outside (0, 1]"
         )
@@ -593,7 +629,7 @@ def parse_graph(text: str) -> FDGraph:
     Numbers are read exactly, never through binary floating point.
     """
     try:
-        doc = json.loads(text, parse_float=to_fraction)
+        doc = json.loads(text, parse_float=literal_reader())
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except RecursionError:

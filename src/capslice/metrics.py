@@ -185,10 +185,15 @@ def assign_owners(graph: FDGraph, cover: Cover) -> dict[str, str]:
     for d, owners in sorted(cover.items()):
         if len(owners) == 1:
             (assignment[d],) = owners
-        else:  # owners come in id order, so max keeps the smallest id of a tie
-            assignment[d] = max(
-                owners, key=lambda m: graph.relevance(d, entry_parent(graph, d, owners[m]))
-            )
+            continue
+        # owners come in id order and only a strictly higher relevance
+        # displaces the leader, so a tie keeps the smallest id
+        leader = top = None
+        for m, routes in owners.items():
+            best = max([graph.relevance(d, p) for p in routes])
+            if top is None or best > top:
+                leader, top = m, best
+        assignment[d] = leader
     return assignment
 
 

@@ -12,7 +12,7 @@ import math
 import reprlib
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 #: Largest decimal exponent magnitude accepted, Python's own limit on the
@@ -89,6 +89,23 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (Decimal, str)):
         return Fraction(_bounded_exponent(str(value)))
     raise TypeError(f"cannot interpret {brief(value)} as a rational number")
+
+
+class _Literals(dict):
+    # text of a decimal literal -> its Fraction, read on first lookup
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = to_fraction(text)
+        return value
+
+
+def literal_reader() -> Callable[[str], Fraction]:
+    """A json.loads parse_float that reads each distinct decimal literal once.
+
+    A document's repeated literals, such as relevance 0.7 on many edges, map
+    to one shared Fraction; use a fresh reader per document.  Values and
+    errors are those of to_fraction.
+    """
+    return _Literals().__getitem__
 
 
 def exact_sum(values: Iterable[Fraction]) -> Fraction:
