@@ -396,7 +396,9 @@ def _swept(graph: FDGraph) -> bool:
 
     The sweep (Kahn's algorithm) takes a node once its last parent is taken.
     Taking every node orders all of them parents first, so the graph is
-    acyclic, and gives each a taken parent, so every node is reachable.
+    acyclic, and gives every other node a taken parent, so every node is
+    reachable from the mission.  A mission with parents is not swept: the
+    sweep would take it without them.
     """
     missions = graph.mission_ids
     if len(missions) != 1 or graph._parents[missions[0]]:

@@ -21,7 +21,7 @@ import random
 from pathlib import Path
 
 from capslice.changesim import ChangeScenario, ScenarioKind, apply_change, compare_slices
-from capslice.graph import FDGraph, parts, validate
+from capslice.graph import FDGraph, GraphError, parts, validate
 from capslice.metrics import resolve_membership
 from capslice.optimizer import schedule_slice
 from capslice.slicing import enumerate_slices, slice_objective
@@ -46,7 +46,7 @@ def _outcome(fn, *args, **kwargs):
     """fn's result, or its error as (type name, message)."""
     try:
         return fn(*args, **kwargs)
-    except Exception as exc:  # every refusal is part of the record
+    except (GraphError, ValueError) as exc:  # ChangeError is a ValueError
         return type(exc).__name__, str(exc)
 
 
