@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from .rational import brief, fixed, literal_reader, to_fraction
@@ -319,22 +320,61 @@ def directive_weights(
     """Inverse directive-to-directive distances as integers over one scale.
 
     Returns (scale, index, rows): index numbers the directives in id order,
-    scale is the lcm of the distances between connected directives, and
-    rows[i][j] is scale // dist(d_i, d_j), so 1/dist = rows[i][j] / scale
-    exactly.  A pair in different components holds None, and the diagonal
-    0.  Built once per graph from one uncached breadth-first search per
-    directive, so these rows are not also kept by distances_from.
+    scale is the lcm of the distances between distinct connected
+    directives, and rows[i][j] is scale // dist(d_i, d_j), so 1/dist =
+    rows[i][j] / scale exactly.  A pair in different components holds None,
+    and the diagonal 0.
+
+    Built once per graph on the identity dist(d, x) = 1 + min(dist(n, x)
+    for n a neighbour of d), which holds for every x != d in an unweighted
+    graph: one uncached breadth-first search per distinct neighbour (a
+    directive's parents, and its children on a graph validate refuses), not
+    per directive, so these rows are not also kept by distances_from.
+    Directives with the same neighbours share one row of hops from the
+    nearest neighbour, and each maps it to weights with its own entry set
+    to 0.  The neighbours lie in d's component, so a target is reached from
+    all of them or from none.  A directive without neighbours reaches
+    nothing.
     """
     if graph._weights is None:
         ids = graph.directive_ids
-        hops = [list(map(_bfs(graph, d).get, ids)) for d in ids]
-        present = {k for row in hops for k in row if k}
-        scale = math.lcm(*present)
-        # one int object per distance, shared by every row
-        weight = {k: scale // k for k in present}
-        weight[0] = 0
-        weight[None] = None
-        rows = [list(map(weight.__getitem__, row)) for row in hops]
+        parents, children = graph._parents, graph._children
+        far = graph.n_nodes  # longer than any path: not connected
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for i, d in enumerate(ids):
+            groups.setdefault(parents[d] + children[d], []).append(i)
+        hops_from: dict[str, list[int]] = {}
+        shared = []
+        for near, members in groups.items():
+            for n in near:
+                if n not in hops_from:
+                    hops_from[n] = list(map(_bfs(graph, n).get, ids, repeat(far)))
+            cols = [hops_from[n] for n in near]
+            if len(cols) > 1:
+                row = list(map(min, *cols))
+            elif cols:
+                row = cols[0].copy()
+            else:
+                row = [far] * len(ids)
+            # a lone member's own entry (1, to its neighbour) is no distance
+            # between distinct directives and must stay out of the scale; in
+            # a larger group it is the distance 2 between members
+            if len(members) == 1:
+                row[members[0]] = far
+            shared.append((row, members))
+        present = set().union(*(row for row, _ in shared))
+        present.discard(far)
+        scale = math.lcm(*(h + 1 for h in present))
+        # one int object per distance, shared by every row; a hop count from
+        # the nearest neighbour is one less than the distance
+        weight = {h: scale // (h + 1) for h in present}
+        weight[far] = None
+        rows = [None] * len(ids)
+        for row, members in shared:
+            for i in members:
+                own = list(map(weight.__getitem__, row))
+                own[i] = 0
+                rows[i] = own
         graph._weights = (scale, {d: j for j, d in enumerate(ids)}, rows)
     return graph._weights
 

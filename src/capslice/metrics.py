@@ -202,11 +202,16 @@ def resolve_membership(
 ) -> dict[str, str]:
     """Assign each covered directive to exactly one owning member.
 
-    Ownership follows assign_owners.  Raises UnresolvableSharingError when
-    two members share an entry parent, and (with complete=True)
+    Ownership follows assign_owners.  Raises MembershipError naming the
+    smallest directive given as a member, UnresolvableSharingError when two
+    members share an entry parent, and (with complete=True)
     UncoveredDirectiveError when some directive of the graph is covered by
     nobody.
     """
+    members = sorted(set(members))
+    for m in members:
+        if graph.node(m).kind is NodeKind.DIRECTIVE:
+            raise MembershipError(f"a directive cannot be a member: {m}")
     cover = cover_map(graph, members)
     if complete:
         missing = set(graph.directive_ids) - set(cover)

@@ -95,9 +95,10 @@ def _exhaustive_order(
         into.append([a + b for a, b in zip(into[s ^ low], weight[low.bit_length() - 1])])
     # rest[S]: least cost of placing everyone outside S after S
     rest = [0] * (full + 1)
+    bits = [(c, 1 << c) for c in range(k)]
     for s in range(full - 1, -1, -1):
         row = into[s]
-        rest[s] = min(row[c] + rest[s | 1 << c] for c in range(k) if not s >> c & 1)
+        rest[s] = min([row[c] + rest[s | b] for c, b in bits if not s & b])
     # rebuild forward taking the smallest minimizing member each step: the
     # lexicographically first optimal order
     order: list[str] = []

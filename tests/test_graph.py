@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +19,7 @@ from capslice.graph import (
     build_graph,
     coerce_relevance,
     descendants,
+    directive_weights,
     distances_from,
     export_dot,
     impact_category,
@@ -535,6 +537,59 @@ def test_queries_match_oracles_on_random_graphs():
             assert undirected_distance(g, u, v) == bfs_distance(g, u, v)
             assert undirected_distance(g, u, v) == undirected_distance(g, v, u)
             assert distances_from(g, u) == bfs_distances(g, u)
+
+
+def _weights_reference(g):
+    # one search per directive; 0 on the diagonal, None where not connected
+    ids = g.directive_ids
+    hops = [list(map(bfs_distances(g, d).get, ids)) for d in ids]
+    scale = math.lcm(*(k for row in hops for k in row if k))
+    return scale, [[k and scale // k for k in row] for row in hops]
+
+
+def _check_weights(g):
+    scale, index, rows = directive_weights(g)
+    assert index == {d: j for j, d in enumerate(g.directive_ids)}
+    assert (scale, rows) == _weights_reference(g)
+    return scale, rows
+
+
+def test_directive_weights_match_reference():
+    rng = random.Random(1717)
+    for _ in range(300):
+        _check_weights(random_fd_graph(rng))
+
+    def graph(nodes, edges):
+        kinds = {"m": "mission", "d": "directive"}
+        return build_graph(
+            [(n, kinds.get(n[0], "function")) for n in nodes],
+            [(u, v, None, Fraction(1, 2)) if v[0] == "d" else (u, v) for u, v in edges],
+        )
+
+    # d1's row, shared by no other directive, reads 2 at d1 itself before
+    # its diagonal is set; the only distance between distinct directives is 3
+    lone = graph(["m", "d1", "f", "d2"], [("m", "d1"), ("m", "f"), ("f", "d2")])
+    assert _check_weights(lone) == (3, [[0, 1], [1, 0]])
+
+    # an orphan directive and a parentless function with its own directive:
+    # neither reaches the first component
+    apart = graph(
+        ["m", "f", "g", "d1", "d2", "d3", "d4"],
+        [("m", "f"), ("f", "d1"), ("f", "d2"), ("g", "d3")],
+    )
+    assert _check_weights(apart) == (
+        2,
+        [[0, 1, None, None], [1, 0, None, None], [None, None, 0, None], [None, None, None, 0]],
+    )
+
+    # d1 has a function child, which validate refuses: d1 reaches d2 through
+    # that child in 2 hops, through its parent only in 4
+    below_directive = graph(
+        ["m", "f1", "f2", "d1", "d2", "d3"],
+        [("m", "f1"), ("f1", "d1"), ("f1", "d3"), ("d1", "f2"), ("f2", "d2")],
+    )
+    assert not validate(below_directive).ok
+    assert _check_weights(below_directive) == (4, [[0, 2, 2], [2, 0, 1], [2, 1, 0]])
 
 
 def test_leaf_ancestor_duality():

@@ -7,6 +7,7 @@ import pytest
 from capslice.graph import GraphError, NodeKind, build_graph, entry_parents, validate
 from capslice.metrics import (
     CohesionUndefinedError,
+    MembershipError,
     UncoveredDirectiveError,
     UnresolvableSharingError,
     capability_coupling,
@@ -232,6 +233,19 @@ def test_resolve_membership_coverage(fig2):
 
     partial = resolve_membership(fig2, ["n_7"], complete=False)
     assert set(partial) == {"d_6", "d_7", "d_8", "d_9"}
+
+
+def test_resolve_membership_refuses_directive_members(fig2):
+    # n_5 covers d_1, whose own entry-parent tuple is empty; a lone directive
+    # covers only itself
+    for members in (["n_5", "d_1"], ["d_1"]):
+        with pytest.raises(MembershipError, match=r"^a directive cannot be a member: d_1$"):
+            resolve_membership(fig2, members, complete=False)
+    with pytest.raises(MembershipError, match=r": d_2$"):
+        resolve_membership(fig2, ["n_7", "d_8", "d_2"], complete=False)
+    check = is_valid_slice(fig2, ["n_5", "d_1"])
+    assert not check.ok and check.membership is None
+    assert [v.code for v in check.violations if v.subject == "d_1"] == ["DIRECTIVE_MEMBER"]
 
 
 def test_sharing_conflicts_clean_slices(fig2):
