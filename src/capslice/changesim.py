@@ -25,7 +25,7 @@ from .graph import (
     NodeKind,
     Violation,
     coerce_relevance,
-    distances_from,
+    directive_hops,
     parts,
     undirected_distance,
     validate,
@@ -323,16 +323,15 @@ def _impact(
     # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
     # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers
     affected = set(seed)
+    far = eval_graph.n_nodes  # directive_hops' mark for not connected
     for s in sorted(seed):
         owner = membership[s]
         owner_size = sum(1 for o in membership.values() if o == owner)
         reach = thr.denominator // (owner_size * thr.numerator)
-        row = distances_from(eval_graph, s)
-        for d in eval_graph.directive_ids:
+        for d, dist in zip(eval_graph.directive_ids, directive_hops(eval_graph, s)):
             if d in affected:
                 continue
-            dist = row.get(d)
-            if dist is None:
+            if dist == far:
                 undirected_distance(eval_graph, d, s)  # raises: not connected
             if dist <= reach:
                 affected.add(d)

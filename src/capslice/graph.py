@@ -152,8 +152,7 @@ class FDGraph:
 
         # lazy caches
         self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._descendants: dict[str, frozenset[str]] = {}
-        self._dist: dict[str, dict[str, int]] = {}
+        self._hops: dict[str, list[int]] = {}
         self._weights: tuple[int, dict[str, int], list[list[int | None]]] | None = None
         self._cohesion: dict[str, Fraction] = {}
 
@@ -229,20 +228,20 @@ class FDGraph:
 
 
 def descendants(graph: FDGraph, node_id: str) -> frozenset[str]:
-    """All nodes reachable from node_id along child edges (excluding itself)."""
+    """All nodes reachable from node_id along child edges (excluding itself).
+
+    One walk per call, not cached.
+    """
     graph.node(node_id)
-    cache = graph._descendants
-    if node_id not in cache:
-        children = graph._children
-        seen: set[str] = set()
-        stack = list(children[node_id])
-        while stack:
-            x = stack.pop()
-            if x not in seen:
-                seen.add(x)
-                stack.extend(children[x])
-        cache[node_id] = frozenset(seen)
-    return cache[node_id]
+    children = graph._children
+    seen: set[str] = set()
+    stack = list(children[node_id])
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(children[x])
+    return frozenset(seen)
 
 
 def cohesion_memo(graph: FDGraph) -> dict[str, Fraction]:
@@ -287,8 +286,13 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
     return frozenset(entry_parents(graph, node_id))
 
 
-def _bfs(graph: FDGraph, u: str) -> dict[str, int]:
-    # undirected hop counts from u over children and parents, not cached
+def distances_from(graph: FDGraph, u: str) -> dict[str, int]:
+    """Undirected hop count from u to every node of its component.
+
+    One breadth-first search over children and parents per call, not
+    cached: each call returns a fresh dict.
+    """
+    graph.node(u)
     children, parents = graph._children, graph._parents
     dist = {u: 0}
     queue = deque((u,))
@@ -301,17 +305,19 @@ def _bfs(graph: FDGraph, u: str) -> dict[str, int]:
     return dist
 
 
-def distances_from(graph: FDGraph, u: str) -> Mapping[str, int]:
-    """Undirected hop count from u to every node of its component.
+def directive_hops(graph: FDGraph, u: str) -> list[int]:
+    """Undirected hop count from u to each directive, in id order.
 
-    One breadth-first search per source over children and parents, cached
-    on the graph.
+    A directive u does not reach reads graph.n_nodes, longer than any path.
+    One search per source, cached on the graph; the list is shared, so
+    callers must not change it.
     """
-    graph.node(u)
-    cache = graph._dist
-    if u not in cache:
-        cache[u] = _bfs(graph, u)
-    return cache[u]
+    hops = graph._hops.get(u)
+    if hops is None:
+        far = graph.n_nodes
+        hops = list(map(distances_from(graph, u).get, graph.directive_ids, repeat(far)))
+        graph._hops[u] = hops
+    return hops
 
 
 def directive_weights(
@@ -327,54 +333,37 @@ def directive_weights(
 
     Built once per graph on the identity dist(d, x) = 1 + min(dist(n, x)
     for n a neighbour of d), which holds for every x != d in an unweighted
-    graph: one uncached breadth-first search per distinct neighbour (a
-    directive's parents, and its children on a graph validate refuses), not
-    per directive, so these rows are not also kept by distances_from.
-    Directives with the same neighbours share one row of hops from the
-    nearest neighbour, and each maps it to weights with its own entry set
-    to 0.  The neighbours lie in d's component, so a target is reached from
-    all of them or from none.  A directive without neighbours reaches
-    nothing.
+    graph: each directive's row is the element-wise min of its neighbours'
+    directive_hops (its parents, and its children on a graph validate
+    refuses), so the searches run once per distinct neighbour, not per
+    directive.  The neighbours lie in d's component, so a target is reached
+    from all of them or from none; one without neighbours reaches nothing.
+    A directive's own entry (out to a neighbour and back) is no distance
+    and stays out of the scale.
     """
     if graph._weights is None:
         ids = graph.directive_ids
         parents, children = graph._parents, graph._children
-        far = graph.n_nodes  # longer than any path: not connected
-        groups: dict[tuple[str, ...], list[int]] = {}
+        far = graph.n_nodes  # directive_hops' mark for not connected
+        rows = []
         for i, d in enumerate(ids):
-            groups.setdefault(parents[d] + children[d], []).append(i)
-        hops_from: dict[str, list[int]] = {}
-        shared = []
-        for near, members in groups.items():
-            for n in near:
-                if n not in hops_from:
-                    hops_from[n] = list(map(_bfs(graph, n).get, ids, repeat(far)))
-            cols = [hops_from[n] for n in near]
-            if len(cols) > 1:
-                row = list(map(min, *cols))
-            elif cols:
-                row = cols[0].copy()
-            else:
-                row = [far] * len(ids)
-            # a lone member's own entry (1, to its neighbour) is no distance
-            # between distinct directives and must stay out of the scale; in
-            # a larger group it is the distance 2 between members
-            if len(members) == 1:
-                row[members[0]] = far
-            shared.append((row, members))
-        present = set().union(*(row for row, _ in shared))
+            near = [directive_hops(graph, n) for n in parents[d] + children[d]]
+            if len(near) > 1:
+                row = list(map(min, *near))
+            else:  # a copy: rows change below, and hop lists are shared
+                row = list(near[0] if near else repeat(far, len(ids)))
+            row[i] = far
+            rows.append(row)
+        present = set().union(*rows)
         present.discard(far)
         scale = math.lcm(*(h + 1 for h in present))
         # one int object per distance, shared by every row; a hop count from
         # the nearest neighbour is one less than the distance
         weight = {h: scale // (h + 1) for h in present}
         weight[far] = None
-        rows = [None] * len(ids)
-        for row, members in shared:
-            for i in members:
-                own = list(map(weight.__getitem__, row))
-                own[i] = 0
-                rows[i] = own
+        for i, row in enumerate(rows):
+            row[:] = map(weight.__getitem__, row)
+            row[i] = 0
         graph._weights = (scale, {d: j for j, d in enumerate(ids)}, rows)
     return graph._weights
 

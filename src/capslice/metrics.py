@@ -203,15 +203,16 @@ def resolve_membership(
     """Assign each covered directive to exactly one owning member.
 
     Ownership follows assign_owners.  Raises MembershipError naming the
-    smallest directive given as a member, UnresolvableSharingError when two
-    members share an entry parent, and (with complete=True)
-    UncoveredDirectiveError when some directive of the graph is covered by
-    nobody.
+    smallest member that is not a function (the mission or a directive),
+    UnresolvableSharingError when two members share an entry parent, and
+    (with complete=True) UncoveredDirectiveError when some directive of the
+    graph is covered by nobody.
     """
     members = sorted(set(members))
     for m in members:
-        if graph.node(m).kind is NodeKind.DIRECTIVE:
-            raise MembershipError(f"a directive cannot be a member: {m}")
+        kind = graph.node(m).kind
+        if kind is not NodeKind.FUNCTION:
+            raise MembershipError(f"a {kind.value} cannot be a member: {m}")
     cover = cover_map(graph, members)
     if complete:
         missing = set(graph.directive_ids) - set(cover)

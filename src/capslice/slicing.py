@@ -111,10 +111,10 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
             )
 
     ancestor_pairs = False
-    for i, a in enumerate(members):
-        down = descendants(graph, a)
-        for b in members[i + 1 :]:
-            if b in down or a in descendants(graph, b):
+    below = [(m, descendants(graph, m)) for m in members]
+    for i, (a, under_a) in enumerate(below):
+        for b, under_b in below[i + 1 :]:
+            if b in under_a or a in under_b:
                 ancestor_pairs = True
                 violations.append(
                     Violation(

@@ -19,6 +19,7 @@ from capslice.graph import (
     build_graph,
     coerce_relevance,
     descendants,
+    directive_hops,
     directive_weights,
     distances_from,
     export_dot,
@@ -31,6 +32,7 @@ from capslice.graph import (
     validate,
 )
 from capslice.rational import brief, to_fraction
+import capslice.graph as graph_module
 import capslice.changesim as changesim
 from capslice.changesim import ChangeError, apply_change
 from conftest import random_fd_graph, random_scenario
@@ -537,6 +539,12 @@ def test_queries_match_oracles_on_random_graphs():
             assert undirected_distance(g, u, v) == bfs_distance(g, u, v)
             assert undirected_distance(g, u, v) == undirected_distance(g, v, u)
             assert distances_from(g, u) == bfs_distances(g, u)
+        for n in g.node_ids:
+            assert directive_hops(g, n) == _hops_reference(g, n), n
+
+
+def _hops_reference(g, u):
+    return [bfs_distances(g, u).get(d, g.n_nodes) for d in g.directive_ids]
 
 
 def _weights_reference(g):
@@ -566,8 +574,9 @@ def test_directive_weights_match_reference():
             [(u, v, None, Fraction(1, 2)) if v[0] == "d" else (u, v) for u, v in edges],
         )
 
-    # d1's row, shared by no other directive, reads 2 at d1 itself before
-    # its diagonal is set; the only distance between distinct directives is 3
+    # d1's own entry reads 2 (out to m and back) before it is set aside, and
+    # no other directive lies 2 from d1; the only distance between distinct
+    # directives is 3
     lone = graph(["m", "d1", "f", "d2"], [("m", "d1"), ("m", "f"), ("f", "d2")])
     assert _check_weights(lone) == (3, [[0, 1], [1, 0]])
 
@@ -577,6 +586,9 @@ def test_directive_weights_match_reference():
         ["m", "f", "g", "d1", "d2", "d3", "d4"],
         [("m", "f"), ("f", "d1"), ("f", "d2"), ("g", "d3")],
     )
+    for n in apart.node_ids:
+        assert directive_hops(apart, n) == _hops_reference(apart, n), n
+    assert directive_hops(apart, "g") == [7, 7, 1, 7]
     assert _check_weights(apart) == (
         2,
         [[0, 1, None, None], [1, 0, None, None], [None, None, 0, None], [None, None, None, 0]],
@@ -590,6 +602,28 @@ def test_directive_weights_match_reference():
     )
     assert not validate(below_directive).ok
     assert _check_weights(below_directive) == (4, [[0, 2, 2], [2, 0, 1], [2, 1, 0]])
+
+
+def test_directive_weights_search_once_per_neighbour(fig2, monkeypatch):
+    searches = []
+    search = graph_module.distances_from
+
+    def counted(g, u):
+        searches.append(u)
+        return search(g, u)
+
+    monkeypatch.setattr(graph_module, "distances_from", counted)
+    rng = random.Random(1818)
+    for g in [fig2] + [random_fd_graph(rng) for _ in range(10)]:
+        searches.clear()
+        directive_weights(g)
+        near = {n for d in g.directive_ids for n in g.parents(d) + g.children(d)}
+        assert sorted(searches) == sorted(near)
+        searches.clear()
+        directive_weights(g)
+        for n in near:
+            directive_hops(g, n)
+        assert searches == []
 
 
 def test_leaf_ancestor_duality():
@@ -661,7 +695,7 @@ def _private_reads(source: str, fields: set[str]) -> list[str]:
 
 def test_no_private_graph_fields_outside_graph_module(fig2):
     fields = {name for name in vars(fig2) if name.startswith("_")}
-    assert {"_children", "_parents", "_descendants", "_dist"} <= fields
+    assert {"_children", "_parents", "_entry", "_hops"} <= fields
     assert _private_reads("x = graph._children[n]\ny = graph.children(n)", fields) == [
         "1: ._children"
     ]

@@ -248,6 +248,15 @@ def test_resolve_membership_refuses_directive_members(fig2):
     assert [v.code for v in check.violations if v.subject == "d_1"] == ["DIRECTIVE_MEMBER"]
 
 
+def test_resolve_membership_refuses_the_mission(fig2):
+    # m alone would own every directive; with n_1 it would share n_1's entries
+    for members in (["m"], ["m", "n_1"]):
+        with pytest.raises(MembershipError, match=r"^a mission cannot be a member: m$"):
+            resolve_membership(fig2, members)
+    with pytest.raises(MembershipError, match=r": d_1$"):
+        resolve_membership(fig2, ["n_7", "m", "d_1"], complete=False)
+
+
 def test_sharing_conflicts_clean_slices(fig2):
     assert sharing_conflicts(cover_map(fig2, ["n_1", "n_3", "n_7"])) == []
     assert sharing_conflicts(cover_map(fig2, ["n_2", "n_3", "n_5"])) == []
