@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graph import entry_parents, impact_category
 from .metrics import PairCoupling, coupling_matrix, entry_parent, size_of
-from .rational import brief, to_fraction
+from .rational import brief, literal_reader, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
 EXHAUSTIVE_LIMIT = 8
@@ -77,16 +77,46 @@ def _int_costs(
     return {pq: coupling[pq].numerator * (denom // coupling[pq].denominator) for pq in pairs}, denom
 
 
+def _agreeing_order(weight: Sequence[Sequence[int]]) -> list[int] | None:
+    # Every order costs at least the sum over pairs of min(w[p][q], w[q][p]).
+    # Place, each step, the first remaining member that is no dearer than
+    # any other remaining member the other way round.  If every step finds
+    # one, the order meets that bound, so it is optimal; a smaller member
+    # skipped at a step would put some pair its dearer way, so it is also
+    # the lexicographically first optimum.  None when some step finds no
+    # such member: the strict preferences then hold a cycle.
+    remaining = list(range(len(weight)))
+    order: list[int] = []
+    while remaining:
+        c = next(
+            (c for c in remaining if all(weight[c][r] <= weight[r][c] for r in remaining)),
+            None,
+        )
+        if c is None:
+            return None
+        order.append(c)
+        remaining.remove(c)
+    return order
+
+
 def _exhaustive_order(
     members: Sequence[str], cost: Mapping[tuple[str, str], int]
 ) -> tuple[tuple[str, ...], int]:
-    # Appending c after the placed set S costs sum(cost[p, c] for p in S),
+    # The exact, lexicographically first optimal order.  coupling_matrix
+    # tables always take _agreeing_order: Cp(p,q)/Cp(q,p) = |D_p|/|D_q|, so
+    # the cheaper way round builds the member owning fewer directives first,
+    # and the order is the members sorted by (owned count, id).  Otherwise
+    # appending c after the placed set S costs sum(cost[p, c] for p in S),
     # whatever order S was built in, so a dynamic program over subsets
     # (Held-Karp) is exact in O(2^k * k).  Bit i of a mask is members[i].
     members = sorted(members)
+    weight = [[cost[(p, c)] if p != c else 0 for c in members] for p in members]
+    agreeing = _agreeing_order(weight)
+    if agreeing is not None:
+        total = sum(weight[p][c] for i, c in enumerate(agreeing) for p in agreeing[:i])
+        return tuple(members[c] for c in agreeing), total
     k = len(members)
     full = (1 << k) - 1
-    weight = [[cost[(p, c)] if p != c else 0 for c in members] for p in members]
     # into[S][c]: coupling from the members of S onto c, extended from S
     # without its lowest member
     into = [[0] * k]
@@ -139,9 +169,14 @@ def schedule_slice(graph, slc: Slice, times=None, coupling=None) -> ScheduleMode
 
     Build time per member defaults to its size; the build order minimizes
     the summed coupling from earlier members onto later ones.  Up to
-    EXHAUSTIVE_LIMIT members it is exact, a dynamic program over subsets in
-    O(2^k * k) that returns the lexicographically first optimal order;
-    beyond that it is greedy.
+    EXHAUSTIVE_LIMIT members it is exact ("exhaustive" names the exact
+    answer, not how it is found) and the lexicographically first optimal
+    order.  Every order costs at least the sum of each pair's cheaper
+    direction; an order that puts every pair its cheaper way meets that
+    bound.  Coupling from coupling_matrix always has one, since
+    Cp(p,q)/Cp(q,p) = |D_p|/|D_q|: the members sorted by (owned count, id).
+    Other tables whose preferences form a cycle fall back to a dynamic
+    program over subsets in O(2^k * k).  Beyond the limit it is greedy.
     """
     per: dict[str, Fraction] = {}
     for m in slc.members:
@@ -256,7 +291,7 @@ class OptimizationConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
         try:
-            doc = json.loads(text, parse_float=to_fraction)
+            doc = json.loads(text, parse_float=literal_reader())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid config JSON: {exc.msg} (line {exc.lineno})") from exc
         except RecursionError:

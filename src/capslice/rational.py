@@ -76,7 +76,7 @@ def to_fraction(value) -> Fraction:
 
     Floats are read through their shortest decimal representation, so a
     literal 0.3 coming from a file means exactly 3/10.  A decimal exponent
-    beyond MAX_EXPONENT is a ValueError.
+    beyond MAX_EXPONENT, and a zero denominator ("1/0"), are ValueErrors.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a numeric value")
@@ -87,7 +87,10 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, (Decimal, str)):
-        return Fraction(_bounded_exponent(str(value)))
+        try:
+            return Fraction(_bounded_exponent(str(value)))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {brief(value)}") from None
     raise TypeError(f"cannot interpret {brief(value)} as a rational number")
 
 

@@ -127,6 +127,30 @@ def test_huge_exponent_is_usage(tmp_path, capsys, argv, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["optimize", FIG, "FILE"], '{"lambda": "1/0"}'),
+        (["optimize", FIG, "FILE"], '{"tf": {"n_1": "3/0"}}'),
+        (["slices", FIG, "--lambda", "1/0"], None),
+        (["simulate", FIG, "FILE", "--slice", S1, "--threshold", "1/0"], SCENARIO),
+        (["export", FIG, "--slice", S1, "--lambda", "5/0"], None),
+    ],
+    ids=["optimize-lambda", "optimize-tf", "slices-lambda", "threshold", "export-lambda"],
+)
+def test_zero_denominator_is_usage(tmp_path, capsys, argv, text):
+    # Fraction("1/0") raises ZeroDivisionError; every number read from a
+    # flag or a config refuses it as a usage error instead
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--format", "machine")
+    assert rc == EXIT_USAGE and out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err and "/0" in err
+
+
 def test_parse_errors_are_short(tmp_path, capsys):
     # an id nested 300 lists deep used to be echoed in full
     doc = json.loads(fig2_text())

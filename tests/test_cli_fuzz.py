@@ -70,7 +70,7 @@ scenarios = st.lists(
     ),
     max_size=3,
 )
-numbers = st.sampled_from([0, 0.25, 0.5, 1, 2, -1]) | values
+numbers = st.sampled_from([0, 0.25, 0.5, 1, 2, -1, "1/0", "2/4"]) | values
 configs = (
     st.fixed_dictionaries(
         {},

@@ -35,6 +35,7 @@ from capslice.rational import brief, to_fraction
 import capslice.graph as graph_module
 import capslice.changesim as changesim
 from capslice.changesim import ChangeError, apply_change
+from capslice.fixtures import load_fig2
 from conftest import random_fd_graph, random_scenario
 from oracles import (
     below,
@@ -189,6 +190,14 @@ def test_decimal_exponent_bound():
         parse_graph(json.dumps(_tiny({"relevance": "X"})).replace('"X"', "1e-5000"))
     assert to_fraction("1e-4300") == Fraction(1, 10**4300)
     assert to_fraction("25e-1") == Fraction(5, 2)
+
+
+def test_zero_denominator_is_value_error():
+    # Fraction("1/0") raises ZeroDivisionError, which no caller catches
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            to_fraction(text)
+    assert to_fraction("2/4") == Fraction(1, 2)
 
 
 def test_parse_kinds_must_be_names():
@@ -604,7 +613,9 @@ def test_directive_weights_match_reference():
     assert _check_weights(below_directive) == (4, [[0, 2, 2], [2, 0, 1], [2, 1, 0]])
 
 
-def test_directive_weights_search_once_per_neighbour(fig2, monkeypatch):
+def test_directive_weights_search_once_per_neighbour(monkeypatch):
+    # a fresh fig2: the session fixture's tables may be built already
+    fig2 = load_fig2()
     searches = []
     search = graph_module.distances_from
 

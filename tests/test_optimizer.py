@@ -13,6 +13,7 @@ from capslice.optimizer import (
     ScheduleModel,
     SliceScore,
     TechFeasibility,
+    _agreeing_order,
     _exhaustive_order,
     _greedy_order,
     export_capabilities,
@@ -24,7 +25,7 @@ from capslice.optimizer import (
     validate_manifest,
 )
 from capslice.slicing import Slice, SliceMetrics, enumerate_slices, make_slice
-from conftest import wide_graph
+from conftest import random_fd_graph, wide_graph
 from oracles import pareto_bruteforce, schedule_bruteforce
 
 S1 = ("n_1", "n_3", "n_7")
@@ -146,6 +147,67 @@ def test_exhaustive_order_matches_oracle_at_limit():
         assert sched.order == order
         assert sched.order_cost == cost
         assert sched.method == "exhaustive"
+
+
+def _weights(members, cost):
+    return [[cost[(p, q)] if p != q else 0 for q in members] for p in members]
+
+
+def test_exhaustive_order_both_branches_match_oracle():
+    # small integer tables tie often, and some of them hold preference
+    # cycles: both the agreeing walk and the subset program must give the
+    # oracle's lexicographically first optimum
+    rng = random.Random(4417)
+    branches = []
+    for k in range(1, EXHAUSTIVE_LIMIT + 1):
+        for _ in range(3 if k == EXHAUSTIVE_LIMIT else 12):
+            members = [f"c{i}" for i in range(k)]
+            cost = {(p, q): rng.randint(0, 3) for p in members for q in members if p != q}
+            order, oracle_cost = schedule_bruteforce(members, cost)
+            assert _exhaustive_order(list(reversed(members)), cost) == (order, oracle_cost)
+            branches.append(_agreeing_order(_weights(members, cost)) is not None)
+    assert any(branches) and not all(branches)
+
+
+def test_exhaustive_order_preference_cycle():
+    # a before b, b before c and c before a are each the cheaper way round,
+    # so no order meets the pairwise bound of 0 and the subset program runs
+    members = ["a", "b", "c"]
+    cost = {
+        ("a", "b"): 0, ("b", "a"): 2,
+        ("b", "c"): 0, ("c", "b"): 3,
+        ("c", "a"): 0, ("a", "c"): 5,
+    }
+    assert _agreeing_order(_weights(members, cost)) is None
+    assert _exhaustive_order(members, cost) == (("b", "c", "a"), 2)
+    assert schedule_bruteforce(members, cost) == (("b", "c", "a"), 2)
+
+
+def test_coupling_orders_by_owned_count(monkeypatch):
+    # Cp(p,q)/Cp(q,p) = |D_p|/|D_q|, so every coupling_matrix table has an
+    # order that puts each pair its cheaper way: fewest owned directives
+    # first, ties by id, and the subset program never runs
+    from capslice import optimizer
+
+    results = []
+
+    def recording(weight):
+        results.append(_agreeing_order(weight))
+        return results[-1]
+
+    monkeypatch.setattr(optimizer, "_agreeing_order", recording)
+    rng = random.Random(6021)
+    checked = 0
+    for _ in range(40):
+        g = random_fd_graph(rng, max_internal=10, max_directives=16)
+        for slc in enumerate_slices(g, max_slices=50).slices:
+            if len(slc.members) > EXHAUSTIVE_LIMIT:
+                continue
+            expected = sorted(slc.members, key=lambda m: (len(slc.owned(m)), m))
+            assert schedule_slice(g, slc).order == tuple(expected)
+            checked += 1
+    assert checked > 100
+    assert None not in results
 
 
 def test_exhaustive_order_all_zero_is_sorted():
