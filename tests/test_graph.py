@@ -193,7 +193,7 @@ def test_decimal_exponent_bound():
 
 
 def test_zero_denominator_is_value_error():
-    # Fraction("1/0") raises ZeroDivisionError, which no caller catches
+    # Fraction("1/0") raises ZeroDivisionError, which the callers do not expect
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             to_fraction(text)
@@ -614,7 +614,7 @@ def test_directive_weights_match_reference():
 
 
 def test_directive_weights_search_once_per_neighbour(monkeypatch):
-    # a fresh fig2: the session fixture's tables may be built already
+    # a fresh fig2: the shared fixture's tables may be built already
     fig2 = load_fig2()
     searches = []
     search = graph_module.distances_from
