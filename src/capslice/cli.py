@@ -613,6 +613,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # a JSON number is a double
+        print(f"error: a value is too large for JSON output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
 

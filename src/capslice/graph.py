@@ -154,6 +154,7 @@ class FDGraph:
         self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
         self._hops: dict[str, list[int]] = {}
         self._weights: tuple[int, dict[str, int], list[list[int | None]]] | None = None
+        self._column_sums: dict[tuple[int, ...], list[int | None]] = {}
         self._cohesion: dict[str, Fraction] = {}
 
     # -- basic accessors -------------------------------------------------
@@ -366,6 +367,27 @@ def directive_weights(
             row[i] = 0
         graph._weights = (scale, {d: j for j, d in enumerate(ids)}, rows)
     return graph._weights
+
+
+def weight_column_sums(graph: FDGraph, owned: tuple[int, ...]) -> list[int | None]:
+    """Column sums of the directive_weights rows numbered in owned.
+
+    Entry j is the sum of rows[a][j] over a in owned, so the scaled 1/dist
+    sum from owned onto any set D is the sum of entry j over j in D.  It is
+    None where one of those rows holds None (a pair in different
+    components).  Cached on the graph per owned tuple; the list is shared,
+    so callers must not change it.
+    """
+    sums = graph._column_sums.get(owned)
+    if sums is None:
+        rows = directive_weights(graph)[2]
+        picked = [rows[a] for a in owned]
+        try:
+            sums = list(map(sum, zip(*picked)))
+        except TypeError:  # a pair that is not connected; validate refuses it
+            sums = [None if None in column else sum(column) for column in zip(*picked)]
+        graph._column_sums[owned] = sums
+    return sums
 
 
 def undirected_distance(graph: FDGraph, u: str, v: str) -> int:

@@ -33,6 +33,7 @@ from .graph import (
     directive_weights,
     entry_parents,
     undirected_distance,
+    weight_column_sums,
 )
 
 
@@ -284,15 +285,17 @@ def coupling_matrix(
     """Capability coupling for every ordered pair of members.
 
     The distance sum S is shared by (p, q) and (q, p), so it is computed
-    once per unordered pair, on integers: each 1/dist is read from the
-    graph's directive_weights table over its scale L.  With c the lcm of the
+    once per unordered pair, on integers over the scale L of the graph's
+    directive_weights table: the sum over D_q of p's weight_column_sums,
+    which the graph caches per owned set, so a member that owns the same
+    directives in many slices sums its rows once.  With c the lcm of the
     members' set sizes, both directions land on the one denominator L * c**3
     without a Fraction.  Keys come in sorted (p, q) order.
     """
     members = sorted(set(members))
     if len(members) < 2:
         return PairCoupling({}, 1)
-    scale, index, rows = directive_weights(graph)
+    scale, index, _ = directive_weights(graph)
     owned: dict[str, list[int]] = {}
     for d, o in membership.items():
         try:
@@ -302,12 +305,12 @@ def coupling_matrix(
     sets = [_nonempty(owned, p) for p in members]
     cube = math.lcm(*map(len, sets)) ** 3
     half: dict[tuple[str, str], int] = {}
-    for i, p in enumerate(members):
+    for i, p in enumerate(members[:-1]):
         d_p = sets[i]
-        rows_p = [rows[a] for a in d_p]
+        col = weight_column_sums(graph, tuple(d_p))
         for q, d_q in zip(members[i + 1 :], sets[i + 1 :]):
-            try:  # scale * S; a None weight marks a pair that is not connected
-                total = sum([sum(map(row.__getitem__, d_q)) for row in rows_p])
+            try:  # scale * S; a None sum marks a pair that is not connected
+                total = sum(map(col.__getitem__, d_q))
             except TypeError:  # raise for the first such pair in id order
                 ids = graph.directive_ids
                 for a in sorted(d_p):

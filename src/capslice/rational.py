@@ -125,9 +125,16 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
 
 
 def fixed(value: Fraction, places: int = 4) -> str:
-    """Render a Fraction with a fixed number of decimals, banker's rounding."""
+    """Render a Fraction with a fixed number of decimals, banker's rounding.
+
+    Any magnitude renders: the division keeps the integer part's digits
+    and the places, with 50 digits as the floor, and the quantize one digit
+    more, for a rounding that carries into a new leading digit.
+    """
+    whole = Decimal(abs(value.numerator) // value.denominator)
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = max(50, whole.adjusted() + 1 + places)
         quantum = Decimal(1).scaleb(-places)
         d = Decimal(value.numerator) / Decimal(value.denominator)
+        ctx.prec += 1
         return str(d.quantize(quantum, rounding=ROUND_HALF_EVEN))

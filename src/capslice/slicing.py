@@ -26,6 +26,7 @@ is read off the owner order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -331,19 +332,24 @@ def slice_objective(graph: FDGraph, slc: Slice, lam: Fraction = Fraction(1)) -> 
 
     Cohesion is averaged over members without weighting; coupling is
     averaged over ordered member pairs and taken as 0 for a single member.
+    Each value is one Fraction of integers: the k cohesions summed over the
+    lcm lc of their denominators give a / (k * lc), the coupling units
+    summed give U / (scale * pairs), and with lambda = l / w the aggregate
+    is (a*v*w - l*U*b) / (b*v*w) for b = k * lc and v = scale * pairs.
     """
     lam = to_fraction(lam)
     members = slc.members
     per_node = {m: cohesion(graph, m) for m in members}
     coupling = coupling_matrix(graph, members, slc.membership)
-    mean_ch = exact_sum(per_node.values()) / len(members)
-    n_pairs = len(members) * (len(members) - 1)
-    mean_cp = (
-        Fraction(sum(coupling.units.values()), coupling.scale * n_pairs)
-        if n_pairs
-        else Fraction(0)
-    )
-    return SliceMetrics(per_node, coupling, mean_ch, mean_cp, mean_ch - lam * mean_cp)
+    lc = math.lcm(*(c.denominator for c in per_node.values()))
+    a = sum([c.numerator * (lc // c.denominator) for c in per_node.values()])
+    b = len(members) * lc
+    units = sum(coupling.units.values())
+    # a lone member has no pairs, and its empty PairCoupling has scale 1
+    v = coupling.scale * (len(members) * (len(members) - 1) or 1)
+    l, w = lam.numerator, lam.denominator
+    aggregate = Fraction(a * v * w - l * units * b, b * v * w)
+    return SliceMetrics(per_node, coupling, Fraction(a, b), Fraction(units, v), aggregate)
 
 
 def score_slices(

@@ -151,6 +151,77 @@ def test_zero_denominator_is_usage(tmp_path, capsys, argv, text):
     assert "Traceback" not in err and "/0" in err
 
 
+HUGE_LAMBDA = '{"lambda": 1e400}'
+HUGE_TIME = '{"times": {"n_1": 1e400}}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["slices", FIG, "--lambda", "1e400", "--format", "machine"], None),
+        (["export", FIG, "--slice", S1, "--manifest", "--lambda", "1e400"], None),
+        (["export", FIG, "--slice", S1, "--manifest", "--lambda", "1e400", "--format", "text"],
+         None),
+        (["optimize", FIG, "FILE", "--format", "machine"], HUGE_LAMBDA),
+        (["optimize", FIG, "FILE", "--format", "machine"], HUGE_TIME),
+    ],
+    ids=["slices", "manifest", "manifest-text", "optimize-lambda", "optimize-times"],
+)
+def test_too_large_for_json_is_usage(tmp_path, capsys, argv, text):
+    # a JSON number is a double: float() of 10**400 overflows
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == EXIT_USAGE and out == ""
+    assert err.splitlines() == [
+        "error: a value is too large for JSON output: "
+        "integer division result too large for a float"
+    ]
+
+
+def test_slices_stops_after_streamed_lines(tmp_path, capsys):
+    # {a} has no pairs, so its aggregate is its cohesion; {b, c} couples and
+    # overflows under a huge lambda, after {a} has been written
+    doc = {
+        "nodes": [{"id": i, "kind": k} for i, k in [
+            ("m", "mission"), ("a", "function"), ("b", "function"), ("c", "function"),
+            ("x", "directive"), ("y", "directive")]],
+        "edges": [{"from": u, "to": v} for u, v in [("m", "a"), ("a", "b"), ("a", "c")]]
+        + [{"from": u, "to": v, "relevance": 0.7} for u, v in [("b", "x"), ("c", "y")]],
+    }
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "slices", str(path), "--format", "machine")
+    assert rc == EXIT_OK and [d["members"] for d in machine_docs(out)[:2]] == [["a"], ["b", "c"]]
+    rc, out, err = run(capsys, "slices", str(path), "--lambda", "1e400", "--format", "machine")
+    assert rc == EXIT_USAGE and len(err.splitlines()) == 1
+    assert [d["members"] for d in machine_docs(out)] == [["a"]]
+
+
+@pytest.mark.parametrize(
+    "argv, text, shown",
+    [
+        (["slices", FIG, "--lambda", "1e400", "--format", "text"], None, "mean f = -5313580"),
+        (["export", FIG, "--slice", S1, "--lambda", "1e400"], None, 'label=\\"f = -40805'),
+        (["export", FIG, "--slice", S1, "--lambda", "1e400", "--format", "text"], None,
+         'label="f = -40805'),
+        (["optimize", FIG, "FILE", "--format", "text"], HUGE_LAMBDA, "f=-40805"),
+        (["optimize", FIG, "FILE", "--format", "text"], HUGE_TIME, "makespan=15.0000"),
+    ],
+    ids=["slices", "dot-machine", "dot-text", "optimize-lambda", "optimize-times"],
+)
+def test_text_renders_any_magnitude(tmp_path, capsys, argv, text, shown):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == EXIT_OK and err == ""
+    assert shown in out
+
+
 def test_parse_errors_are_short(tmp_path, capsys):
     # an id nested 300 lists deep used to be echoed in full
     doc = json.loads(fig2_text())

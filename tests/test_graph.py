@@ -31,7 +31,7 @@ from capslice.graph import (
     undirected_distance,
     validate,
 )
-from capslice.rational import brief, to_fraction
+from capslice.rational import brief, fixed, to_fraction
 import capslice.graph as graph_module
 import capslice.changesim as changesim
 from capslice.changesim import ChangeError, apply_change
@@ -198,6 +198,20 @@ def test_zero_denominator_is_value_error():
         with pytest.raises(ValueError, match="zero denominator"):
             to_fraction(text)
     assert to_fraction("2/4") == Fraction(1, 2)
+
+
+def test_fixed_sizes_its_precision():
+    assert fixed(Fraction(2, 3)) == "0.6667" and fixed(Fraction(-1, 10**5)) == "-0.0000"
+    big = 10**400 + Fraction(1, 3)
+    assert fixed(big) == "1" + "0" * 400 + ".3333"
+    assert fixed(-big, 2) == "-1" + "0" * 400 + ".33"
+    # past str()'s 4300-digit limit, and a rounding that adds a digit
+    assert fixed(Fraction(10**5000) - Fraction(1, 10**6)) == "1" + "0" * 5000 + ".0000"
+    assert fixed(Fraction(10**47) - Fraction(1, 10**5)) == "1" + "0" * 47 + ".0000"
+    # 46 integer digits and 4 places fill the 50-digit floor exactly: one
+    # rounding, where a 51-digit division would round twice and give ...3930
+    edge = Fraction(-85896677317059488466854890738840416301588940722875, 34573)
+    assert fixed(edge) == "-2484501701242573351079018041212518910756629182.3931"
 
 
 def test_parse_kinds_must_be_names():

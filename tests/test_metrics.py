@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from capslice import metrics
 from capslice.graph import GraphError, NodeKind, build_graph, entry_parents, validate
 from capslice.metrics import (
     CohesionUndefinedError,
@@ -23,6 +24,7 @@ from capslice.metrics import (
 from conftest import random_fd_graph
 from capslice.optimizer import export_capabilities
 from capslice.slicing import Slice, is_valid_slice
+from capslice.graph import weight_column_sums
 from oracles import (
     below,
     best_entry,
@@ -435,3 +437,104 @@ def test_coupling_matrix_errors(fig2):
     ):
         with pytest.raises(GraphError, match="^'x' and 'y' are not connected$"):
             call()
+
+
+def _reversed_membership(membership):
+    return dict(reversed(list(membership.items())))
+
+
+def test_coupling_matrix_matches_double_sum_pairs_and_triples():
+    # column sums per owned set against the per-pair oracle, on partial
+    # memberships of member pairs and triples, in id order and reversed
+    rng = random.Random(2020)
+    checked = {2: 0, 3: 0}
+    tries = {2: 4, 3: 12}  # a triple is refused for sharing more often
+    for _ in range(80):
+        g = random_fd_graph(rng, max_internal=10, max_directives=16)
+        funs = list(g.function_ids)
+        for k in (2, 3):
+            if len(funs) < k:
+                continue
+            for _ in range(tries[k]):
+                members = rng.sample(funs, k)
+                try:
+                    ms = resolve_membership(g, members, complete=False)
+                except MembershipError:
+                    continue
+                if any(not owned_directives(ms, m) for m in members):
+                    continue
+                expected = {
+                    (p, q): double_sum_coupling(
+                        g, owned_directives(ms, p), owned_directives(ms, q)
+                    )
+                    for p in sorted(members)
+                    for q in sorted(members)
+                    if p != q
+                }
+                for mapping in (ms, _reversed_membership(ms)):
+                    got = coupling_matrix(g, members, mapping)
+                    assert got == expected and list(got) == list(expected)
+                checked[k] += 1
+    assert checked[2] >= 100 and checked[3] >= 80
+
+
+def two_components():
+    # a and b hang under the mission; c, with no parent, owns z1 and z2 in
+    # a second component, so validate refuses the graph
+    nodes = [("m", "mission"), ("a", "function"), ("b", "function"), ("c", "function")]
+    nodes += [(d, "directive") for d in ("x1", "x2", "y", "z1", "z2")]
+    edges = [("m", "a"), ("m", "b")]
+    edges += [(f, d, None, "critical") for f, d in
+              [("a", "x1"), ("a", "x2"), ("b", "y"), ("c", "z1"), ("c", "z2")]]
+    return build_graph(nodes, edges)
+
+
+def test_coupling_matrix_two_components():
+    g = two_components()
+    assert not validate(g).ok
+    ms = {"x1": "a", "x2": "a", "y": "b", "z1": "c", "z2": "c"}
+    # a's and b's column sums hold None at z1 and z2, which they do not own
+    for mapping in (ms, _reversed_membership(ms)):
+        got = coupling_matrix(g, ["b", "a"], mapping)
+        assert got == {
+            ("a", "b"): double_sum_coupling(g, ["x1", "x2"], ["y"]),
+            ("b", "a"): double_sum_coupling(g, ["y"], ["x1", "x2"]),
+        }
+    # the first pair in id order that is not connected is named
+    for mapping in (ms, _reversed_membership(ms)):
+        for members in (["a", "b", "c"], ["c", "b"], ["c", "a"]):
+            first = "x1" if "a" in members else "y"
+            with pytest.raises(GraphError, match=f"^'{first}' and 'z1' are not connected$"):
+                coupling_matrix(g, members, mapping)
+
+
+def test_column_sums_built_once_per_owned_set(monkeypatch):
+    from capslice.slicing import enumerate_slices, slice_objective
+
+    returned = []
+
+    def counting(graph, owned):
+        sums = weight_column_sums(graph, owned)
+        returned.append((owned, sums))
+        return sums
+
+    monkeypatch.setattr(metrics, "weight_column_sums", counting)
+    rng = random.Random(4242)
+    for _ in range(12):
+        g = random_fd_graph(rng, max_internal=12, max_directives=16)
+        slices = enumerate_slices(g, max_slices=60).slices
+        index = {d: j for j, d in enumerate(g.directive_ids)}
+        # every member but the last sums its columns; the last only reads
+        wanted = {
+            tuple(index[d] for d in slc.owned(p))
+            for slc in slices
+            for p in slc.members[:-1]
+        }
+        returned.clear()
+        first = [slice_objective(g, s) for s in slices]
+        builds = {id(sums) for _, sums in returned}
+        assert {owned for owned, _ in returned} == wanted
+        assert len(builds) == len(wanted)
+        returned.clear()
+        assert [slice_objective(g, s) for s in slices] == first
+        assert {id(sums) for _, sums in returned} <= builds

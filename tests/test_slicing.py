@@ -510,6 +510,24 @@ def test_objective_lambda(fig2):
     )
 
 
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(3, 7), Fraction(-2)])
+def test_objective_matches_fraction_formulas(fig2, lam):
+    # one Fraction per mean against the plain Fraction arithmetic
+    graphs = [fig2] + [build(random.Random(seed)) for build, seed in scoring_graphs()]
+    checked = 0
+    for g in graphs:
+        for slc in enumerate_slices(g, max_slices=40).slices:
+            m = slice_objective(g, slc, lam)
+            members = slc.members
+            mean_ch = sum((cohesion(g, p) for p in members), Fraction(0)) / len(members)
+            pairs = [m.coupling[(p, q)] for p in members for q in members if p != q]
+            mean_cp = sum(pairs, Fraction(0)) / len(pairs) if pairs else Fraction(0)
+            assert (m.mean_cohesion, m.mean_coupling) == (mean_ch, mean_cp)
+            assert m.aggregate == mean_ch - lam * mean_cp
+            checked += len(members) > 1
+    assert checked >= 100
+
+
 # -- ranking ------------------------------------------------------------------
 
 
