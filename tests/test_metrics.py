@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from capslice import metrics
-from capslice.graph import GraphError, NodeKind, build_graph, entry_parents, validate
+from capslice.graph import (
+    GraphError,
+    NodeKind,
+    build_graph,
+    entry_parents,
+    validate,
+    weight_column_sums,
+)
 from capslice.metrics import (
     CohesionUndefinedError,
     MembershipError,
@@ -23,8 +30,7 @@ from capslice.metrics import (
 )
 from conftest import random_fd_graph
 from capslice.optimizer import export_capabilities
-from capslice.slicing import Slice, is_valid_slice
-from capslice.graph import weight_column_sums
+from capslice.slicing import Slice, enumerate_slices, is_valid_slice, slice_objective
 from oracles import (
     below,
     best_entry,
@@ -509,8 +515,6 @@ def test_coupling_matrix_two_components():
 
 
 def test_column_sums_built_once_per_owned_set(monkeypatch):
-    from capslice.slicing import enumerate_slices, slice_objective
-
     returned = []
 
     def counting(graph, owned):
