@@ -1,13 +1,18 @@
 """Change scenarios: applying edits to a graph and sizing their ripple.
 
 A scenario names one edit (modify/delete/add a directive, delete a function
-subtree, insert a function).  Applying it always yields a fresh graph that
-was re-validated from scratch; the input graph is never touched.  Impact is
+subtree, insert a function); the input graph is never touched.  Impact is
 measured per slice: the edited directives seed the impact set, and any other
 directive whose coupling back to a seed reaches the threshold joins it, one
 hop only.  Deletions and modifications are measured on the graph as it was
 before the edit (that is where the rework happens); additions are measured
 on the changed graph, where the new directive exists.
+
+apply_change always returns a fresh graph re-validated from scratch.
+compare_slices validates its base graph once; on a valid base it builds
+only the changed graphs it measures, validates none of them, and derives
+each slice's membership on them from the slice's own (see _apply for the
+conditions), because what it skips follows from the edit.
 """
 
 from __future__ import annotations
@@ -123,6 +128,26 @@ def _strip(nodes, edges, relevance, removed: set[str]):
     return nodes, edges, relevance
 
 
+def _at_or_above(graph: FDGraph, node_id: str) -> set[str]:
+    """node_id and every node it lies under."""
+    found = {node_id}
+    stack = [node_id]
+    while stack:
+        for p in graph.parents(stack.pop()):
+            if p not in found:
+                found.add(p)
+                stack.append(p)
+    return found
+
+
+def _resolved(changed: FDGraph, slc: Slice) -> Mapping[str, str]:
+    return resolve_membership(changed, slc.members)
+
+
+def _kept(changed: FDGraph, slc: Slice) -> Mapping[str, str]:
+    return slc.membership
+
+
 def _require(graph: FDGraph, target: str, kind: NodeKind, role: str) -> Node:
     if not graph.has_node(target):
         raise ChangeError(f"unknown {role} {target!r}")
@@ -164,12 +189,45 @@ def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> 
     return (new_id, label, *rest)
 
 
-def _apply(graph: FDGraph, scenario: ChangeScenario):
-    """Return (changed graph, seed directives, evaluate_on_changed)."""
+def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
+    """Return (changed graph, seed directives, evaluate_on_changed, owners).
+
+    owners(changed, slc) is a slice's membership on the changed graph, read
+    for the additions, the scenarios measured there.  By default the changed
+    graph is rebuilt and re-validated from scratch, and owners resolves
+    membership on it from scratch.  A caller that has validated the base
+    passes base_valid=True; then three exact shortcuts apply:
+
+    1. modify_directive builds no changed graph (it is None): it changes
+       labels and relevances, each new relevance checked in (0, 1].  Nor do
+       the deletions, while the mission keeps a child outside the removed
+       set.  The rebuild states no edge kinds, the strip drops the relevance
+       of every removed edge, and the removed set holds every node the
+       mission no longer reaches and every function left childless, so a
+       childless mission is the one violation a deletion can make.  When
+       the mission would be left childless, the rebuild runs and reports it.
+    2. add_directive and add_function build the changed graph without
+       validating it: the new node hangs off a current mission or function
+       and is a new leaf or has children, relevances are range-checked, and
+       adopted children are current children of the target that keep their
+       relevance under the new function.
+    3. owners resolves nothing for add_function: each adopted child keeps
+       its relevance, and the new function lies under a member exactly when
+       the target is, so ownership is the slice's own.  For add_directive,
+       the members covering the new leaf are those at or above the target.
+       With exactly one, it owns the leaf and every other directive keeps
+       its owner.  With none, owners resolves from scratch and raises that
+       the leaf is uncovered; two cannot occur in a valid slice, as they
+       would share the target's entry into its directives.
+
+    Slices given to owners must be valid slices of graph.
+    """
     payload = scenario.payload
     nodes, edges, relevance = parts(graph)
     kind = scenario.kind
     target = scenario.target
+    certified = base_valid
+    owners = _resolved
 
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
@@ -225,6 +283,9 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
                 break
             removed.update(newly)
         seed = frozenset(nid for nid in removed if graph.node(nid).kind is NodeKind.DIRECTIVE)
+        if certified:
+            (mission,) = graph.mission_ids
+            certified = any(c not in removed for c in graph.children(mission))
         nodes, edges, relevance = _strip(nodes, edges, relevance, removed)
 
     elif kind is ScenarioKind.ADD_DIRECTIVE:
@@ -235,6 +296,14 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         edges.add((target, new_id))
         relevance[(new_id, target)] = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
+        if certified:
+            above = _at_or_above(graph, target)
+
+            def owners(changed: FDGraph, slc: Slice) -> Mapping[str, str]:
+                covering = above.intersection(slc.members)
+                if len(covering) != 1:
+                    return _resolved(changed, slc)
+                return {**slc.membership, new_id: covering.pop()}
 
     elif kind is ScenarioKind.ADD_FUNCTION:
         new_id, label, adopted = _new_node(graph, target, payload, NodeKind.FUNCTION, children=None)
@@ -257,17 +326,24 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         seed = frozenset(
             c for c in adopted if graph.node(c).kind is NodeKind.DIRECTIVE
         )
+        if certified:
+            owners = _kept
 
     else:
         raise ChangeError(f"unsupported scenario kind {kind!r}")
     on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
-    return _rebuild(nodes, edges, relevance), seed, on_changed
+    if not certified:
+        changed = _rebuild(nodes, edges, relevance)
+    elif on_changed:
+        changed = FDGraph(nodes, dict.fromkeys(edges), relevance)
+    else:
+        changed = None
+    return changed, seed, on_changed, owners
 
 
 def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:
     """Apply one scenario; the result is always a freshly validated graph."""
-    new, _, _ = _apply(graph, scenario)
-    return new
+    return _apply(graph, scenario)[0]
 
 
 # -- impact ---------------------------------------------------------------------
@@ -304,18 +380,17 @@ def impact_set(
     whose coupling onto a seed reaches the threshold is pulled in, without
     chaining further.
     """
-    thr = _check_threshold(threshold)
-    return _impact(graph, slc, scenario, _apply(graph, scenario), thr)
+    return compare_slices(graph, (slc,), (scenario,), threshold).reports[0][0]
 
 
 def _impact(
     graph: FDGraph, slc: Slice, scenario: ChangeScenario, applied, thr: Fraction
 ) -> ImpactReport:
-    # applied is _apply(graph, scenario), shared by every slice it is measured on
-    changed, seed, on_changed = applied
+    # applied is _apply(graph, scenario, ...), shared by every slice it is measured on
+    changed, seed, on_changed, owners = applied
     if on_changed:
         eval_graph = changed
-        membership = resolve_membership(changed, slc.members)
+        membership = owners(changed, slc)
     else:
         eval_graph = graph
         membership = slc.membership
@@ -363,22 +438,27 @@ def compare_slices(
     scenarios: Iterable[ChangeScenario],
     threshold=DEFAULT_THRESHOLD,
 ) -> Comparison:
-    """Impact matrix of every scenario against every slice."""
+    """Impact matrix of every scenario against every slice.
+
+    Each slice must be a valid slice of graph, as make_slice and the
+    enumeration give them.
+    """
     slices = tuple(slices)
     scenarios = tuple(scenarios)
     if not slices:
         raise ValueError("need at least one slice to compare")
     thr = _check_threshold(threshold)
+    base_valid = validate(graph).ok
     # Each scenario is applied once, on the first slice's row: cells are
     # measured in (slice, scenario) order, so the first error is the one a
-    # per-cell impact_set would raise.
+    # cell-by-cell run would raise.
     applied: dict[int, tuple] = {}
     rows = []
     for s in slices:
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:
-                applied[j] = _apply(graph, sc)
+                applied[j] = _apply(graph, sc, base_valid)
             row.append(_impact(graph, s, sc, applied[j], thr))
         rows.append(tuple(row))
     reports = tuple(rows)

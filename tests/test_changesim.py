@@ -745,6 +745,89 @@ def test_compare_slices_first_error_is_row_major(fig2, s1, s2):
         compare_slices(fig2, [s2, s1], [uncoverable, ghost])
 
 
+def _every_edit(rng, g):
+    # both deletions at every function and directive, a modification of every
+    # directive, and both additions at every function and at the mission,
+    # which random_scenario never targets
+    for target in g.function_ids + g.directive_ids:
+        yield scenario("delete_directive", target)
+        yield scenario("delete_function_subtree", target)
+    for d in g.directive_ids:
+        value = rng.choice(RELEVANCE_PALETTE)
+        yield scenario("modify_directive", d, {"relevance": {p: value for p in g.parents(d)}})
+    for f in g.mission_ids + g.function_ids:
+        kids = list(g.children(f))
+        adopted = rng.sample(kids, rng.randint(1, len(kids))) if kids else []
+        yield scenario("add_directive", f, {"id": "zz_d", "relevance": rng.choice(RELEVANCE_PALETTE)})
+        yield scenario("add_function", f, {"id": "zz_f", "children": adopted})
+
+
+def _owned(fn, *args):
+    try:
+        return dict(fn(*args))
+    except MembershipError as exc:
+        return type(exc), str(exc)
+
+
+def test_shortcuts_on_a_valid_base_are_exact():
+    # on the graphs tests/test_golden_lib.py records, the trusted _apply
+    # refuses exactly what the full path refuses; where it builds nothing the
+    # full path rebuilt a valid graph, where it builds without validating it
+    # builds the graph the full path validated, and the membership it derives
+    # there is resolve_membership's, errors included
+    rng = random.Random(2121)
+    seen = dict.fromkeys(["refused", "unbuilt", "unvalidated", "derived", "uncovered"], 0)
+    for seed in range(100):
+        g = random_fd_graph(random.Random(seed), max_internal=12, max_directives=20)
+        assert validate(g).ok
+        slices = enumerate_slices(g, max_slices=200).slices
+        chosen = rng.sample(slices, min(6, len(slices)))
+        for sc in _every_edit(rng, g):
+            try:
+                full = _apply(g, sc)
+            except ChangeError as exc:
+                with pytest.raises(ChangeError) as err:
+                    _apply(g, sc, base_valid=True)
+                assert str(err.value) == str(exc)
+                seen["refused"] += 1
+                continue
+            changed, seed_set, on_changed, owners = _apply(g, sc, base_valid=True)
+            assert (seed_set, on_changed) == full[1:3]
+            if not on_changed:
+                assert changed is None
+                seen["unbuilt"] += 1
+                continue
+            assert changed == full[0]
+            seen["unvalidated"] += 1
+            for slc in chosen:
+                got = _owned(owners, changed, slc)
+                assert got == _owned(resolve_membership, full[0], slc.members), (sc, slc)
+                seen["uncovered" if isinstance(got, tuple) else "derived"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_compare_slices_does_not_trust_an_invalid_base():
+    # every edit of a base that fails validation takes the full path, so an
+    # edit apply_change refuses is refused by compare_slices too
+    rng = random.Random(2122)
+    refused = 0
+    for _ in range(60):
+        bad = _dropped_edges(rng, random_fd_graph(rng, max_internal=8, max_directives=10))
+        slices = enumerate_slices(bad, max_slices=50).slices
+        if validate(bad).ok or not slices:
+            continue
+        chosen = rng.sample(slices, min(2, len(slices)))
+        for sc in _every_edit(rng, bad):
+            try:
+                apply_change(bad, sc)
+            except ChangeError as exc:
+                with pytest.raises(ChangeError) as err:
+                    compare_slices(bad, chosen, [sc])
+                assert str(err.value) == str(exc)
+                refused += 1
+    assert refused >= 300
+
+
 def test_impact_not_connected_error():
     # a validated edit never leaves a directive out of reach, so hand the
     # kernel a base graph with a second component directly
@@ -755,7 +838,7 @@ def test_impact_not_connected_error():
     )
     slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
     sc = scenario("modify_directive", "a", {"label": "x"})
-    applied = (g, frozenset({"a"}), False)
+    applied = (g, frozenset({"a"}), False, None)
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
         _impact(g, slc, sc, applied, Fraction(1, 8))
 

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from capslice.cli import EXIT_USAGE, main  # noqa: E402
 from capslice.fixtures import fig2_text  # noqa: E402
@@ -131,8 +131,18 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def config_example(config):
+    """The config on the unedited graph, whatever the derandomized draw reaches."""
+    return example(command=["optimize", "FIG2", "CONFIG"], edits=[], scenario_list=[], config=config)
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(command=commands, edits=graph_edits, scenario_list=scenarios, config=configs)
+# a zero denominator exits 2; a value too large for a double stops machine output
+@config_example({"lambda": "1/0"})
+@config_example({"lambda": "1e400"})
+@config_example({"lambda": 1, "times": {"n_1": "1/0"}})
+@config_example({"lambda": 1, "times": {"n_1": "1e400"}})
 def test_cli_never_raises_on_mutated_input(workdir, command, edits, scenario_list, config):
     files = {
         "GRAPH": mutated_graph(edits),
