@@ -9,10 +9,10 @@ before the edit (that is where the rework happens); additions are measured
 on the changed graph, where the new directive exists.
 
 apply_change always returns a fresh graph re-validated from scratch.
-compare_slices validates its base graph once; on a valid base it builds
-only the changed graphs it measures, validates none of them, and derives
-each slice's membership on them from the slice's own (see _apply for the
-conditions), because what it skips follows from the edit.
+compare_slices validates its base graph once.  On a valid base it skips
+what the edit cannot change: it builds a changed graph only where cells are
+measured on it, does not re-validate it, and derives each slice's
+membership there from the slice's own (_apply gives the conditions).
 """
 
 from __future__ import annotations

@@ -758,7 +758,8 @@ def _every_edit(rng, g):
     for f in g.mission_ids + g.function_ids:
         kids = list(g.children(f))
         adopted = rng.sample(kids, rng.randint(1, len(kids))) if kids else []
-        yield scenario("add_directive", f, {"id": "zz_d", "relevance": rng.choice(RELEVANCE_PALETTE)})
+        value = rng.choice(RELEVANCE_PALETTE)
+        yield scenario("add_directive", f, {"id": "zz_d", "relevance": value})
         yield scenario("add_function", f, {"id": "zz_f", "children": adopted})
 
 

@@ -133,7 +133,8 @@ def workdir(tmp_path_factory):
 
 def config_example(config):
     """The config on the unedited graph, whatever the derandomized draw reaches."""
-    return example(command=["optimize", "FIG2", "CONFIG"], edits=[], scenario_list=[], config=config)
+    command = ["optimize", "FIG2", "CONFIG"]
+    return example(command=command, edits=[], scenario_list=[], config=config)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
