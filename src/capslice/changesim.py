@@ -9,10 +9,12 @@ before the edit (that is where the rework happens); additions are measured
 on the changed graph, where the new directive exists.
 
 apply_change always returns a fresh graph re-validated from scratch.
-compare_slices validates its base graph once.  On a valid base it skips
-what the edit cannot change: it builds a changed graph only where cells are
-measured on it, does not re-validate it, and derives each slice's
-membership there from the slice's own (_apply gives the conditions).
+compare_slices reads its base graph's validation report, which graph.validate
+computes once per graph and caches on it.  On a valid base it skips what
+the edit cannot change: it builds a changed graph only for add_function and
+does not re-validate it, reads a new directive's distances off its parent's
+on the base, and derives each slice's membership on the changed graph from
+the slice's own (_apply gives the conditions).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .graph import (
     undirected_distance,
     validate,
 )
-from .metrics import resolve_membership
+from .metrics import UncoveredDirectiveError, resolve_membership
 from .rational import brief, literal_reader, to_fraction
 from .slicing import Slice
 
@@ -119,7 +121,8 @@ def _rebuild(nodes, edges, relevance) -> FDGraph:
     return g
 
 
-def _strip(nodes, edges, relevance, removed: set[str]):
+def _strip(graph: FDGraph, removed: set[str]):
+    nodes, edges, relevance = parts(graph)
     nodes = {i: n for i, n in nodes.items() if i not in removed}
     edges = {(u, v) for (u, v) in edges if u not in removed and v not in removed}
     relevance = {
@@ -190,50 +193,63 @@ def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> 
 
 
 def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
-    """Return (changed graph, seed directives, evaluate_on_changed, owners).
+    """Return (changed, seed, on_changed, owners, sources).
 
-    owners(changed, slc) is a slice's membership on the changed graph, read
-    for the additions, the scenarios measured there.  By default the changed
-    graph is rebuilt and re-validated from scratch, and owners resolves
-    membership on it from scratch.  A caller that has validated the base
-    passes base_valid=True; then three exact shortcuts apply:
+    changed is the changed graph, or None where none is built.  Cells are
+    measured on the changed graph for the additions (on_changed) and on
+    graph otherwise.  owners(changed, slc) is a slice's membership on the
+    graph its cells are measured on.  sources[s] = (g, u, k) says where the
+    hop counts from seed s are read: to each directive of g other than s,
+    the count is k + directive_hops(g, u) at that directive.
 
-    1. modify_directive builds no changed graph (it is None): it changes
-       labels and relevances, each new relevance checked in (0, 1].  Nor do
-       the deletions, while the mission keeps a child outside the removed
-       set.  The rebuild states no edge kinds, the strip drops the relevance
-       of every removed edge, and the removed set holds every node the
-       mission no longer reaches and every function left childless, so a
-       childless mission is the one violation a deletion can make.  When
-       the mission would be left childless, the rebuild runs and reports it.
-    2. add_directive and add_function build the changed graph without
-       validating it: the new node hangs off a current mission or function
-       and is a new leaf or has children, relevances are range-checked, and
-       adopted children are current children of the target that keep their
-       relevance under the new function.
-    3. owners resolves nothing for add_function: each adopted child keeps
-       its relevance, and the new function lies under a member exactly when
-       the target is, so ownership is the slice's own.  For add_directive,
-       the members covering the new leaf are those at or above the target.
-       With exactly one, it owns the leaf and every other directive keeps
-       its owner.  With none, owners resolves from scratch and raises that
-       the leaf is uncovered; two cannot occur in a valid slice, as they
+    By default the changed graph is rebuilt and re-validated from scratch,
+    owners resolves membership on it from scratch, and each seed reads its
+    own row on the graph cells are measured on, (g, s, 0).  A caller that
+    has validated the base passes base_valid=True; then four exact
+    shortcuts apply:
+
+    1. modify_directive builds no changed graph: it changes labels and
+       relevances, each new relevance checked in (0, 1].  Nor do the
+       deletions, while the mission keeps a child outside the removed set;
+       they do not even copy the parts.  The rebuild states no edge kinds,
+       the strip drops the relevance of every removed edge, and the removed
+       set holds every node the mission no longer reaches and every function
+       left childless, so a childless mission is the one violation a
+       deletion can make.  When the mission would be left childless, the
+       rebuild runs and reports it.
+    2. add_directive builds no changed graph either.  The new leaf's one
+       neighbour is the target, and a leaf shortens no path between other
+       nodes, so its hop count to every other directive is 1 + the
+       target's on graph: its source is (graph, target, 1).  The members
+       covering the leaf are those at or above the target.  With exactly
+       one, it owns the leaf and every other directive keeps its owner.
+       With none, owners raises that the leaf is uncovered, as
+       resolve_membership would; two cannot occur in a valid slice, as they
        would share the target's entry into its directives.
+    3. add_function builds the changed graph without validating it: the new
+       function hangs off a current mission or function, has children, and
+       adopts current children of the target, which keep their relevance
+       under it.
+    4. owners resolves nothing for add_function: each adopted child keeps
+       its relevance, and the new function lies under a member exactly when
+       the target is, so ownership is the slice's own.
 
     Slices given to owners must be valid slices of graph.
     """
     payload = scenario.payload
-    nodes, edges, relevance = parts(graph)
     kind = scenario.kind
     target = scenario.target
     certified = base_valid
-    owners = _resolved
+    on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
+    owners = _resolved if on_changed else _kept
+    sources = None
 
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
         label, rel = _take(payload, label=None, relevance=None)
         if label is None and rel in (None, {}):
             raise ChangeError("modification must change a label or a relevance")
+        nodes, edges, relevance = parts(graph)
         if label is not None:
             if not isinstance(label, str):
                 raise ChangeError("label must be a string")
@@ -286,24 +302,31 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
         if certified:
             (mission,) = graph.mission_ids
             certified = any(c not in removed for c in graph.children(mission))
-        nodes, edges, relevance = _strip(nodes, edges, relevance, removed)
+        if not certified:
+            nodes, edges, relevance = _strip(graph, removed)
 
     elif kind is ScenarioKind.ADD_DIRECTIVE:
         new_id, label, rel = _new_node(graph, target, payload, NodeKind.DIRECTIVE, relevance=None)
         if rel is None:
             raise ChangeError("a new directive needs a relevance")
-        nodes[new_id] = Node(new_id, NodeKind.DIRECTIVE, label)
-        edges.add((target, new_id))
-        relevance[(new_id, target)] = _relevance(rel, target, new_id)
+        value = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
         if certified:
             above = _at_or_above(graph, target)
+            sources = {new_id: (graph, target, 1)}
 
-            def owners(changed: FDGraph, slc: Slice) -> Mapping[str, str]:
+            def owners(changed: None, slc: Slice) -> Mapping[str, str]:
                 covering = above.intersection(slc.members)
-                if len(covering) != 1:
-                    return _resolved(changed, slc)
-                return {**slc.membership, new_id: covering.pop()}
+                if not covering:
+                    raise UncoveredDirectiveError((new_id,))
+                (owner,) = covering
+                return {**slc.membership, new_id: owner}
+
+        else:
+            nodes, edges, relevance = parts(graph)
+            nodes[new_id] = Node(new_id, NodeKind.DIRECTIVE, label)
+            edges.add((target, new_id))
+            relevance[(new_id, target)] = value
 
     elif kind is ScenarioKind.ADD_FUNCTION:
         new_id, label, adopted = _new_node(graph, target, payload, NodeKind.FUNCTION, children=None)
@@ -316,6 +339,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
         for c in adopted:
             if c not in current:
                 raise ChangeError(f"{c!r} is not a child of {target!r}")
+        nodes, edges, relevance = parts(graph)
         nodes[new_id] = Node(new_id, NodeKind.FUNCTION, label)
         edges.add((target, new_id))
         for c in adopted:
@@ -331,14 +355,16 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
 
     else:
         raise ChangeError(f"unsupported scenario kind {kind!r}")
-    on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
     if not certified:
         changed = _rebuild(nodes, edges, relevance)
-    elif on_changed:
+    elif kind is ScenarioKind.ADD_FUNCTION:
         changed = FDGraph(nodes, dict.fromkeys(edges), relevance)
     else:
         changed = None
-    return changed, seed, on_changed, owners
+    if sources is None:
+        measured = changed if on_changed else graph
+        sources = {s: (measured, s, 0) for s in seed}
+    return changed, seed, on_changed, owners, sources
 
 
 def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:
@@ -383,32 +409,26 @@ def impact_set(
     return compare_slices(graph, (slc,), (scenario,), threshold).reports[0][0]
 
 
-def _impact(
-    graph: FDGraph, slc: Slice, scenario: ChangeScenario, applied, thr: Fraction
-) -> ImpactReport:
+def _impact(slc: Slice, scenario: ChangeScenario, applied, thr: Fraction) -> ImpactReport:
     # applied is _apply(graph, scenario, ...), shared by every slice it is measured on
-    changed, seed, on_changed, owners = applied
-    if on_changed:
-        eval_graph = changed
-        membership = owners(changed, slc)
-    else:
-        eval_graph = graph
-        membership = slc.membership
+    changed, seed, on_changed, owners, sources = applied
+    membership = owners(changed, slc)
 
     # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
     # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers
     affected = set(seed)
-    far = eval_graph.n_nodes  # directive_hops' mark for not connected
     for s in sorted(seed):
         owner = membership[s]
         owner_size = sum(1 for o in membership.values() if o == owner)
-        reach = thr.denominator // (owner_size * thr.numerator)
-        for d, dist in zip(eval_graph.directive_ids, directive_hops(eval_graph, s)):
+        g, u, k = sources[s]
+        reach = thr.denominator // (owner_size * thr.numerator) - k
+        far = g.n_nodes  # directive_hops' mark for not connected
+        for d, hops in zip(g.directive_ids, directive_hops(g, u)):
             if d in affected:
                 continue
-            if dist == far:
-                undirected_distance(eval_graph, d, s)  # raises: not connected
-            if dist <= reach:
+            if hops == far:
+                undirected_distance(g, d, u)  # raises: not connected
+            if hops <= reach:
                 affected.add(d)
     capabilities = frozenset(membership[d] for d in affected)
     return ImpactReport(
@@ -459,7 +479,7 @@ def compare_slices(
         for j, sc in enumerate(scenarios):
             if j not in applied:
                 applied[j] = _apply(graph, sc, base_valid)
-            row.append(_impact(graph, s, sc, applied[j], thr))
+            row.append(_impact(s, sc, applied[j], thr))
         rows.append(tuple(row))
     reports = tuple(rows)
     totals = tuple(sum(r.impact_count for r in row) for row in reports)

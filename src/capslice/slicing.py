@@ -100,6 +100,7 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
         raise ValueError("candidate slice is empty")
 
     violations: list[Violation] = []
+    directive_members = []
     for m in members:
         kind = graph.node(m).kind
         if kind is NodeKind.MISSION:
@@ -107,15 +108,31 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
                 Violation("MISSION_MEMBER", m, "the mission root cannot be a capability")
             )
         elif kind is NodeKind.DIRECTIVE:
+            directive_members.append(m)
             violations.append(
                 Violation("DIRECTIVE_MEMBER", m, "a directive cannot be a capability")
             )
 
+    # b lies under a only if a reaches every directive b reaches, so a is
+    # walked only for a pair whose directive sets nest, and at most once.  A
+    # directive's entry_parents name only itself, but one given children (a
+    # graph validate refuses) lies above them: as the upper node of a pair it
+    # stands for every directive.
+    reached = {m: entry_parents(graph, m).keys() for m in members}
+    upper = {**reached, **dict.fromkeys(directive_members, frozenset(graph.directive_ids))}
+    walked: dict[str, frozenset[str]] = {}
+
+    def below(a: str) -> frozenset[str]:
+        if a not in walked:
+            walked[a] = descendants(graph, a)
+        return walked[a]
+
     ancestor_pairs = False
-    below = [(m, descendants(graph, m)) for m in members]
-    for i, (a, under_a) in enumerate(below):
-        for b, under_b in below[i + 1 :]:
-            if b in under_a or a in under_b:
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if (reached[b] <= upper[a] and b in below(a)) or (
+                reached[a] <= upper[b] and a in below(b)
+            ):
                 ancestor_pairs = True
                 violations.append(
                     Violation(

@@ -257,7 +257,7 @@ def directive_coupling(graph, u: str, v: str, owner_of_v) -> Fraction:
 def impact_by_coupling(graph, slc, scenario, threshold: Fraction) -> ImpactReport:
     """One (slice, scenario) cell: the scenario applied afresh, and one
     Fraction coupling compared with the threshold per (seed, directive)."""
-    changed, seed, on_changed, _ = _apply(graph, scenario)
+    changed, seed, on_changed = _apply(graph, scenario)[:3]
     eval_graph = changed if on_changed else graph
     membership = (
         resolve_membership(changed, slc.members) if on_changed else dict(slc.membership)

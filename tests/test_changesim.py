@@ -12,16 +12,22 @@ from capslice.changesim import (
     ScenarioParseError,
     _apply,
     _impact,
+    _kept,
     apply_change,
     compare_slices,
     impact_set,
     parse_scenarios,
 )
+import capslice.graph as graph_module
+from capslice.cli import main
+from capslice.fixtures import fig2_path
 from capslice.graph import (
     EdgeKind,
     FDGraph,
     GraphError,
+    ValidationReport,
     build_graph,
+    directive_hops,
     parse_graph,
     parts,
     serialize_graph,
@@ -770,14 +776,29 @@ def _owned(fn, *args):
         return type(exc), str(exc)
 
 
+def _row_from(sources, s):
+    # the directive ids of the graph a cell is measured on, and seed s's hop
+    # row there, as sources[s] = (g, u, k) gives them: a seed that is not in
+    # g is the one new directive, at hop count 0 from itself
+    g, u, k = sources[s]
+    row = [k + h for h in directive_hops(g, u)]
+    ids = sorted(set(g.directive_ids) | {s})
+    if s not in g.directive_ids:
+        row.insert(ids.index(s), 0)
+    return tuple(ids), row
+
+
 def test_shortcuts_on_a_valid_base_are_exact():
     # on the graphs tests/test_golden_lib.py records, the trusted _apply
     # refuses exactly what the full path refuses; where it builds nothing the
     # full path rebuilt a valid graph, where it builds without validating it
-    # builds the graph the full path validated, and the membership it derives
-    # there is resolve_membership's, errors included
+    # builds the graph the full path validated, the hop rows it names are
+    # those of the rebuilt graph, and the membership it derives there is
+    # resolve_membership's, errors included
     rng = random.Random(2121)
-    seen = dict.fromkeys(["refused", "unbuilt", "unvalidated", "derived", "uncovered"], 0)
+    seen = dict.fromkeys(
+        ["refused", "unbuilt", "unvalidated", "rows", "derived", "uncovered"], 0
+    )
     for seed in range(100):
         g = random_fd_graph(random.Random(seed), max_internal=12, max_directives=20)
         assert validate(g).ok
@@ -792,19 +813,53 @@ def test_shortcuts_on_a_valid_base_are_exact():
                 assert str(err.value) == str(exc)
                 seen["refused"] += 1
                 continue
-            changed, seed_set, on_changed, owners = _apply(g, sc, base_valid=True)
+            changed, seed_set, on_changed, owners, sources = _apply(g, sc, base_valid=True)
             assert (seed_set, on_changed) == full[1:3]
-            if not on_changed:
-                assert changed is None
+            if changed is None:
+                assert sc.kind is not ScenarioKind.ADD_FUNCTION
                 seen["unbuilt"] += 1
+            else:
+                assert changed == full[0]
+                seen["unvalidated"] += 1
+            if not on_changed:
+                assert sources == {s: (g, s, 0) for s in seed_set}
                 continue
-            assert changed == full[0]
-            seen["unvalidated"] += 1
+            for s in seed_set:
+                assert _row_from(sources, s) == (
+                    full[0].directive_ids,
+                    directive_hops(full[0], s),
+                ), (sc, s)
+                seen["rows"] += 1
             for slc in chosen:
                 got = _owned(owners, changed, slc)
                 assert got == _owned(resolve_membership, full[0], slc.members), (sc, slc)
                 seen["uncovered" if isinstance(got, tuple) else "derived"] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def test_simulate_validates_its_graph_once(monkeypatch, tmp_path, capsys):
+    # the CLI validates the graph on load and compare_slices reads the same
+    # cached report; no changed graph is validated on a valid base
+    computed = []
+
+    def counting(ok, violations):
+        computed.append(ok)
+        return ValidationReport(ok, violations)
+
+    monkeypatch.setattr(graph_module, "ValidationReport", counting)
+    scenarios = [
+        {"kind": "modify_directive", "target": "d_9", "payload": {"relevance": 0.1}},
+        {"kind": "delete_directive", "target": "d_10"},
+        {"kind": "delete_function_subtree", "target": "n_8"},
+        {"kind": "add_directive", "target": "n_3", "payload": {"id": "d_15", "relevance": 1}},
+        {"kind": "add_function", "target": "n_7", "payload": {"id": "n_10", "children": ["d_6"]}},
+    ]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(scenarios))
+    argv = ["simulate", str(fig2_path()), str(path), "--slice", "n_1,n_3,n_7"]
+    assert main(argv + ["--slice", "n_2,n_3,n_5", "--format", "machine"]) == 0
+    assert computed == [True]
+    assert '"evaluated_on":"changed"' in capsys.readouterr().out.replace(" ", "")
 
 
 def test_compare_slices_does_not_trust_an_invalid_base():
@@ -839,9 +894,9 @@ def test_impact_not_connected_error():
     )
     slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
     sc = scenario("modify_directive", "a", {"label": "x"})
-    applied = (g, frozenset({"a"}), False, None)
+    applied = (None, frozenset({"a"}), False, _kept, {"a": (g, "a", 0)})
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
-        _impact(g, slc, sc, applied, Fraction(1, 8))
+        _impact(slc, sc, applied, Fraction(1, 8))
 
 
 def test_compare_slices_checks_threshold_once(fig2, s1):

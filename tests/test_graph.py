@@ -35,7 +35,7 @@ from capslice.rational import brief, fixed, to_fraction
 import capslice.graph as graph_module
 import capslice.changesim as changesim
 from capslice.changesim import ChangeError, apply_change
-from capslice.fixtures import load_fig2
+from capslice.fixtures import fig2_text, load_fig2
 from conftest import random_fd_graph, random_scenario
 from oracles import (
     below,
@@ -246,6 +246,41 @@ def test_oversized_relevance_is_named():
 def test_parse_unknown_category():
     with pytest.raises(GraphParseError, match="^edge entry 1: unknown impact category 'dire'$"):
         parse_graph(json.dumps(_tiny({"relevance": "dire"})))
+
+
+def test_parse_kind_names_in_any_case(fig2):
+    # kind names are looked up as written, then case-folded
+    doc = json.loads(fig2_text())
+    for item in doc["nodes"]:
+        item["kind"] = {"mission": "Mission", "function": "Function"}.get(
+            item["kind"], "DIRECTIVE"
+        )
+    for item in doc["edges"]:
+        if fig2.edge_kind(item["from"], item["to"]) is EdgeKind.REFINEMENT:
+            item["kind"] = "Refinement"
+    assert {item["kind"] for item in doc["nodes"]} == {"Mission", "Function", "DIRECTIVE"}
+    assert any(item.get("kind") == "Refinement" for item in doc["edges"])
+    mixed = parse_graph(json.dumps(doc))
+    lowered = json.loads(json.dumps(doc).replace('"Refinement"', '"refinement"'))
+    for item in lowered["nodes"]:
+        item["kind"] = item["kind"].lower()
+    assert mixed == parse_graph(json.dumps(lowered)) == fig2
+    assert validate(mixed).ok
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (1.5, "relevance 3/2 on 'f' -> 'd' outside (0, 1]"),
+        (0, "relevance 0 on 'f' -> 'd' outside (0, 1]"),
+        (True, "bad relevance value True: boolean is not a numeric value"),
+        ("dire", "unknown impact category 'dire'"),
+    ],
+)
+def test_parse_relevance_messages(raw, message):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(json.dumps(_tiny({"relevance": raw})))
+    assert str(err.value) == f"edge entry 1: {message}"
 
 
 def test_coerce_relevance():
@@ -467,6 +502,23 @@ def _broken_parts(rng, graph):
             kinds[("zz_r", d)] = None
             relevance[(d, "zz_r")] = Fraction(1, 2)
     return (nodes, kinds, relevance), defects
+
+
+def test_validate_computes_each_report_once(fig2):
+    assert validate(fig2) is validate(fig2)
+    # a graph built from another's edited parts computes its own report
+    nodes, edges, relevance = parts(fig2)
+    edges.discard(("n_7", "d_9"))
+    relevance[("d_1", "n_7")] = Fraction(1, 2)
+    broken = FDGraph(nodes, dict.fromkeys(edges), relevance)
+    report = validate(broken)
+    assert [(v.code, v.subject) for v in report.violations] == [
+        ("UNREACHABLE", "d_9"),
+        ("RELEVANCE_EXTRA", "n_7->d_1"),
+        ("RELEVANCE_EXTRA", "n_7->d_9"),
+    ]
+    assert report == validate_reference(broken) and validate(broken) is report
+    assert validate(fig2).ok
 
 
 def test_validate_matches_reference(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from capslice import slicing
-from capslice.graph import Node, NodeKind, UnknownNodeError, build_graph, parts, validate
+from capslice.graph import FDGraph, Node, NodeKind, UnknownNodeError, build_graph, parts, validate
 from capslice.metrics import cohesion, coupling_matrix, resolve_membership
 from capslice.optimizer import schedule_slice
 from capslice.rational import exact_sum
@@ -23,6 +23,7 @@ from capslice.slicing import (
 )
 from conftest import random_fd_graph
 from oracles import (
+    below,
     bfs_distance,
     cohesion_recursive,
     double_sum_coupling,
@@ -141,6 +142,53 @@ def test_ancestor_pair(fig2):
     assert codes == ["ANCESTOR_PAIR", "ANCESTOR_PAIR", "UNCOVERED"]
     subjects = {v.subject for v in check.violations if v.code == "ANCESTOR_PAIR"}
     assert subjects == {"n_1,n_5", "n_1,n_6"}
+
+
+def _ancestor_pairs(check):
+    return [v.subject for v in check.violations if v.code == "ANCESTOR_PAIR"]
+
+
+def test_ancestor_pair_on_unvalidated_graphs():
+    # b and c have no directive below them: an empty directive set nests in
+    # any other, so those pairs are walked; the directive e has a child
+    g = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"), ("c", "function"),
+         ("d", "directive"), ("e", "directive"), ("f", "function"), ("x", "directive")],
+        [("m", "a"), ("a", "b"), ("b", "c"), ("a", "d", None, 1), ("m", "e"), ("e", "f"),
+         ("f", "x", None, 1)],
+    )
+    assert not validate(g).ok
+    assert _ancestor_pairs(is_valid_slice(g, ["a", "b", "c"])) == ["a,b", "a,c", "b,c"]
+    assert _ancestor_pairs(is_valid_slice(g, ["e", "f", "a"])) == ["e,f"]
+    assert _ancestor_pairs(is_valid_slice(g, ["b", "d", "f"])) == []
+
+
+def test_ancestor_pairs_match_a_plain_walk():
+    # every pair of members checked by walking both, on valid graphs and on
+    # graphs given random extra edges (cycles, directives with children)
+    rng = random.Random(1818)
+    found = 0
+    for _ in range(60):
+        g = random_fd_graph(rng, max_internal=8, max_directives=10)
+        nodes, edges, relevance = parts(g)
+        ids = list(g.node_ids)
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(ids, 2)
+            edges.add((u, v))
+            if v in g.directive_ids:
+                relevance[(v, u)] = Fraction(1, 2)
+        g = FDGraph(nodes, dict.fromkeys(edges), relevance)
+        for _ in range(10):
+            members = sorted(rng.sample(ids, rng.randint(2, 5)))
+            expected = [
+                f"{a},{b}"
+                for i, a in enumerate(members)
+                for b in members[i + 1 :]
+                if b in below(g, a) or a in below(g, b)
+            ]
+            assert _ancestor_pairs(is_valid_slice(g, members)) == expected, members
+            found += len(expected)
+    assert found >= 300
 
 
 def test_uncovered(fig2):
