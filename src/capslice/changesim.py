@@ -37,7 +37,7 @@ from .graph import (
     undirected_distance,
     validate,
 )
-from .metrics import UncoveredDirectiveError, resolve_membership
+from .metrics import UncoveredDirectiveError, UnresolvableSharingError, resolve_membership
 from .rational import brief, literal_reader, to_fraction
 from .slicing import Slice
 
@@ -225,7 +225,8 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
        one, it owns the leaf and every other directive keeps its owner.
        With none, owners raises that the leaf is uncovered, as
        resolve_membership would; two cannot occur in a valid slice, as they
-       would share the target's entry into its directives.
+       would share the target's entry into its directives, and owners
+       raises that sharing for the leaf.
     3. add_function builds the changed graph without validating it: the new
        function hangs off a current mission or function, has children, and
        adopts current children of the target, which keep their relevance
@@ -316,11 +317,13 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
             sources = {new_id: (graph, target, 1)}
 
             def owners(changed: None, slc: Slice) -> Mapping[str, str]:
-                covering = above.intersection(slc.members)
+                covering = sorted(above.intersection(slc.members))
                 if not covering:
                     raise UncoveredDirectiveError((new_id,))
-                (owner,) = covering
-                return {**slc.membership, new_id: owner}
+                if len(covering) > 1:
+                    # not a valid slice: both members enter the leaf through target
+                    raise UnresolvableSharingError(new_id, target, (covering[0], covering[1]))
+                return {**slc.membership, new_id: covering[0]}
 
         else:
             nodes, edges, relevance = parts(graph)

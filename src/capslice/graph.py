@@ -133,18 +133,12 @@ class FDGraph:
             parents[v].append(u)
         kinds: dict[tuple[str, str], EdgeKind] = {}
         stated = []
-        # an unstated kind follows from the degrees by _expected_kind's rules,
-        # inlined because this loop runs for every edge of every build
         for e in keys:
             kind = edge_kinds[e]
-            if kind is not None:
-                stated.append(e)
-            elif len(children[e[0]]) == 1:
-                kind = EdgeKind.REFINEMENT
-            elif len(parents[e[1]]) >= 2:
-                kind = EdgeKind.INTERSECTION
+            if kind is None:
+                kind = _expected_kind(len(children[e[0]]), len(parents[e[1]]))
             else:
-                kind = EdgeKind.DECOMPOSITION
+                stated.append(e)
             kinds[e] = kind
         self._edge_kinds = kinds
         self._stated = tuple(stated)
@@ -595,8 +589,6 @@ def coerce_relevance(raw, parent: str, child: str) -> Fraction:
     raw is an impact category name or a number; anything else, and a value
     outside (0, 1], raises GraphParseError.
     """
-    if isinstance(raw, Fraction) and 0 < raw.numerator <= raw.denominator:
-        return raw  # a decimal literal as parse_graph reads it, already in range
     if isinstance(raw, str):
         try:
             value = IMPACT_RELEVANCE[raw.lower()]
@@ -612,11 +604,6 @@ def coerce_relevance(raw, parent: str, child: str) -> Fraction:
             f"relevance {brief(value)} on {brief(parent)} -> {brief(child)} outside (0, 1]"
         )
     return value
-
-
-#: Kind names as written in the input, looked up before case folding.
-_NODE_KINDS = {k.value: k for k in NodeKind}
-_EDGE_KINDS = {k.value: k for k in EdgeKind}
 
 
 def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
@@ -636,7 +623,10 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
             nid, kind = spec[0], spec[1]
             label = spec[2] if len(spec) > 2 else ""
             if isinstance(kind, str):
-                kind = _NODE_KINDS.get(kind) or _NODE_KINDS.get(kind.lower(), kind)
+                try:
+                    kind = NodeKind(kind.lower())
+                except ValueError:
+                    pass
             if not isinstance(kind, NodeKind):
                 raise GraphParseError(f"node entry {i}: unknown node kind {brief(spec[1])}")
             node = Node(nid, kind, label)
@@ -658,12 +648,13 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
         u, v = spec[0], spec[1]
         kind = spec[2] if len(spec) > 2 else None
         rel = spec[3] if len(spec) > 3 else None
-        # a non-string end (a list is not even hashable) names no node
-        if not (isinstance(u, str) and u in node_map and isinstance(v, str) and v in node_map):
-            end = v if isinstance(u, str) and u in node_map else u
-            raise GraphParseError(
-                f"edge entry {i}: {brief(u)} -> {brief(v)} references unknown node {brief(end)}"
-            )
+        for end in (u, v):
+            # a non-string end (a list is not even hashable) names no node
+            if not isinstance(end, str) or end not in node_map:
+                raise GraphParseError(
+                    f"edge entry {i}: {brief(u)} -> {brief(v)} "
+                    f"references unknown node {brief(end)}"
+                )
         if u == v:
             raise GraphParseError(f"edge entry {i}: self loop on {brief(u)}")
         if (u, v) in edge_kinds:
@@ -671,7 +662,10 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
                 f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}"
             )
         if isinstance(kind, str):
-            kind = _EDGE_KINDS.get(kind) or _EDGE_KINDS.get(kind.lower(), kind)
+            try:
+                kind = EdgeKind(kind.lower())
+            except ValueError:
+                pass
         if kind is not None and not isinstance(kind, EdgeKind):
             raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(spec[2])}")
         if rel is not None:

@@ -36,6 +36,7 @@ from capslice.graph import (
 from capslice.metrics import (
     MembershipError,
     UncoveredDirectiveError,
+    UnresolvableSharingError,
     cohesion,
     cohesion_map,
     resolve_membership,
@@ -815,8 +816,8 @@ def test_shortcuts_on_a_valid_base_are_exact():
                 continue
             changed, seed_set, on_changed, owners, sources = _apply(g, sc, base_valid=True)
             assert (seed_set, on_changed) == full[1:3]
+            assert (changed is None) == (sc.kind is not ScenarioKind.ADD_FUNCTION), sc
             if changed is None:
-                assert sc.kind is not ScenarioKind.ADD_FUNCTION
                 seen["unbuilt"] += 1
             else:
                 assert changed == full[0]
@@ -897,6 +898,22 @@ def test_impact_not_connected_error():
     applied = (None, frozenset({"a"}), False, _kept, {"a": (g, "a", 0)})
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
         _impact(slc, sc, applied, Fraction(1, 8))
+
+
+def test_add_directive_under_nested_members_is_a_sharing_error():
+    # a hand-built Slice with one member under another breaks compare_slices'
+    # precondition; an added leaf below both is entered by both through its
+    # parent, which is the sharing resolve_membership refuses
+    g = build_graph(
+        [("m", "mission"), ("f", "function"), ("g", "function"), ("a", "directive"),
+         ("b", "directive")],
+        [("m", "f"), ("f", "g"), ("g", "a", None, 1), ("f", "b", None, 1)],
+    )
+    assert validate(g).ok
+    slc = Slice(("f", "g"), {"a": "g", "b": "f"})
+    sc = scenario("add_directive", "g", {"id": "n", "relevance": 1})
+    with pytest.raises(UnresolvableSharingError, match="^members f and g both reach n through parent g$"):
+        compare_slices(g, [slc], [sc])
 
 
 def test_compare_slices_checks_threshold_once(fig2, s1):

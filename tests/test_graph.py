@@ -249,7 +249,7 @@ def test_parse_unknown_category():
 
 
 def test_parse_kind_names_in_any_case(fig2):
-    # kind names are looked up as written, then case-folded
+    # kind names are case-folded, so any case gives the same graph
     doc = json.loads(fig2_text())
     for item in doc["nodes"]:
         item["kind"] = {"mission": "Mission", "function": "Function"}.get(
