@@ -27,6 +27,7 @@ from typing import Iterable, Mapping
 
 from .graph import (
     FDGraph,
+    GraphError,
     GraphParseError,
     Node,
     NodeKind,
@@ -208,13 +209,13 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
     has validated the base passes base_valid=True; then four exact
     shortcuts apply:
 
-    1. modify_directive builds no changed graph: it changes labels and
-       relevances, each new relevance checked in (0, 1].  Nor do the
-       deletions, while the mission keeps a child outside the removed set;
-       they do not even copy the parts.  The rebuild states no edge kinds,
-       the strip drops the relevance of every removed edge, and the removed
-       set holds every node the mission no longer reaches and every function
-       left childless, so a childless mission is the one violation a
+    1. modify_directive builds no changed graph and copies no parts: it
+       changes labels and relevances, each new relevance checked in (0, 1].
+       Nor do the deletions, while the mission keeps a child outside the
+       removed set.  The rebuild states no edge kinds, the strip drops the
+       relevance of every removed edge, and the removed set holds every
+       node the mission no longer reaches and every function left
+       childless, so a childless mission is the one violation a
        deletion can make.  When the mission would be left childless, the
        rebuild runs and reports it.
     2. add_directive builds no changed graph either.  The new leaf's one
@@ -250,25 +251,28 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
         label, rel = _take(payload, label=None, relevance=None)
         if label is None and rel in (None, {}):
             raise ChangeError("modification must change a label or a relevance")
-        nodes, edges, relevance = parts(graph)
-        if label is not None:
-            if not isinstance(label, str):
-                raise ChangeError("label must be a string")
-            nodes[target] = Node(target, NodeKind.DIRECTIVE, label)
-        if rel is not None:
-            if isinstance(rel, Mapping):
-                updates = dict(rel)
-            else:
-                parents = graph.parents(target)
-                if len(parents) != 1:
-                    raise ChangeError(
-                        f"{target!r} has {len(parents)} parents, relevance must name one"
-                    )
-                updates = {parents[0]: rel}
-            for parent, value in sorted(updates.items()):
-                if (target, parent) not in relevance:
-                    raise ChangeError(f"{parent!r} is not a parent of {target!r}")
-                relevance[(target, parent)] = _relevance(value, parent, target)
+        if label is not None and not isinstance(label, str):
+            raise ChangeError("label must be a string")
+        if rel is None:
+            updates = {}
+        elif isinstance(rel, Mapping):
+            updates = dict(rel)
+        else:
+            parents = graph.parents(target)
+            if len(parents) != 1:
+                raise ChangeError(f"{target!r} has {len(parents)} parents, relevance must name one")
+            updates = {parents[0]: rel}
+        for parent, value in sorted(updates.items()):
+            try:
+                graph.relevance(target, parent)
+            except GraphError:
+                raise ChangeError(f"{parent!r} is not a parent of {target!r}") from None
+            updates[parent] = _relevance(value, parent, target)
+        if not certified:
+            nodes, edges, relevance = parts(graph)
+            if label is not None:
+                nodes[target] = Node(target, NodeKind.DIRECTIVE, label)
+            relevance.update({(target, parent): value for parent, value in updates.items()})
         seed = frozenset((target,))
 
     elif kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):

@@ -224,9 +224,9 @@ def _slice_doc(slc, metrics) -> dict:
         "f": float(metrics.aggregate),
         "mean_cohesion": float(metrics.mean_cohesion),
         "mean_coupling": float(metrics.mean_coupling),
-        "cohesion": {m: float(c) for m, c in sorted(metrics.per_node_cohesion.items())},
+        "cohesion": {m: float(c) for m, c in metrics.per_node_cohesion.items()},
         "coupling": {f"{p}->{q}": u / scale for (p, q), u in coupling.units.items()},
-        "membership": dict(sorted(slc.membership.items())),
+        "membership": dict(slc.membership),
     }
 
 

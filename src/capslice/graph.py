@@ -443,38 +443,13 @@ def find_cycle(graph: FDGraph) -> list[str] | None:
 # -- validation ----------------------------------------------------------
 
 
-def _swept(graph: FDGraph) -> bool:
-    """True when one topological sweep from the single mission takes every node.
-
-    The sweep (Kahn's algorithm) takes a node once its last parent is taken.
-    Taking every node orders all of them parents first, so the graph is
-    acyclic, and gives every other node a taken parent, so every node is
-    reachable from the mission.  A mission with parents is not swept: the
-    sweep would take it without them.
-    """
-    missions = graph.mission_ids
-    if len(missions) != 1 or graph._parents[missions[0]]:
-        return False
-    children, parents = graph._children, graph._parents
-    waiting: dict[str, int] = {}
-    stack = list(missions)
-    taken = 1
-    while stack:
-        for y in children[stack.pop()]:
-            left = waiting.get(y, len(parents[y])) - 1
-            waiting[y] = left
-            if not left:
-                taken += 1
-                stack.append(y)
-    return taken == len(graph._nodes)
-
-
 def validate(graph: FDGraph) -> ValidationReport:
     """Check every structural rule and report all violations found.
 
-    A graph never changes once built, so its report is computed on the
-    first call and cached on the graph: every later call, from any caller,
-    returns that same report.
+    find_cycle decides acyclicity, and on an acyclic graph one walk from the
+    mission decides reachability.  A graph never changes once built, so its
+    report is computed on the first call and cached on the graph: every
+    later call, from any caller, returns that same report.
     """
     if graph._validation is not None:
         return graph._validation
@@ -491,11 +466,7 @@ def validate(graph: FDGraph) -> ValidationReport:
             )
         )
 
-    # a sweep that takes every node leaves no cycle and nothing unreachable;
-    # only a graph it falls short on is searched for the cycle and the
-    # unreachable nodes it reports
-    swept = _swept(graph)
-    cycle = None if swept else find_cycle(graph)
+    cycle = find_cycle(graph)
     if cycle:
         violations.append(
             Violation("CYCLE", " -> ".join(cycle), "decomposition must be acyclic")
@@ -529,7 +500,7 @@ def validate(graph: FDGraph) -> ValidationReport:
                     Violation("NODE_DEGREE", nid, "directive node cannot have children")
                 )
 
-    if missions and not swept and not cycle:
+    if missions and not cycle:
         reachable = set(missions)
         for m in missions:
             reachable |= descendants(graph, m)

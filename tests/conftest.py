@@ -1,11 +1,18 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from capslice.changesim import ChangeScenario, ScenarioKind
 from capslice.fixtures import load_fig2
 from capslice.graph import build_graph, validate
+
+# the tests that run `python -m capslice.cli` in a subprocess find the
+# package where pytest's pythonpath setting finds it, installed or not
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # palette mixes the four category weights with a few plain decimals so ties
 # and non-category values both show up in generated graphs

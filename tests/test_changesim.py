@@ -18,6 +18,7 @@ from capslice.changesim import (
     impact_set,
     parse_scenarios,
 )
+import capslice.changesim as changesim_module
 import capslice.graph as graph_module
 from capslice.cli import main
 from capslice.fixtures import fig2_path
@@ -861,6 +862,28 @@ def test_simulate_validates_its_graph_once(monkeypatch, tmp_path, capsys):
     assert main(argv + ["--slice", "n_2,n_3,n_5", "--format", "machine"]) == 0
     assert computed == [True]
     assert '"evaluated_on":"changed"' in capsys.readouterr().out.replace(" ", "")
+
+
+def test_modify_directive_copies_no_parts_on_a_valid_base(monkeypatch, fig2, s1, s2):
+    # a modification on a valid base builds no graph, so it copies nothing
+    # to build one from; the full path still copies
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return parts(graph)
+
+    monkeypatch.setattr(changesim_module, "parts", counting)
+    scenarios = [
+        scenario("modify_directive", "d_1", {"label": "renamed"}),
+        scenario("modify_directive", "d_9", {"relevance": Fraction(7, 10)}),
+        scenario("modify_directive", "d_3", {"relevance": {"n_5": "marginal", "n_6": 0.1}}),
+    ]
+    reports = compare_slices(fig2, [s1, s2], scenarios).reports
+    assert [r.evaluated_on for row in reports for r in row] == ["base"] * 6
+    assert calls == []
+    apply_change(fig2, scenarios[0])
+    assert calls == [fig2]
 
 
 def test_compare_slices_does_not_trust_an_invalid_base():

@@ -149,8 +149,8 @@ def _ancestor_pairs(check):
 
 
 def test_ancestor_pair_on_unvalidated_graphs():
-    # b and c have no directive below them: an empty directive set nests in
-    # any other, so those pairs are walked; the directive e has a child
+    # graphs validate refuses: b and c have no directive below them, and the
+    # directive e has a child, so a directive member can lie above another
     g = build_graph(
         [("m", "mission"), ("a", "function"), ("b", "function"), ("c", "function"),
          ("d", "directive"), ("e", "directive"), ("f", "function"), ("x", "directive")],
