@@ -7,7 +7,7 @@ import pytest
 
 from capslice.changesim import ChangeScenario, ScenarioKind
 from capslice.fixtures import load_fig2
-from capslice.graph import build_graph, validate
+from capslice.graph import FDGraph, Node, build_graph, parts, validate
 
 # the tests that run `python -m capslice.cli` in a subprocess find the
 # package where pytest's pythonpath setting finds it, installed or not
@@ -78,6 +78,48 @@ def random_fd_graph(rng: random.Random, max_internal=16, max_directives=24, extr
     report = validate(graph)
     assert report.ok, f"generator bug: {report.violations}"
     return graph
+
+
+# Pieces of awkward node ids: JSON escapes (quote, backslash, control
+# characters), non-ASCII inside and above the BMP, characters that sort
+# below the closing quote, and the "->" that joins a coupling key.
+AWKWARD_PIECES = (
+    '"', "\\", "\x01", "\n", "\u00e9", "\u65e5", "\uff71", "\U0001f600", "->", "+", "-", "!", " "
+)
+
+
+def awkward_ids(rng: random.Random, ids) -> dict[str, str]:
+    """A map from each id to a distinct awkward one, drawn from AWKWARD_PIECES.
+
+    Some new ids extend an earlier one, so one id can be a prefix of
+    another (``a`` and ``a+b``) or join two others with ``->``.  No id holds
+    a comma, starts with ``-`` or starts or ends with whitespace: the CLI
+    splits id lists on commas and strips each part, and argparse reads a
+    leading ``-`` as a flag.
+    """
+    out: dict[str, str] = {}
+    for nid in ids:
+        new = ""
+        while not new or new in out.values():
+            if out and rng.random() < 0.4:
+                base = rng.choice(sorted(out.values()))
+            else:
+                base = rng.choice("ab")
+            new = base + "".join(rng.choice(AWKWARD_PIECES) for _ in range(rng.randint(1, 2)))
+            if new[-1].isspace():
+                new += "z"
+        out[nid] = new
+    return out
+
+
+def relabeled(g, new_id):
+    """g with every node id replaced through the map new_id."""
+    nodes, edges, relevance = parts(g)
+    return FDGraph(
+        {new_id[i]: Node(new_id[i], n.kind, n.label) for i, n in nodes.items()},
+        {(new_id[u], new_id[v]): g.edge_kind(u, v) for u, v in edges},
+        {(new_id[d], new_id[p]): r for (d, p), r in relevance.items()},
+    )
 
 
 def random_scenario(rng, g, kind=None):

@@ -1,7 +1,8 @@
 """Byte-identical CLI output, checked against committed fingerprints.
 
 Every subcommand runs in-process through ``cli.main``, in both output
-formats, on the bundled fig2 graph and on seeded random graphs.  Each case
+formats, on the bundled fig2 graph and on seeded random graphs, the last
+of them relabelled with ids that need JSON escapes and non-ASCII.  Each case
 stores one SHA-256 of (exit code, stdout, stderr) in ``golden_cli.json``,
 keyed ``<input>/<case>/<format>``, so a failure names the case whose output
 moved.  ``python3 tests/make_golden_cli.py`` rewrites the file; a change
@@ -19,7 +20,7 @@ from capslice.cli import main
 from capslice.fixtures import fig2_text
 from capslice.graph import parse_graph, serialize_graph
 from capslice.slicing import enumerate_slices
-from conftest import random_fd_graph, random_scenario
+from conftest import awkward_ids, random_fd_graph, random_scenario, relabeled
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 SEEDS = range(24)
@@ -58,6 +59,10 @@ def _sources():
         if seed % 4 == 0:
             rng = random.Random(f"{seed}-broken")
             yield f"s{seed:02d}-broken", _broken(rng, text), graph, rng
+    rng = random.Random("awkward-6")  # 7 functions and 12 slices
+    base = random_fd_graph(rng, max_internal=10, max_directives=16)
+    graph = relabeled(base, awkward_ids(rng, base.node_ids))
+    yield "awkward", serialize_graph(graph), graph, rng
 
 
 def _inputs(workdir: Path):

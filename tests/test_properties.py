@@ -12,9 +12,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from capslice.graph import FDGraph, Node, parse_graph, parts, serialize_graph, validate  # noqa: E402
+from capslice.graph import parse_graph, serialize_graph, validate  # noqa: E402
 from capslice.slicing import enumerate_slices, slice_objective  # noqa: E402
-from conftest import random_fd_graph  # noqa: E402
+from conftest import random_fd_graph, relabeled  # noqa: E402
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -22,16 +22,6 @@ from conftest import random_fd_graph  # noqa: E402
 def test_serialize_parse_roundtrip(seed):
     g = random_fd_graph(random.Random(seed))
     assert parse_graph(serialize_graph(g)) == g
-
-
-def relabeled(g, new_id):
-    """g with every node id replaced through the map new_id."""
-    nodes, edges, relevance = parts(g)
-    return FDGraph(
-        {new_id[i]: Node(new_id[i], n.kind, n.label) for i, n in nodes.items()},
-        {(new_id[u], new_id[v]): g.edge_kind(u, v) for u, v in edges},
-        {(new_id[d], new_id[p]): r for (d, p), r in relevance.items()},
-    )
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
