@@ -38,6 +38,7 @@ from .graph import (
 )
 from .metrics import (
     MembershipError,
+    cohesion,
     cohesion_map,
     coupling_matrix,
     resolve_membership,
@@ -97,6 +98,77 @@ def _machine(args) -> bool:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+class _Fragments(dict):
+    """A JSON fragment per key, made by make(key) on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+# a slice document as _emit writes it: keys sorted, compact separators
+_SLICE_LINE = (
+    '{"cohesion":{%s},"coupling":{%s},"f":%r,"mean_cohesion":%r,"mean_coupling":%r,'
+    '"members":[%s],"membership":{%s},"type":"slice"}'
+)
+
+
+def _slice_writer(graph: FDGraph):
+    """A function that prints one slice of graph as a machine line.
+
+    The line is the bytes _emit gives for the slice document, written
+    directly.  What repeats across the graph's slices is encoded once per
+    writer, as json encodes it (encode_basestring_ascii, float repr): each
+    member's id and "id":cohesion, each "directive":"owner", and each
+    "p->q":coupling of a pair and value (coupling is never negative, so
+    equal floats print alike).  Every object is sorted by its raw key, as
+    sort_keys does.  The fragments hold one graph's values, so each
+    cmd_slices call makes its own writer.
+    """
+    encode = json.encoder.encode_basestring_ascii
+    ids = _Fragments(encode)
+    cohesions = _Fragments(lambda m: f"{ids[m]}:{float(cohesion(graph, m))!r}")
+    owners = _Fragments(lambda item: f"{encode(item[0])}:{ids[item[1]]}")
+    pair_keys = _Fragments(lambda pair: f"{pair[0]}->{pair[1]}")
+    couplings = _Fragments(lambda item: f"{encode(pair_keys[item[0]])}:{item[1]!r}")
+    # Unless one function id is a prefix of another, "p->q" keys sort as
+    # their (p, q) pairs and never coincide.  Sorted ids put such a pair
+    # next to each other.
+    funs = graph.function_ids
+    prefixed = any(b.startswith(a) for a, b in zip(funs, funs[1:]))
+
+    def write(slc, metrics) -> None:
+        # int true division is correctly rounded, so u / scale is the float
+        # of the exact coupling, the same double float() of its Fraction gives
+        units, scale = metrics.coupling.units, metrics.coupling.scale
+        pairs = zip(units, [u / scale for u in units.values()])
+        if prefixed:
+            # ("a", "b->c") and ("a->b", "c") share the key "a->b->c"; like a
+            # dict of the pairs in (p, q) order, the later pair keeps it
+            keyed = dict(zip(map(pair_keys.__getitem__, units), pairs))
+            pairs = map(keyed.__getitem__, sorted(keyed))
+        print(
+            _SLICE_LINE
+            % (
+                ",".join(map(cohesions.__getitem__, sorted(metrics.per_node_cohesion))),
+                ",".join(map(couplings.__getitem__, pairs)),
+                float(metrics.aggregate),
+                float(metrics.mean_cohesion),
+                float(metrics.mean_coupling),
+                ",".join(map(ids.__getitem__, slc.members)),
+                ",".join(map(owners.__getitem__, sorted(slc.membership.items()))),
+            )
+        )
+
+    return write
 
 
 def _read_file(path: str) -> str:
@@ -213,23 +285,6 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _slice_doc(slc, metrics) -> dict:
-    # int true division is correctly rounded, so u / scale is the float of
-    # the exact coupling, the same double float() of its Fraction gives
-    coupling = metrics.coupling
-    scale = coupling.scale
-    return {
-        "type": "slice",
-        "members": list(slc.members),
-        "f": float(metrics.aggregate),
-        "mean_cohesion": float(metrics.mean_cohesion),
-        "mean_coupling": float(metrics.mean_coupling),
-        "cohesion": {m: float(c) for m, c in metrics.per_node_cohesion.items()},
-        "coupling": {f"{p}->{q}": u / scale for (p, q), u in coupling.units.items()},
-        "membership": dict(slc.membership),
-    }
-
-
 def _print_slice(slc, metrics) -> None:
     print(f"slice {','.join(slc.members)}")
     print(f"  f = {fixed(metrics.aggregate)}")
@@ -258,16 +313,14 @@ def cmd_slices(args) -> int:
     search = SliceSearch(
         graph, max_slices=args.max_slices, time_budget=args.time_budget
     )
+    write_slice = _slice_writer(graph) if machine else _print_slice
     collected = []
     stream = not args.initial_only
     for slc in search:
         metrics = slice_objective(graph, slc, lam)
         collected.append((slc, metrics))
         if stream:
-            if machine:
-                _emit(_slice_doc(slc, metrics))
-            else:
-                _print_slice(slc, metrics)
+            write_slice(slc, metrics)
     complete = bool(search.complete)
 
     if not collected:
@@ -280,10 +333,7 @@ def cmd_slices(args) -> int:
     ranking = rank_slices([s for s, _ in collected], [m for _, m in collected])
     if args.initial_only:
         for entry in ranking.initial_entries:
-            if machine:
-                _emit(_slice_doc(entry.slice, entry.metrics))
-            else:
-                _print_slice(entry.slice, entry.metrics)
+            write_slice(entry.slice, entry.metrics)
 
     if machine:
         _emit(

@@ -432,3 +432,23 @@ def pareto_bruteforce(points):
         if not any(dominates(q, p) for j, q in enumerate(points) if j != i):
             out.append(p)
     return out
+
+
+def slice_doc_reference(slc, metrics) -> dict:
+    """The machine-output document of one slice, built as plain dicts.
+
+    json.dumps(doc, sort_keys=True, separators=(",", ":")) of it is the line
+    ``capslice slices`` must write.  Coupling keys are "p->q" strings in
+    sorted (p, q) order, so when two pairs give one key the later pair's
+    value stays.
+    """
+    return {
+        "type": "slice",
+        "members": list(slc.members),
+        "f": float(metrics.aggregate),
+        "mean_cohesion": float(metrics.mean_cohesion),
+        "mean_coupling": float(metrics.mean_coupling),
+        "cohesion": {m: float(c) for m, c in metrics.per_node_cohesion.items()},
+        "coupling": {f"{p}->{q}": float(v) for (p, q), v in metrics.coupling.items()},
+        "membership": dict(slc.membership),
+    }

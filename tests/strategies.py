@@ -1,0 +1,54 @@
+"""Hypothesis strategies that draw decomposition graphs by their structure.
+
+conftest.random_fd_graph builds a graph from one seed, so a failing seed
+reports a graph but never a smaller one.  Here every choice is its own
+draw: the counts, each function's parent, each directive's first parent,
+the extra edges and every relevance.  Hypothesis shrinks each of them
+toward zero, so a counterexample shrinks toward few nodes and few edges.
+"""
+
+from hypothesis import strategies as st
+
+from capslice.graph import build_graph, validate
+from conftest import RELEVANCE_PALETTE
+
+
+@st.composite
+def fd_graphs(draw, max_functions=10, max_directives=12):
+    """A valid graph: functions hang under the mission or an earlier
+    function, every directive has a function parent, and extra edges go
+    from a function to a later function or to a directive."""
+    n_fun = draw(st.integers(1, max_functions))
+    n_dir = draw(st.integers(2, max_directives))
+    funs = [f"f{i:02d}" for i in range(n_fun)]
+    dirs = [f"d{i:02d}" for i in range(n_dir)]
+
+    edges: set[tuple[str, str]] = set()
+    for i, f in enumerate(funs):
+        parent = draw(st.integers(-1, i - 1))  # -1 is the mission
+        edges.add(("m" if parent < 0 else funs[parent], f))
+    for d in dirs:
+        edges.add((funs[draw(st.integers(0, n_fun - 1))], d))
+    extra = st.tuples(st.integers(0, n_fun - 1), st.integers(0, n_fun + n_dir - 1))
+    for i, j in draw(st.lists(extra, max_size=n_fun + n_dir)):
+        if j >= n_fun:
+            edges.add((funs[i], dirs[j - n_fun]))
+        elif j > i:
+            edges.add((funs[i], funs[j]))
+    parents = {u for u, _ in edges}
+    for f in funs:
+        if f not in parents:
+            edges.add((f, dirs[draw(st.integers(0, n_dir - 1))]))
+
+    nodes = [("m", "mission")]
+    nodes += [(f, "function") for f in funs]
+    nodes += [(d, "directive") for d in dirs]
+    specs = []
+    for u, v in sorted(edges):
+        if v in dirs:
+            specs.append((u, v, None, draw(st.sampled_from(RELEVANCE_PALETTE))))
+        else:
+            specs.append((u, v))
+    graph = build_graph(nodes, specs)
+    assert validate(graph).ok, "fd_graphs drew an invalid graph"
+    return graph

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,10 @@ import pytest
 from capslice.cli import CONFIG_ENV, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, main
 from capslice.changesim import compare_slices, parse_scenarios
 from capslice.fixtures import fig2_path, fig2_text
-from capslice.slicing import make_slice
+from capslice.graph import build_graph, serialize_graph
+from capslice.slicing import SliceSearch, make_slice, rank_slices, slice_objective
+from conftest import awkward_ids, random_fd_graph, relabeled
+from oracles import slice_doc_reference
 
 FIG = str(fig2_path())
 
@@ -529,6 +533,74 @@ def test_slices_bad_flags(capsys):
     rc, out, err = run(capsys, "slices", FIG, "--seed", "3")
     assert rc == EXIT_USAGE and "--seed" in err
     assert out == ""
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _slice_lines(capsys, path, *flags) -> list[str]:
+    """The slice lines of one machine-format slices run, summary dropped."""
+    rc, out, err = run(capsys, "slices", str(path), *flags, "--format", "machine")
+    assert rc == EXIT_OK and err == ""
+    lines = out.split("\n")
+    assert lines.pop() == ""
+    assert json.loads(lines.pop())["type"] == "summary"
+    return lines
+
+
+def test_slice_lines_equal_json_dumps_of_the_reference(tmp_path, capsys):
+    # Ids mix JSON escapes, non-ASCII, astral characters, "->" and prefix
+    # pairs, so raw key order and escaped order disagree and, on graphs with
+    # a function id that is a prefix of another, (p, q) order differs from
+    # "p->q" order.  The same ids come back in later graphs with other
+    # values, so nothing may be cached from one call to the next.
+    rng = random.Random(2024)
+    counts = {"slices": 0, "initial": 0, "prefixed": 0}
+    for i in range(60):
+        base = random_fd_graph(rng, max_internal=8, max_directives=10)
+        graph = relabeled(base, awkward_ids(rng, base.node_ids))
+        funs = graph.function_ids
+        counts["prefixed"] += any(b.startswith(a) for a, b in zip(funs, funs[1:]))
+        path = tmp_path / f"g{i}.json"
+        path.write_text(serialize_graph(graph))
+        scored = [(s, slice_objective(graph, s)) for s in SliceSearch(graph)]
+        expected = [_dumps(slice_doc_reference(s, m)) for s, m in scored]
+        assert _slice_lines(capsys, path) == expected
+        assert _slice_lines(capsys, path, "--max-slices", "1") == expected[:1]
+        initial = []
+        if scored:
+            ranking = rank_slices([s for s, _ in scored], [m for _, m in scored])
+            initial = [_dumps(slice_doc_reference(e.slice, e.metrics)) for e in ranking.initial_entries]
+        assert _slice_lines(capsys, path, "--initial-only") == initial
+        counts["slices"] += len(expected)
+        counts["initial"] += len(initial)
+    assert counts == {"slices": 186, "initial": 104, "prefixed": 27}
+
+
+def test_coupling_keys_that_collide_keep_the_later_pair(tmp_path, capsys):
+    # ("a", "b->c") and ("a->b", "c") both give the key "a->b->c": the
+    # later pair in (p, q) order keeps it, and the mean counts all 12 pairs
+    ids = ("a", "a->b", "b->c", "c")
+    own = {"a": ("x1",), "a->b": ("x2",), "b->c": ("x3", "x4"), "c": ("x5",)}
+    graph = build_graph(
+        [("m", "mission")]
+        + [(f, "function") for f in ids]
+        + [(d, "directive") for f in ids for d in own[f]],
+        [("m", f) for f in ids] + [(f, d, None, "critical") for f in ids for d in own[f]],
+    )
+    path = tmp_path / "collide.json"
+    path.write_text(serialize_graph(graph))
+    ((slc, metrics),) = [(s, slice_objective(graph, s)) for s in SliceSearch(graph)]
+    assert slc.members == ids
+    assert len(metrics.coupling) == 12
+    assert (metrics.coupling[("a", "b->c")], metrics.coupling[("a->b", "c")]) == (0.125, 0.25)
+    (line,) = _slice_lines(capsys, path)
+    assert line == _dumps(slice_doc_reference(slc, metrics))
+    doc = json.loads(line)
+    assert len(doc["coupling"]) == 11
+    assert '"a->b->c":0.25' in line
+    assert doc["mean_coupling"] == 0.21875  # 9 pairs of 1/4 and 3 of 1/8
 
 
 # -- optimize ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Properties of the graph layer over Hypothesis-drawn seeds.
+"""Properties of the graph layer over Hypothesis-drawn graphs.
 
-Each example draws one seed for conftest.random_fd_graph, so a failure
-names a seed that rebuilds its graph.  The settings keep the run
-deterministic: derandomized, no example database, no deadline.
+Most examples draw one seed for conftest.random_fd_graph, so a failure
+names a seed that rebuilds its graph; those drawn by strategies.fd_graphs
+draw the structure itself and shrink to a small graph.  The settings keep
+the run deterministic: derandomized, no example database, no deadline.
 """
 
 import random
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from capslice.graph import parse_graph, serialize_graph, validate  # noqa: E402
 from capslice.slicing import enumerate_slices, slice_objective  # noqa: E402
 from conftest import random_fd_graph, relabeled  # noqa: E402
+from oracles import membership_bruteforce, valid_slices_bruteforce  # noqa: E402
+from strategies import fd_graphs  # noqa: E402
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -49,3 +52,13 @@ def test_order_keeping_relabel_keeps_slices_and_metrics(seed):
             ma.mean_coupling,
             ma.aggregate,
         )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs())
+def test_enumeration_and_membership_match_bruteforce(graph):
+    enum = enumerate_slices(graph)
+    assert enum.complete
+    assert [s.members for s in enum.slices] == valid_slices_bruteforce(graph)
+    for slc in enum.slices:
+        assert dict(slc.membership) == membership_bruteforce(graph, slc.members)[0]
