@@ -571,7 +571,9 @@ def test_slice_lines_equal_json_dumps_of_the_reference(tmp_path, capsys):
         initial = []
         if scored:
             ranking = rank_slices([s for s, _ in scored], [m for _, m in scored])
-            initial = [_dumps(slice_doc_reference(e.slice, e.metrics)) for e in ranking.initial_entries]
+            initial = [
+                _dumps(slice_doc_reference(e.slice, e.metrics)) for e in ranking.initial_entries
+            ]
         assert _slice_lines(capsys, path, "--initial-only") == initial
         counts["slices"] += len(expected)
         counts["initial"] += len(initial)
