@@ -10,16 +10,20 @@ on the changed graph, where the new directive exists.
 
 apply_change always returns a fresh graph re-validated from scratch.
 compare_slices reads its base graph's validation report, which graph.validate
-computes once per graph and caches on it.  On a valid base it skips what
-the edit cannot change: it builds a changed graph only for add_function and
-does not re-validate it, reads a new directive's distances off its parent's
-on the base, and derives each slice's membership on the changed graph from
-the slice's own (_apply gives the conditions).
+computes once per graph and caches on it.  On a valid base it builds no
+changed graph for any scenario: it reads a new directive's distances off its
+parent's on the base, walks the base graph's neighbour table re-hung around
+a new function, and derives each slice's membership on the changed graph
+from the slice's own (_apply gives the conditions).  Each seed's hop row is
+sorted once per scenario into rings of equal distance, and every cell reads
+only the rings within its reach.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,8 +38,8 @@ from .graph import (
     Violation,
     coerce_relevance,
     directive_hops,
+    inserted_function_hops,
     parts,
-    undirected_distance,
     validate,
 )
 from .metrics import UncoveredDirectiveError, UnresolvableSharingError, resolve_membership
@@ -194,44 +198,46 @@ def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> 
 
 
 def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
-    """Return (changed, seed, on_changed, owners, sources).
+    """Return (changed, seed, on_changed, owners, hops).
 
     changed is the changed graph, or None where none is built.  Cells are
     measured on the changed graph for the additions (on_changed) and on
     graph otherwise.  owners(changed, slc) is a slice's membership on the
-    graph its cells are measured on.  sources[s] = (g, u, k) says where the
-    hop counts from seed s are read: to each directive of g other than s,
-    the count is k + directive_hops(g, u) at that directive.
+    graph its cells are measured on.  hops(s) = (ids, row, far) gives the
+    hop counts from seed s on that graph: row[i] is the count to directive
+    ids[i], and far marks a directive s does not reach.  ids are the
+    graph's directives in id order, less s where s is the one new
+    directive.
 
     By default the changed graph is rebuilt and re-validated from scratch,
-    owners resolves membership on it from scratch, and each seed reads its
-    own row on the graph cells are measured on, (g, s, 0).  A caller that
+    owners resolves membership on it from scratch, and each seed's row is
+    its directive_hops on the graph cells are measured on.  A caller that
     has validated the base passes base_valid=True; then four exact
-    shortcuts apply:
+    shortcuts apply, and no graph is built:
 
-    1. modify_directive builds no changed graph and copies no parts: it
-       changes labels and relevances, each new relevance checked in (0, 1].
-       Nor do the deletions, while the mission keeps a child outside the
-       removed set.  The rebuild states no edge kinds, the strip drops the
-       relevance of every removed edge, and the removed set holds every
-       node the mission no longer reaches and every function left
-       childless, so a childless mission is the one violation a
-       deletion can make.  When the mission would be left childless, the
-       rebuild runs and reports it.
-    2. add_directive builds no changed graph either.  The new leaf's one
-       neighbour is the target, and a leaf shortens no path between other
-       nodes, so its hop count to every other directive is 1 + the
-       target's on graph: its source is (graph, target, 1).  The members
+    1. modify_directive copies no parts: it changes labels and relevances,
+       each new relevance checked in (0, 1].  Nor do the deletions, while
+       the mission keeps a child outside the removed set.  The rebuild
+       states no edge kinds, the strip drops the relevance of every removed
+       edge, and the removed set holds every node the mission no longer
+       reaches and every function left childless, so a childless mission
+       is the one violation a deletion can make.  When the mission would be
+       left childless, the rebuild runs and reports it.
+    2. add_directive: the new leaf's one neighbour is the target, and a
+       leaf shortens no path between other nodes, so its hop count to
+       every other directive is 1 + the target's on graph.  The members
        covering the leaf are those at or above the target.  With exactly
        one, it owns the leaf and every other directive keeps its owner.
        With none, owners raises that the leaf is uncovered, as
        resolve_membership would; two cannot occur in a valid slice, as they
        would share the target's entry into its directives, and owners
        raises that sharing for the leaf.
-    3. add_function builds the changed graph without validating it: the new
-       function hangs off a current mission or function, has children, and
-       adopts current children of the target, which keep their relevance
-       under it.
+    3. add_function leaves a valid graph: the new function hangs off a
+       current mission or function, has children, and adopts current
+       children of the target, which keep their relevance under it.  Each
+       adopted directive's row comes from graph.inserted_function_hops,
+       which walks graph's neighbour table with the target, the adopted
+       children and the new function re-hung.
     4. owners resolves nothing for add_function: each adopted child keeps
        its relevance, and the new function lies under a member exactly when
        the target is, so ownership is the slice's own.
@@ -244,7 +250,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
     certified = base_valid
     on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
     owners = _resolved if on_changed else _kept
-    sources = None
+    hops = None
 
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
@@ -318,7 +324,10 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
         seed = frozenset((new_id,))
         if certified:
             above = _at_or_above(graph, target)
-            sources = {new_id: (graph, target, 1)}
+
+            def hops(s: str) -> tuple:
+                row = [h + 1 for h in directive_hops(graph, target)]
+                return graph.directive_ids, row, graph.n_nodes + 1
 
             def owners(changed: None, slc: Slice) -> Mapping[str, str]:
                 covering = sorted(above.intersection(slc.members))
@@ -346,32 +355,36 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
         for c in adopted:
             if c not in current:
                 raise ChangeError(f"{c!r} is not a child of {target!r}")
-        nodes, edges, relevance = parts(graph)
-        nodes[new_id] = Node(new_id, NodeKind.FUNCTION, label)
-        edges.add((target, new_id))
-        for c in adopted:
-            edges.discard((target, c))
-            edges.add((new_id, c))
-            if (c, target) in relevance:
-                relevance[(c, new_id)] = relevance.pop((c, target))
         seed = frozenset(
             c for c in adopted if graph.node(c).kind is NodeKind.DIRECTIVE
         )
         if certified:
             owners = _kept
+            rows = inserted_function_hops(graph, target, new_id, adopted)
+
+            def hops(s: str) -> tuple:
+                return graph.directive_ids, rows[s], graph.n_nodes + 1
+
+        else:
+            nodes, edges, relevance = parts(graph)
+            nodes[new_id] = Node(new_id, NodeKind.FUNCTION, label)
+            edges.add((target, new_id))
+            for c in adopted:
+                edges.discard((target, c))
+                edges.add((new_id, c))
+                if (c, target) in relevance:
+                    relevance[(c, new_id)] = relevance.pop((c, target))
 
     else:
         raise ChangeError(f"unsupported scenario kind {kind!r}")
-    if not certified:
-        changed = _rebuild(nodes, edges, relevance)
-    elif kind is ScenarioKind.ADD_FUNCTION:
-        changed = FDGraph(nodes, dict.fromkeys(edges), relevance)
-    else:
-        changed = None
-    if sources is None:
+    changed = None if certified else _rebuild(nodes, edges, relevance)
+    if hops is None:
         measured = changed if on_changed else graph
-        sources = {s: (measured, s, 0) for s in seed}
-    return changed, seed, on_changed, owners, sources
+
+        def hops(s: str) -> tuple:
+            return measured.directive_ids, directive_hops(measured, s), measured.n_nodes
+
+    return changed, seed, on_changed, owners, hops
 
 
 def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:
@@ -416,27 +429,35 @@ def impact_set(
     return compare_slices(graph, (slc,), (scenario,), threshold).reports[0][0]
 
 
-def _impact(slc: Slice, scenario: ChangeScenario, applied, thr: Fraction) -> ImpactReport:
-    # applied is _apply(graph, scenario, ...), shared by every slice it is measured on
-    changed, seed, on_changed, owners, sources = applied
+def _rings(ids, row, far) -> tuple[list[int], list[str], int]:
+    """(hops, ids, reached): ids sorted by (hop count, id), hops their
+    counts, and reached the number of them the source reaches."""
+    order = sorted(zip(row, ids))
+    hops = [h for h, _ in order]
+    return hops, [d for _, d in order], bisect_left(hops, far)
+
+
+def _impact(
+    slc: Slice, scenario: ChangeScenario, applied, thr: Fraction, owned: Counter
+) -> ImpactReport:
+    # applied is (changed, seed, on_changed, owners, rings) with rings[s] the
+    # _rings of seed s, shared by every slice the scenario is measured on;
+    # owned counts the directives each member owns in slc.membership
+    changed, seed, on_changed, owners, rings = applied
     membership = owners(changed, slc)
+    if membership is not slc.membership:
+        owned = Counter(membership.values())
 
     # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
     # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers
     affected = set(seed)
     for s in sorted(seed):
-        owner = membership[s]
-        owner_size = sum(1 for o in membership.values() if o == owner)
-        g, u, k = sources[s]
-        reach = thr.denominator // (owner_size * thr.numerator) - k
-        far = g.n_nodes  # directive_hops' mark for not connected
-        for d, hops in zip(g.directive_ids, directive_hops(g, u)):
-            if d in affected:
-                continue
-            if hops == far:
-                undirected_distance(g, d, u)  # raises: not connected
-            if hops <= reach:
-                affected.add(d)
+        hops, ids, reached = rings[s]
+        reach = thr.denominator // (owned[membership[s]] * thr.numerator)
+        affected.update(ids[: bisect_right(hops, reach, 0, reached)])
+        for d in ids[reached:]:  # all at the far mark, so in id order
+            if d not in affected:
+                raise GraphError(f"{d!r} and {s!r} are not connected")
     capabilities = frozenset(membership[d] for d in affected)
     return ImpactReport(
         scenario=scenario,
@@ -482,11 +503,14 @@ def compare_slices(
     applied: dict[int, tuple] = {}
     rows = []
     for s in slices:
+        owned = Counter(s.membership.values())
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:
-                applied[j] = _apply(graph, sc, base_valid)
-            row.append(_impact(s, sc, applied[j], thr))
+                changed, seed, on_changed, owners, hops = _apply(graph, sc, base_valid)
+                rings = {u: _rings(*hops(u)) for u in seed}
+                applied[j] = (changed, seed, on_changed, owners, rings)
+            row.append(_impact(s, sc, applied[j], thr, owned))
         rows.append(tuple(row))
     reports = tuple(rows)
     totals = tuple(sum(r.impact_count for r in row) for row in reports)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -144,6 +143,8 @@ class FDGraph:
         self._stated = tuple(stated)
         self._children = {i: tuple(c) for i, c in children.items()}
         self._parents = {i: tuple(p) for i, p in parents.items()}
+        # the undirected neighbour table every distance walk reads
+        self._adjacent = {i: self._children[i] + self._parents[i] for i in self._nodes}
         self._node_ids = tuple(sorted(self._nodes))
         by_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
         for i in self._node_ids:
@@ -288,23 +289,33 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
     return frozenset(entry_parents(graph, node_id))
 
 
+def _levels(adjacent: Mapping[str, tuple[str, ...]], u: str) -> dict[str, int]:
+    # breadth-first, one level at a time: every node of a level has its
+    # level's hop count, so no count is read back per visit
+    dist = {u: 0}
+    level = [u]
+    hops = 0
+    while level:
+        hops += 1
+        reached = []
+        for x in level:
+            for y in adjacent[x]:
+                if y not in dist:
+                    dist[y] = hops
+                    reached.append(y)
+        level = reached
+    return dist
+
+
 def distances_from(graph: FDGraph, u: str) -> dict[str, int]:
     """Undirected hop count from u to every node of its component.
 
-    One breadth-first search over children and parents per call, not
-    cached: each call returns a fresh dict.
+    One level-by-level walk of the graph's neighbour table (each node's
+    children and parents, built with the graph) per call, not cached: each
+    call returns a fresh dict.
     """
     graph.node(u)
-    children, parents = graph._children, graph._parents
-    dist = {u: 0}
-    queue = deque((u,))
-    while queue:
-        x = queue.popleft()
-        for y in children[x] + parents[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return _levels(graph._adjacent, u)
 
 
 def directive_hops(graph: FDGraph, u: str) -> list[int]:
@@ -320,6 +331,37 @@ def directive_hops(graph: FDGraph, u: str) -> list[int]:
         hops = list(map(distances_from(graph, u).get, graph.directive_ids, repeat(far)))
         graph._hops[u] = hops
     return hops
+
+
+def inserted_function_hops(
+    graph: FDGraph, target: str, new_id: str, adopted: Iterable[str]
+) -> dict[str, list[int]]:
+    """directive_hops from each adopted directive, on graph with a new
+    function new_id inserted under target, above the adopted children.
+
+    No graph is built.  The walks read graph's neighbour table with three
+    kinds of node re-hung: target loses its edges to the adopted children
+    and gains new_id; each adopted child has new_id where it had target;
+    new_id's neighbours are target and the adopted children.  Rows are in
+    graph's directive id order, which the insertion of a function keeps,
+    and a directive a source does not reach reads graph.n_nodes + 1, the
+    changed graph's node count.  adopted must be distinct children of
+    target and new_id a new id, as change simulation checks.  Not cached.
+    """
+    adopted = tuple(adopted)
+    moved = set(adopted)
+    adjacent = dict(graph._adjacent)
+    adjacent[target] = (*(n for n in adjacent[target] if n not in moved), new_id)
+    for c in adopted:
+        adjacent[c] = tuple(new_id if n == target else n for n in adjacent[c])
+    adjacent[new_id] = (target, *adopted)
+    ids = graph.directive_ids
+    far = graph.n_nodes + 1
+    return {
+        c: list(map(_levels(adjacent, c).get, ids, repeat(far)))
+        for c in adopted
+        if graph._nodes[c].kind is NodeKind.DIRECTIVE
+    }
 
 
 def directive_weights(
@@ -345,11 +387,11 @@ def directive_weights(
     """
     if graph._weights is None:
         ids = graph.directive_ids
-        parents, children = graph._parents, graph._children
+        adjacent = graph._adjacent
         far = graph.n_nodes  # directive_hops' mark for not connected
         rows = []
         for i, d in enumerate(ids):
-            near = [directive_hops(graph, n) for n in parents[d] + children[d]]
+            near = [directive_hops(graph, n) for n in adjacent[d]]
             if len(near) > 1:
                 row = list(map(min, *near))
             else:  # a copy: rows change below, and hop lists are shared

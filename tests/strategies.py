@@ -9,6 +9,7 @@ toward zero, so a counterexample shrinks toward few nodes and few edges.
 
 from hypothesis import strategies as st
 
+from capslice.changesim import ChangeScenario, ScenarioKind
 from capslice.graph import build_graph, validate
 from conftest import RELEVANCE_PALETTE
 
@@ -52,3 +53,25 @@ def fd_graphs(draw, max_functions=10, max_directives=12):
     graph = build_graph(nodes, specs)
     assert validate(graph).ok, "fd_graphs drew an invalid graph"
     return graph
+
+
+@st.composite
+def scenarios(draw, graph, kind: ScenarioKind):
+    """A scenario of the given kind on graph, its target and payload drawn
+    from graph: additions go under the mission or a function, and an
+    add_function adopts a drawn non-empty subset of its target's children."""
+    relevance = st.sampled_from(RELEVANCE_PALETTE)
+    if kind is ScenarioKind.MODIFY_DIRECTIVE:
+        d = draw(st.sampled_from(graph.directive_ids))
+        value = draw(relevance)
+        return ChangeScenario(kind, d, {"relevance": {p: value for p in graph.parents(d)}})
+    if kind is ScenarioKind.DELETE_DIRECTIVE:
+        return ChangeScenario(kind, draw(st.sampled_from(graph.directive_ids)))
+    if kind is ScenarioKind.DELETE_FUNCTION_SUBTREE:
+        return ChangeScenario(kind, draw(st.sampled_from(graph.function_ids)))
+    target = draw(st.sampled_from(graph.mission_ids + graph.function_ids))
+    if kind is ScenarioKind.ADD_DIRECTIVE:
+        return ChangeScenario(kind, target, {"id": "zz_d", "relevance": draw(relevance)})
+    kids = st.sampled_from(graph.children(target))
+    adopted = draw(st.lists(kids, min_size=1, unique=True))
+    return ChangeScenario(kind, target, {"id": "zz_f", "children": adopted})

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from capslice.changesim import (
     _apply,
     _impact,
     _kept,
+    _rings,
     apply_change,
     compare_slices,
     impact_set,
@@ -778,29 +780,29 @@ def _owned(fn, *args):
         return type(exc), str(exc)
 
 
-def _row_from(sources, s):
-    # the directive ids of the graph a cell is measured on, and seed s's hop
-    # row there, as sources[s] = (g, u, k) gives them: a seed that is not in
-    # g is the one new directive, at hop count 0 from itself
-    g, u, k = sources[s]
-    row = [k + h for h in directive_hops(g, u)]
-    ids = sorted(set(g.directive_ids) | {s})
-    if s not in g.directive_ids:
-        row.insert(ids.index(s), 0)
-    return tuple(ids), row
+def _row_from(hops, s):
+    # the directive ids of the graph a cell is measured on, seed s's hop row
+    # there and its not-connected mark, as hops(s) = (ids, row, far) gives
+    # them: a seed that is not in ids is the one new directive, at hop count
+    # 0 from itself
+    ids, row, far = hops(s)
+    ids, row = list(ids), list(row)
+    if s not in ids:
+        at = sorted(ids + [s]).index(s)
+        ids.insert(at, s)
+        row.insert(at, 0)
+    return tuple(ids), row, far
 
 
 def test_shortcuts_on_a_valid_base_are_exact():
     # on the graphs tests/test_golden_lib.py records, the trusted _apply
-    # refuses exactly what the full path refuses; where it builds nothing the
-    # full path rebuilt a valid graph, where it builds without validating it
-    # builds the graph the full path validated, the hop rows it names are
-    # those of the rebuilt graph, and the membership it derives there is
-    # resolve_membership's, errors included
+    # refuses exactly what the full path refuses; it builds no graph for any
+    # kind, the hop rows it gives are those of the graph the full path
+    # rebuilt (the base graph's own rows where cells are measured on the
+    # base), and the membership it derives there is resolve_membership's,
+    # errors included
     rng = random.Random(2121)
-    seen = dict.fromkeys(
-        ["refused", "unbuilt", "unvalidated", "rows", "derived", "uncovered"], 0
-    )
+    seen = dict.fromkeys(["refused", "unbuilt", "rows", "derived", "uncovered"], 0)
     for seed in range(100):
         g = random_fd_graph(random.Random(seed), max_internal=12, max_directives=20)
         assert validate(g).ok
@@ -815,21 +817,19 @@ def test_shortcuts_on_a_valid_base_are_exact():
                 assert str(err.value) == str(exc)
                 seen["refused"] += 1
                 continue
-            changed, seed_set, on_changed, owners, sources = _apply(g, sc, base_valid=True)
+            changed, seed_set, on_changed, owners, hops = _apply(g, sc, base_valid=True)
             assert (seed_set, on_changed) == full[1:3]
-            assert (changed is None) == (sc.kind is not ScenarioKind.ADD_FUNCTION), sc
-            if changed is None:
-                seen["unbuilt"] += 1
-            else:
-                assert changed == full[0]
-                seen["unvalidated"] += 1
+            assert changed is None, sc
+            seen["unbuilt"] += 1
             if not on_changed:
-                assert sources == {s: (g, s, 0) for s in seed_set}
+                for s in seed_set:
+                    assert hops(s) == (g.directive_ids, directive_hops(g, s), g.n_nodes)
                 continue
             for s in seed_set:
-                assert _row_from(sources, s) == (
+                assert _row_from(hops, s) == (
                     full[0].directive_ids,
                     directive_hops(full[0], s),
+                    full[0].n_nodes,
                 ), (sc, s)
                 seen["rows"] += 1
             for slc in chosen:
@@ -862,6 +862,33 @@ def test_simulate_validates_its_graph_once(monkeypatch, tmp_path, capsys):
     assert main(argv + ["--slice", "n_2,n_3,n_5", "--format", "machine"]) == 0
     assert computed == [True]
     assert '"evaluated_on":"changed"' in capsys.readouterr().out.replace(" ", "")
+
+
+def test_compare_slices_builds_no_graph_on_a_valid_base(monkeypatch, fig2, s1, s2):
+    # every scenario kind is measured without a changed graph; apply_change
+    # still builds one per scenario
+    built = []
+    init = FDGraph.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FDGraph, "__init__", counting)
+    scenarios = [
+        scenario("modify_directive", "d_9", {"relevance": 0.1}),
+        scenario("delete_directive", "d_10"),
+        scenario("delete_function_subtree", "n_8"),
+        scenario("add_directive", "n_3", {"id": "d_15", "relevance": 1}),
+        scenario("add_function", "n_7", {"id": "n_10", "children": ["d_6", "d_7"]}),
+    ]
+    assert {sc.kind for sc in scenarios} == set(ScenarioKind)
+    reports = compare_slices(fig2, [s1, s2], scenarios).reports
+    assert [r.evaluated_on for r in reports[0]] == ["base"] * 3 + ["changed"] * 2
+    assert built == []
+    for sc in scenarios:
+        apply_change(fig2, sc)
+    assert len(built) == len(scenarios)
 
 
 def test_modify_directive_copies_no_parts_on_a_valid_base(monkeypatch, fig2, s1, s2):
@@ -918,9 +945,10 @@ def test_impact_not_connected_error():
     )
     slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
     sc = scenario("modify_directive", "a", {"label": "x"})
-    applied = (None, frozenset({"a"}), False, _kept, {"a": (g, "a", 0)})
+    rings = {"a": _rings(g.directive_ids, directive_hops(g, "a"), g.n_nodes)}
+    applied = (None, frozenset({"a"}), False, _kept, rings)
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
-        _impact(slc, sc, applied, Fraction(1, 8))
+        _impact(slc, sc, applied, Fraction(1, 8), Counter(slc.membership.values()))
 
 
 def test_add_directive_under_nested_members_is_a_sharing_error():

@@ -11,13 +11,22 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from fractions import Fraction  # noqa: E402
+
+from capslice.changesim import ChangeError, ScenarioKind, _apply, compare_slices  # noqa: E402
 from capslice.graph import parse_graph, serialize_graph, validate  # noqa: E402
+from capslice.metrics import MembershipError  # noqa: E402
 from capslice.slicing import enumerate_slices, slice_objective  # noqa: E402
 from conftest import random_fd_graph, relabeled  # noqa: E402
-from oracles import membership_bruteforce, valid_slices_bruteforce  # noqa: E402
-from strategies import fd_graphs  # noqa: E402
+from oracles import (  # noqa: E402
+    deletion_reference,
+    impact_by_coupling,
+    membership_bruteforce,
+    valid_slices_bruteforce,
+)
+from strategies import fd_graphs, scenarios  # noqa: E402
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -62,3 +71,45 @@ def test_enumeration_and_membership_match_bruteforce(graph):
     assert [s.members for s in enum.slices] == valid_slices_bruteforce(graph)
     for slc in enum.slices:
         assert dict(slc.membership) == membership_bruteforce(graph, slc.members)[0]
+
+
+def _outcome(fn, *args):
+    # a result, or the type and message of the error it raised
+    try:
+        return fn(*args)
+    except (ChangeError, MembershipError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(), data=st.data())
+def test_compare_slices_matches_impact_by_coupling(graph, data):
+    # one scenario of each kind, cell by cell against the oracle.  The reach
+    # is 8 // |O| at 1/8; at 1/100 it is 100 // |O|, which on these graphs
+    # mostly exceeds every hop count, so the cut runs to the ring's end.
+    slices = enumerate_slices(graph).slices
+    assume(slices)
+    picked = data.draw(st.lists(st.sampled_from(slices), min_size=1, max_size=3, unique=True))
+    edits = [data.draw(scenarios(graph, kind)) for kind in ScenarioKind]
+    for thr in (Fraction(1, 8), Fraction(1, 100)):
+        for sc in edits:
+            expected = _outcome(lambda: [[impact_by_coupling(graph, s, sc, thr)] for s in picked])
+            got = _outcome(lambda: [list(row) for row in compare_slices(graph, picked, [sc], thr).reports])
+            assert got == expected, sc
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(), data=st.data())
+def test_deletions_match_deletion_reference(graph, data):
+    # the full path's changed graph and seed, or its error, are the
+    # reference's; on a valid base the trusted path builds nothing and
+    # names the same seed, or raises the same error
+    for kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):
+        sc = data.draw(scenarios(graph, kind))
+        expected = _outcome(deletion_reference, graph, sc)
+        assert _outcome(lambda: _apply(graph, sc)[:2]) == expected, sc
+        trusted = _outcome(lambda: _apply(graph, sc, base_valid=True)[:2])
+        if isinstance(expected[0], type):
+            assert trusted == expected, sc
+        else:
+            assert trusted == (None, expected[1]), sc
