@@ -458,16 +458,17 @@ def _impact(
         for d in ids[reached:]:  # all at the far mark, so in id order
             if d not in affected:
                 raise GraphError(f"{d!r} and {s!r} are not connected")
-    capabilities = frozenset(membership[d] for d in affected)
+    capabilities = frozenset(map(membership.__getitem__, affected))
+    # positional: keyword arguments cost a frozen dataclass as much again
     return ImpactReport(
-        scenario=scenario,
-        members=slc.members,
-        seed=seed,
-        affected_directives=frozenset(affected),
-        affected_capabilities=capabilities,
-        impact_count=len(affected) + len(capabilities),
-        threshold=thr,
-        evaluated_on="changed" if on_changed else "base",
+        scenario,
+        slc.members,
+        seed,
+        frozenset(affected),
+        capabilities,
+        len(affected) + len(capabilities),
+        thr,
+        "changed" if on_changed else "base",
     )
 
 
