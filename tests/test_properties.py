@@ -85,8 +85,8 @@ def _outcome(fn, *args):
 @given(graph=fd_graphs(), data=st.data())
 def test_compare_slices_matches_impact_by_coupling(graph, data):
     # one scenario of each kind, cell by cell against the oracle.  The reach
-    # is 8 // |O| at 1/8; at 1/100 it is 100 // |O|, which on these graphs
-    # mostly exceeds every hop count, so the cut runs to the ring's end.
+    # is 8 // |O| at 1/8; at 1/100 it is 100 // |O|, which on graphs this
+    # small lies beyond every hop count, so the cut runs to the ring's end.
     slices = enumerate_slices(graph).slices
     assume(slices)
     picked = data.draw(st.lists(st.sampled_from(slices), min_size=1, max_size=3, unique=True))
