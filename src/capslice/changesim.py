@@ -9,14 +9,16 @@ before the edit (that is where the rework happens); additions are measured
 on the changed graph, where the new directive exists.
 
 apply_change always returns a fresh graph re-validated from scratch.
-compare_slices reads its base graph's validation report, which graph.validate
-computes once per graph and caches on it.  On a valid base it builds no
-changed graph for any scenario: it reads a new directive's distances off its
-parent's on the base, walks the base graph's neighbour table re-hung around
-a new function, and derives each slice's membership on the changed graph
-from the slice's own (_apply gives the conditions).  Each seed's hop row is
-sorted once per scenario into rings of equal distance, and every cell reads
-only the rings within its reach.
+compare_slices builds no changed graph to measure a scenario: it reads a
+new directive's distances off its parent's, walks the base graph's neighbour
+table re-hung around a new function, and derives each slice's membership on
+the changed graph from the slice's own (_apply gives the conditions).  That
+is exact whenever the edit leaves a valid graph, which every accepted edit
+of a valid base does.  compare_slices reads its base graph's validation
+report, which graph.validate computes once per graph and caches on it; on an
+invalid base it builds each edit once, only to refuse one that leaves the
+graph invalid.  Each seed's hop row is sorted once per scenario into rings
+of equal distance, and every cell reads only the rings within its reach.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .graph import (
     parts,
     validate,
 )
-from .metrics import UncoveredDirectiveError, UnresolvableSharingError, resolve_membership
+from .metrics import UncoveredDirectiveError, UnresolvableSharingError
 from .rational import brief, literal_reader, to_fraction
 from .slicing import Slice
 
@@ -148,11 +150,7 @@ def _at_or_above(graph: FDGraph, node_id: str) -> set[str]:
     return found
 
 
-def _resolved(changed: FDGraph, slc: Slice) -> Mapping[str, str]:
-    return resolve_membership(changed, slc.members)
-
-
-def _kept(changed: FDGraph, slc: Slice) -> Mapping[str, str]:
+def _kept(slc: Slice) -> Mapping[str, str]:
     return slc.membership
 
 
@@ -197,32 +195,29 @@ def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> 
     return (new_id, label, *rest)
 
 
-def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
-    """Return (changed, seed, on_changed, owners, hops).
+def _apply(graph: FDGraph, scenario: ChangeScenario):
+    """Check a scenario on graph; return (seed, on_changed, owners, hops, edit).
 
-    changed is the changed graph, or None where none is built.  Cells are
-    measured on the changed graph for the additions (on_changed) and on
-    graph otherwise.  owners(changed, slc) is a slice's membership on the
-    graph its cells are measured on.  hops(s) = (ids, row, far) gives the
-    hop counts from seed s on that graph: row[i] is the count to directive
-    ids[i], and far marks a directive s does not reach.  ids are the
-    graph's directives in id order, less s where s is the one new
-    directive.
+    Cells are measured on the changed graph for the additions (on_changed)
+    and on graph otherwise, but owners and hops read graph alone: no changed
+    graph is built.  owners(slc) is a slice's membership on the graph its
+    cells are measured on.  hops(s) = (ids, row, far) gives the hop counts
+    from seed s on that graph: row[i] is the count to directive ids[i], and
+    far marks a directive s does not reach.  ids are graph's directives in
+    id order, less s where s is the one new directive.  edit() returns the
+    changed graph's (nodes, edges, relevance) for _rebuild.
 
-    By default the changed graph is rebuilt and re-validated from scratch,
-    owners resolves membership on it from scratch, and each seed's row is
-    its directive_hops on the graph cells are measured on.  A caller that
-    has validated the base passes base_valid=True; then four exact
-    shortcuts apply, and no graph is built:
+    owners and hops are exact whenever the changed graph is valid, whether
+    graph is or not.  On a valid graph every edit _apply accepts leaves a
+    valid graph, so only an invalid graph needs its edit rebuilt to check.
 
-    1. modify_directive copies no parts: it changes labels and relevances,
-       each new relevance checked in (0, 1].  Nor do the deletions, while
-       the mission keeps a child outside the removed set.  The rebuild
-       states no edge kinds, the strip drops the relevance of every removed
-       edge, and the removed set holds every node the mission no longer
-       reaches and every function left childless, so a childless mission
-       is the one violation a deletion can make.  When the mission would be
-       left childless, the rebuild runs and reports it.
+    1. modify_directive and the deletions are measured on graph, and each
+       slice keeps its membership.  A new relevance is checked in (0, 1].
+       A deletion strips the relevance of every removed edge, and removes
+       every node the mission no longer reaches and every function left
+       childless, so a childless mission is the one violation it can add.
+       When a mission would be left childless, the edit is rebuilt here,
+       and the rebuild reports it.
     2. add_directive: the new leaf's one neighbour is the target, and a
        leaf shortens no path between other nodes, so its hop count to
        every other directive is 1 + the target's on graph.  The members
@@ -232,25 +227,24 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
        resolve_membership would; two cannot occur in a valid slice, as they
        would share the target's entry into its directives, and owners
        raises that sharing for the leaf.
-    3. add_function leaves a valid graph: the new function hangs off a
-       current mission or function, has children, and adopts current
-       children of the target, which keep their relevance under it.  Each
-       adopted directive's row comes from graph.inserted_function_hops,
-       which walks graph's neighbour table with the target, the adopted
-       children and the new function re-hung.
-    4. owners resolves nothing for add_function: each adopted child keeps
-       its relevance, and the new function lies under a member exactly when
-       the target is, so ownership is the slice's own.
+    3. add_function hangs the new function off a current mission or
+       function, above current children of the target, which keep their
+       relevance under it.  Each adopted directive's row comes from
+       graph.inserted_function_hops, which walks graph's neighbour table
+       with the target, the adopted children and the new function re-hung.
+       The new function lies under a member exactly when the target does,
+       so each slice keeps its membership.
 
     Slices given to owners must be valid slices of graph.
     """
     payload = scenario.payload
     kind = scenario.kind
     target = scenario.target
-    certified = base_valid
     on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
-    owners = _resolved if on_changed else _kept
-    hops = None
+    owners = _kept
+
+    def hops(s: str) -> tuple:
+        return graph.directive_ids, directive_hops(graph, s), graph.n_nodes
 
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
@@ -274,12 +268,14 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
             except GraphError:
                 raise ChangeError(f"{parent!r} is not a parent of {target!r}") from None
             updates[parent] = _relevance(value, parent, target)
-        if not certified:
+        seed = frozenset((target,))
+
+        def edit() -> tuple:
             nodes, edges, relevance = parts(graph)
             if label is not None:
                 nodes[target] = Node(target, NodeKind.DIRECTIVE, label)
             relevance.update({(target, parent): value for parent, value in updates.items()})
-        seed = frozenset((target,))
+            return nodes, edges, relevance
 
     elif kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):
         subtree = kind is ScenarioKind.DELETE_FUNCTION_SUBTREE
@@ -310,11 +306,12 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
                 break
             removed.update(newly)
         seed = frozenset(nid for nid in removed if graph.node(nid).kind is NodeKind.DIRECTIVE)
-        if certified:
-            (mission,) = graph.mission_ids
-            certified = any(c not in removed for c in graph.children(mission))
-        if not certified:
-            nodes, edges, relevance = _strip(graph, removed)
+
+        def edit() -> tuple:
+            return _strip(graph, removed)
+
+        if any(all(c in removed for c in graph.children(m)) for m in graph.mission_ids):
+            _rebuild(*edit())
 
     elif kind is ScenarioKind.ADD_DIRECTIVE:
         new_id, label, rel = _new_node(graph, target, payload, NodeKind.DIRECTIVE, relevance=None)
@@ -322,27 +319,27 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
             raise ChangeError("a new directive needs a relevance")
         value = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
-        if certified:
-            above = _at_or_above(graph, target)
+        above = _at_or_above(graph, target)
 
-            def hops(s: str) -> tuple:
-                row = [h + 1 for h in directive_hops(graph, target)]
-                return graph.directive_ids, row, graph.n_nodes + 1
+        def hops(s: str) -> tuple:
+            row = [h + 1 for h in directive_hops(graph, target)]
+            return graph.directive_ids, row, graph.n_nodes + 1
 
-            def owners(changed: None, slc: Slice) -> Mapping[str, str]:
-                covering = sorted(above.intersection(slc.members))
-                if not covering:
-                    raise UncoveredDirectiveError((new_id,))
-                if len(covering) > 1:
-                    # not a valid slice: both members enter the leaf through target
-                    raise UnresolvableSharingError(new_id, target, (covering[0], covering[1]))
-                return {**slc.membership, new_id: covering[0]}
+        def owners(slc: Slice) -> Mapping[str, str]:
+            covering = sorted(above.intersection(slc.members))
+            if not covering:
+                raise UncoveredDirectiveError((new_id,))
+            if len(covering) > 1:
+                # not a valid slice: both members enter the leaf through target
+                raise UnresolvableSharingError(new_id, target, (covering[0], covering[1]))
+            return {**slc.membership, new_id: covering[0]}
 
-        else:
+        def edit() -> tuple:
             nodes, edges, relevance = parts(graph)
             nodes[new_id] = Node(new_id, NodeKind.DIRECTIVE, label)
             edges.add((target, new_id))
             relevance[(new_id, target)] = value
+            return nodes, edges, relevance
 
     elif kind is ScenarioKind.ADD_FUNCTION:
         new_id, label, adopted = _new_node(graph, target, payload, NodeKind.FUNCTION, children=None)
@@ -358,14 +355,14 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
         seed = frozenset(
             c for c in adopted if graph.node(c).kind is NodeKind.DIRECTIVE
         )
-        if certified:
-            owners = _kept
-            rows = inserted_function_hops(graph, target, new_id, adopted)
+        rows: dict[str, list[int]] = {}  # walked on first use: apply_change needs none
 
-            def hops(s: str) -> tuple:
-                return graph.directive_ids, rows[s], graph.n_nodes + 1
+        def hops(s: str) -> tuple:
+            if not rows:
+                rows.update(inserted_function_hops(graph, target, new_id, adopted))
+            return graph.directive_ids, rows[s], graph.n_nodes + 1
 
-        else:
+        def edit() -> tuple:
             nodes, edges, relevance = parts(graph)
             nodes[new_id] = Node(new_id, NodeKind.FUNCTION, label)
             edges.add((target, new_id))
@@ -374,22 +371,17 @@ def _apply(graph: FDGraph, scenario: ChangeScenario, base_valid: bool = False):
                 edges.add((new_id, c))
                 if (c, target) in relevance:
                     relevance[(c, new_id)] = relevance.pop((c, target))
+            return nodes, edges, relevance
 
     else:
         raise ChangeError(f"unsupported scenario kind {kind!r}")
-    changed = None if certified else _rebuild(nodes, edges, relevance)
-    if hops is None:
-        measured = changed if on_changed else graph
-
-        def hops(s: str) -> tuple:
-            return measured.directive_ids, directive_hops(measured, s), measured.n_nodes
-
-    return changed, seed, on_changed, owners, hops
+    return seed, on_changed, owners, hops, edit
 
 
 def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:
     """Apply one scenario; the result is always a freshly validated graph."""
-    return _apply(graph, scenario)[0]
+    *_, edit = _apply(graph, scenario)
+    return _rebuild(*edit())
 
 
 # -- impact ---------------------------------------------------------------------
@@ -440,11 +432,11 @@ def _rings(ids, row, far) -> tuple[list[int], list[str], int]:
 def _impact(
     slc: Slice, scenario: ChangeScenario, applied, thr: Fraction, owned: Counter
 ) -> ImpactReport:
-    # applied is (changed, seed, on_changed, owners, rings) with rings[s] the
-    # _rings of seed s, shared by every slice the scenario is measured on;
-    # owned counts the directives each member owns in slc.membership
-    changed, seed, on_changed, owners, rings = applied
-    membership = owners(changed, slc)
+    # applied is (seed, on_changed, owners, rings) with rings[s] the _rings
+    # of seed s, shared by every slice the scenario is measured on; owned
+    # counts the directives each member owns in slc.membership
+    seed, on_changed, owners, rings = applied
+    membership = owners(slc)
     if membership is not slc.membership:
         owned = Counter(membership.values())
 
@@ -497,7 +489,7 @@ def compare_slices(
     if not slices:
         raise ValueError("need at least one slice to compare")
     thr = _check_threshold(threshold)
-    base_valid = validate(graph).ok
+    recheck = not validate(graph).ok
     # Each scenario is applied once, on the first slice's row: cells are
     # measured in (slice, scenario) order, so the first error is the one a
     # cell-by-cell run would raise.
@@ -508,9 +500,11 @@ def compare_slices(
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:
-                changed, seed, on_changed, owners, hops = _apply(graph, sc, base_valid)
+                seed, on_changed, owners, hops, edit = _apply(graph, sc)
+                if recheck:
+                    _rebuild(*edit())  # only to refuse an edit that leaves it invalid
                 rings = {u: _rings(*hops(u)) for u in seed}
-                applied[j] = (changed, seed, on_changed, owners, rings)
+                applied[j] = (seed, on_changed, owners, rings)
             row.append(_impact(s, sc, applied[j], thr, owned))
         rows.append(tuple(row))
     reports = tuple(rows)

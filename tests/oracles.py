@@ -13,7 +13,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from capslice.changesim import ChangeError, ImpactReport, ScenarioKind, _apply
+from capslice.changesim import ChangeError, ImpactReport, ScenarioKind, apply_change
 from capslice.graph import (
     EdgeKind,
     FDGraph,
@@ -254,10 +254,25 @@ def directive_coupling(graph, u: str, v: str, owner_of_v) -> Fraction:
     return Fraction(1, len(owner_of_v)) / bfs_distance(graph, u, v)
 
 
+def edited_directives(graph, changed, scenario) -> frozenset[str]:
+    """The directives a scenario edits, read off the graph before and after:
+    the target it modifies, the directives it deletes or adds, or the
+    directives it hangs under a new function."""
+    kind = scenario.kind
+    if kind is ScenarioKind.MODIFY_DIRECTIVE:
+        return frozenset((scenario.target,))
+    if kind is ScenarioKind.ADD_FUNCTION:
+        new_id = scenario.payload["id"]
+        return frozenset(d for d in changed.directive_ids if new_id in changed.parents(d))
+    return frozenset(graph.directive_ids).symmetric_difference(changed.directive_ids)
+
+
 def impact_by_coupling(graph, slc, scenario, threshold: Fraction) -> ImpactReport:
     """One (slice, scenario) cell: the scenario applied afresh, and one
     Fraction coupling compared with the threshold per (seed, directive)."""
-    changed, seed, on_changed = _apply(graph, scenario)[:3]
+    changed = apply_change(graph, scenario)
+    seed = edited_directives(graph, changed, scenario)
+    on_changed = scenario.kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
     eval_graph = changed if on_changed else graph
     membership = (
         resolve_membership(changed, slc.members) if on_changed else dict(slc.membership)
@@ -306,8 +321,8 @@ def deletion_reference(graph, scenario):
 
     A subtree deletion also removes what the mission no longer reaches over
     the remaining edges; then every function left without children goes,
-    round by round.  Raises ChangeError, with _apply's messages, for a target
-    of the wrong kind and for an invalid result.
+    round by round.  Raises ChangeError, with apply_change's messages, for a
+    target of the wrong kind and for an invalid result.
     """
     nodes, edges, relevance = parts(graph)
     target = scenario.target

@@ -50,6 +50,7 @@ from oracles import (
     bfs_distances,
     deletion_reference,
     directive_coupling,
+    edited_directives,
     impact_by_coupling,
     reparsed,
 )
@@ -598,9 +599,14 @@ def _dropped_edges(rng, g):
     return FDGraph(nodes, dict.fromkeys(edges - gone), relevance)
 
 
+def _applied(g, sc):
+    # the changed graph and the seed _apply names
+    return apply_change(g, sc), _apply(g, sc)[0]
+
+
 def _deletion_outcome(apply, g, sc):
     try:
-        changed, seed = apply(g, sc)[:2]
+        changed, seed = apply(g, sc)
     except ChangeError as exc:
         return type(exc), str(exc)
     return changed, seed
@@ -624,7 +630,7 @@ def test_deletions_match_the_edge_set_reference(fig2):
         for target in g.node_ids:
             for kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):
                 sc = ChangeScenario(kind, target)
-                got = _deletion_outcome(_apply, g, sc)
+                got = _deletion_outcome(_applied, g, sc)
                 assert got == _deletion_outcome(deletion_reference, g, sc), (g, sc)
                 if isinstance(got[0], FDGraph):
                     _assert_in_id_order(got[0])
@@ -795,14 +801,14 @@ def _row_from(hops, s):
 
 
 def test_shortcuts_on_a_valid_base_are_exact():
-    # on the graphs tests/test_golden_lib.py records, the trusted _apply
-    # refuses exactly what the full path refuses; it builds no graph for any
-    # kind, the hop rows it gives are those of the graph the full path
-    # rebuilt (the base graph's own rows where cells are measured on the
-    # base), and the membership it derives there is resolve_membership's,
-    # errors included
+    # on the graphs tests/test_golden_lib.py records, _apply refuses exactly
+    # what apply_change refuses, so a valid base needs no rebuild; it names
+    # the directives the edit changes; the hop rows it gives are those of
+    # the graph apply_change builds (the base graph's own rows where cells
+    # are measured on the base), and the membership it derives there is
+    # resolve_membership's, errors included
     rng = random.Random(2121)
-    seen = dict.fromkeys(["refused", "unbuilt", "rows", "derived", "uncovered"], 0)
+    seen = dict.fromkeys(["refused", "applied", "rows", "derived", "uncovered"], 0)
     for seed in range(100):
         g = random_fd_graph(random.Random(seed), max_internal=12, max_directives=20)
         assert validate(g).ok
@@ -810,31 +816,31 @@ def test_shortcuts_on_a_valid_base_are_exact():
         chosen = rng.sample(slices, min(6, len(slices)))
         for sc in _every_edit(rng, g):
             try:
-                full = _apply(g, sc)
+                changed = apply_change(g, sc)
             except ChangeError as exc:
                 with pytest.raises(ChangeError) as err:
-                    _apply(g, sc, base_valid=True)
+                    _apply(g, sc)
                 assert str(err.value) == str(exc)
                 seen["refused"] += 1
                 continue
-            changed, seed_set, on_changed, owners, hops = _apply(g, sc, base_valid=True)
-            assert (seed_set, on_changed) == full[1:3]
-            assert changed is None, sc
-            seen["unbuilt"] += 1
+            seed_set, on_changed, owners, hops, _ = _apply(g, sc)
+            assert seed_set == edited_directives(g, changed, sc), sc
+            assert on_changed == sc.kind.value.startswith("add_"), sc
+            seen["applied"] += 1
             if not on_changed:
                 for s in seed_set:
                     assert hops(s) == (g.directive_ids, directive_hops(g, s), g.n_nodes)
                 continue
             for s in seed_set:
                 assert _row_from(hops, s) == (
-                    full[0].directive_ids,
-                    directive_hops(full[0], s),
-                    full[0].n_nodes,
+                    changed.directive_ids,
+                    directive_hops(changed, s),
+                    changed.n_nodes,
                 ), (sc, s)
                 seen["rows"] += 1
             for slc in chosen:
-                got = _owned(owners, changed, slc)
-                assert got == _owned(resolve_membership, full[0], slc.members), (sc, slc)
+                got = _owned(owners, slc)
+                assert got == _owned(resolve_membership, changed, slc.members), (sc, slc)
                 seen["uncovered" if isinstance(got, tuple) else "derived"] += 1
     assert min(seen.values()) >= 200, seen
 
@@ -893,7 +899,7 @@ def test_compare_slices_builds_no_graph_on_a_valid_base(monkeypatch, fig2, s1, s
 
 def test_modify_directive_copies_no_parts_on_a_valid_base(monkeypatch, fig2, s1, s2):
     # a modification on a valid base builds no graph, so it copies nothing
-    # to build one from; the full path still copies
+    # to build one from; apply_change still copies
     calls = []
 
     def counting(graph):
@@ -914,8 +920,8 @@ def test_modify_directive_copies_no_parts_on_a_valid_base(monkeypatch, fig2, s1,
 
 
 def test_compare_slices_does_not_trust_an_invalid_base():
-    # every edit of a base that fails validation takes the full path, so an
-    # edit apply_change refuses is refused by compare_slices too
+    # every edit of a base that fails validation is built once, so an edit
+    # apply_change refuses is refused by compare_slices too
     rng = random.Random(2122)
     refused = 0
     for _ in range(60):
@@ -935,6 +941,42 @@ def test_compare_slices_does_not_trust_an_invalid_base():
     assert refused >= 300
 
 
+def _misstated_kind(rng, g):
+    # an invalid base: one stated edge kind contradicts the degrees, which
+    # the changed graph, its kinds inferred afresh, no longer states
+    nodes, edges, relevance = parts(g)
+    stated = dict.fromkeys(edges)
+    u, v, kind = rng.choice(g.edges())
+    stated[(u, v)] = rng.choice([k for k in EdgeKind if k is not kind])
+    return FDGraph(nodes, stated, relevance)
+
+
+def test_compare_slices_on_an_invalid_base_matches_the_oracle():
+    # an edit compare_slices accepts on a base that fails validation leaves
+    # a valid graph, and every cell it measures there is the oracle's
+    rng = random.Random(2123)
+    accepted = Counter()
+    for i in range(120):
+        g = random_fd_graph(rng, max_internal=8, max_directives=10)
+        bad = (_dropped_edges if i % 2 else _misstated_kind)(rng, g)
+        slices = enumerate_slices(bad, max_slices=50).slices
+        if validate(bad).ok or not slices:
+            continue
+        chosen = rng.sample(slices, min(2, len(slices)))
+        thr = rng.choice([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+        for sc in _every_edit(rng, bad):
+            try:
+                got = compare_slices(bad, chosen, [sc], thr)
+            except (ChangeError, MembershipError, GraphError):
+                continue
+            expected = [[impact_by_coupling(bad, s, sc, thr)] for s in chosen]
+            assert [list(row) for row in got.reports] == expected, (bad, sc)
+            accepted[sc.kind] += 1
+    assert accepted[ScenarioKind.ADD_DIRECTIVE] >= 100, accepted
+    assert accepted[ScenarioKind.ADD_FUNCTION] >= 200, accepted
+    assert min(accepted[kind] for kind in ScenarioKind) >= 50, accepted
+
+
 def test_impact_not_connected_error():
     # a validated edit never leaves a directive out of reach, so hand the
     # kernel a base graph with a second component directly
@@ -946,7 +988,7 @@ def test_impact_not_connected_error():
     slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
     sc = scenario("modify_directive", "a", {"label": "x"})
     rings = {"a": _rings(g.directive_ids, directive_hops(g, "a"), g.n_nodes)}
-    applied = (None, frozenset({"a"}), False, _kept, rings)
+    applied = (frozenset({"a"}), False, _kept, rings)
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
         _impact(slc, sc, applied, Fraction(1, 8), Counter(slc.membership.values()))
 

@@ -785,3 +785,28 @@ def test_no_private_graph_fields_outside_graph_module(fig2):
         for hit in _private_reads(path.read_text(), fields)
     ]
     assert hits == []
+
+
+def _private_imports(source: str) -> list[str]:
+    # every _-prefixed name imported from the package, or module path into it
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "capslice":
+            names = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names if a.name.split(".")[0] == "capslice"]
+            names = [part for module in modules for part in module.split(".")]
+        else:
+            continue
+        hits += [f"{node.lineno}: {name}" for name in names if name.startswith("_")]
+    return hits
+
+
+def test_oracles_import_nothing_private():
+    # the oracles check the package from its public names only, so no
+    # private helper can sit on both sides of a comparison
+    assert _private_imports("from capslice.changesim import ChangeError, _apply") == ["1: _apply"]
+    assert _private_imports("import capslice._x as x\nfrom capslice import graph") == ["1: _x"]
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    assert "from capslice." in source
+    assert _private_imports(source) == []

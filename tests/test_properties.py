@@ -15,7 +15,13 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 
-from capslice.changesim import ChangeError, ScenarioKind, _apply, compare_slices  # noqa: E402
+from capslice.changesim import (  # noqa: E402
+    ChangeError,
+    ScenarioKind,
+    _apply,
+    apply_change,
+    compare_slices,
+)
 from capslice.graph import parse_graph, serialize_graph, validate  # noqa: E402
 from capslice.metrics import MembershipError  # noqa: E402
 from capslice.slicing import enumerate_slices, slice_objective  # noqa: E402
@@ -101,15 +107,13 @@ def test_compare_slices_matches_impact_by_coupling(graph, data):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(graph=fd_graphs(), data=st.data())
 def test_deletions_match_deletion_reference(graph, data):
-    # the full path's changed graph and seed, or its error, are the
-    # reference's; on a valid base the trusted path builds nothing and
-    # names the same seed, or raises the same error
+    # apply_change's graph and _apply's seed, or their error, are the
+    # reference's; _apply alone refuses what the reference refuses, so
+    # compare_slices needs no rebuild on a valid base
+    assert validate(graph).ok
     for kind in (ScenarioKind.DELETE_DIRECTIVE, ScenarioKind.DELETE_FUNCTION_SUBTREE):
         sc = data.draw(scenarios(graph, kind))
         expected = _outcome(deletion_reference, graph, sc)
-        assert _outcome(lambda: _apply(graph, sc)[:2]) == expected, sc
-        trusted = _outcome(lambda: _apply(graph, sc, base_valid=True)[:2])
+        assert _outcome(lambda: (apply_change(graph, sc), _apply(graph, sc)[0])) == expected, sc
         if isinstance(expected[0], type):
-            assert trusted == expected, sc
-        else:
-            assert trusted == (None, expected[1]), sc
+            assert _outcome(_apply, graph, sc) == expected, sc
