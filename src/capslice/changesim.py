@@ -355,11 +355,9 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         seed = frozenset(
             c for c in adopted if graph.node(c).kind is NodeKind.DIRECTIVE
         )
-        rows: dict[str, list[int]] = {}  # walked on first use: apply_change needs none
+        rows = inserted_function_hops(graph, target, new_id, adopted)
 
         def hops(s: str) -> tuple:
-            if not rows:
-                rows.update(inserted_function_hops(graph, target, new_id, adopted))
             return graph.directive_ids, rows[s], graph.n_nodes + 1
 
         def edit() -> tuple:
