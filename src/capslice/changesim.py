@@ -9,21 +9,21 @@ before the edit (that is where the rework happens); additions are measured
 on the changed graph, where the new directive exists.
 
 apply_change always returns a fresh graph re-validated from scratch.
-compare_slices builds no changed graph to measure a scenario: it reads a
-new directive's distances off its parent's, walks the base graph's neighbour
-table re-hung around a new function, and derives each slice's membership on
-the changed graph from the slice's own (_apply gives the conditions).  That
-is exact whenever the edit leaves a valid graph, which every accepted edit
-of a valid base does.  compare_slices reads its base graph's validation
-report, which graph.validate computes once per graph and caches on it; on an
-invalid base it builds each edit once, only to refuse one that leaves the
-graph invalid.  Each seed's hop row is sorted once per scenario into rings
-of equal distance, and every cell reads only the rings within its reach.
+compare_slices builds no changed graph to measure a scenario: each seed's
+distances come from one walk of the base graph's neighbour table with the
+nodes an addition touches re-hung, and each slice's membership on the
+changed graph is derived from the slice's own (_apply gives the
+conditions).  That is exact whenever the edit leaves a valid graph, which
+every accepted edit of a valid base does.  compare_slices reads its base
+graph's validation report, which graph.validate computes once per graph and
+caches on it; on an invalid base it builds each edit once, only to refuse
+one that leaves the graph invalid.  Each seed's hop row is sorted once per
+scenario into rings of equal distance, and every cell reads only the rings
+within its reach.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -39,13 +39,12 @@ from .graph import (
     NodeKind,
     Violation,
     coerce_relevance,
-    directive_hops,
-    inserted_function_hops,
     parts,
+    rehung_hops,
     validate,
 )
 from .metrics import UncoveredDirectiveError, UnresolvableSharingError
-from .rational import brief, literal_reader, to_fraction
+from .rational import brief, load_exact_json, to_fraction
 from .slicing import Slice
 
 DEFAULT_THRESHOLD = Fraction(1, 8)
@@ -81,14 +80,7 @@ class ScenarioParseError(ValueError):
 
 def parse_scenarios(text: str) -> list[ChangeScenario]:
     """Parse a JSON list of {kind, target, payload?} records."""
-    try:
-        doc = json.loads(text, parse_float=literal_reader())
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"invalid scenario JSON: {exc.msg} (line {exc.lineno})") from exc
-    except RecursionError:
-        raise ScenarioParseError("invalid scenario JSON: nested too deeply") from None
-    except ValueError as exc:  # a number to_fraction or int() refuses
-        raise ScenarioParseError(f"invalid scenario JSON: {exc}") from None
+    doc = load_exact_json(text, "scenario", ScenarioParseError)
     if not isinstance(doc, list):
         raise ScenarioParseError("scenario file must hold a JSON list")
     out: list[ChangeScenario] = []
@@ -196,18 +188,18 @@ def _new_node(graph: FDGraph, parent: str, payload, kind: NodeKind, **extra) -> 
 
 
 def _apply(graph: FDGraph, scenario: ChangeScenario):
-    """Check a scenario on graph; return (seed, on_changed, owners, hops, edit).
+    """Check a scenario on graph; return (seed, owners, rehung, edit).
 
-    Cells are measured on the changed graph for the additions (on_changed)
-    and on graph otherwise, but owners and hops read graph alone: no changed
-    graph is built.  owners(slc) is a slice's membership on the graph its
-    cells are measured on.  hops(s) = (ids, row, far) gives the hop counts
-    from seed s on that graph: row[i] is the count to directive ids[i], and
-    far marks a directive s does not reach.  ids are graph's directives in
-    id order, less s where s is the one new directive.  edit() returns the
-    changed graph's (nodes, edges, relevance) for _rebuild.
+    Cells are measured on the changed graph for the additions and on graph
+    otherwise, but owners and rehung read graph alone: no changed graph is
+    built.  owners(slc) is a slice's membership on the graph its cells are
+    measured on.  rehung maps each node whose neighbours the edit changes,
+    the new node among them, to its neighbours on the changed graph, for
+    graph.rehung_hops; it is empty where cells are measured on graph.
+    edit() returns the changed graph's (nodes, edges, relevance) for
+    _rebuild.
 
-    owners and hops are exact whenever the changed graph is valid, whether
+    owners and rehung are exact whenever the changed graph is valid, whether
     graph is or not.  On a valid graph every edit _apply accepts leaves a
     valid graph, so only an invalid graph needs its edit rebuilt to check.
 
@@ -218,20 +210,20 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
        childless, so a childless mission is the one violation it can add.
        When a mission would be left childless, the edit is rebuilt here,
        and the rebuild reports it.
-    2. add_directive: the new leaf's one neighbour is the target, and a
-       leaf shortens no path between other nodes, so its hop count to
-       every other directive is 1 + the target's on graph.  The members
-       covering the leaf are those at or above the target.  With exactly
-       one, it owns the leaf and every other directive keeps its owner.
-       With none, owners raises that the leaf is uncovered, as
-       resolve_membership would; two cannot occur in a valid slice, as they
-       would share the target's entry into its directives, and owners
-       raises that sharing for the leaf.
+    2. add_directive re-hangs the target, which gains the new leaf, and the
+       leaf, whose one neighbour is the target.  The members covering the
+       leaf are those at or above the target.  With exactly one, it owns
+       the leaf and every other directive keeps its owner.  With none,
+       owners raises that the leaf is uncovered, as resolve_membership
+       would; two cannot occur in a valid slice, as they would share the
+       target's entry into its directives, and owners raises that sharing
+       for the leaf.
     3. add_function hangs the new function off a current mission or
        function, above current children of the target, which keep their
-       relevance under it.  Each adopted directive's row comes from
-       graph.inserted_function_hops, which walks graph's neighbour table
-       with the target, the adopted children and the new function re-hung.
+       relevance under it.  It re-hangs the target, which loses the
+       adopted children and gains the new function, each adopted child,
+       which has the new function where it had the target, and the new
+       function, whose neighbours are the target and the adopted children.
        The new function lies under a member exactly when the target does,
        so each slice keeps its membership.
 
@@ -240,11 +232,8 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
     payload = scenario.payload
     kind = scenario.kind
     target = scenario.target
-    on_changed = kind in (ScenarioKind.ADD_DIRECTIVE, ScenarioKind.ADD_FUNCTION)
     owners = _kept
-
-    def hops(s: str) -> tuple:
-        return graph.directive_ids, directive_hops(graph, s), graph.n_nodes
+    rehung: dict[str, tuple[str, ...]] = {}
 
     if kind is ScenarioKind.MODIFY_DIRECTIVE:
         _require(graph, target, NodeKind.DIRECTIVE, "directive")
@@ -320,10 +309,8 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         value = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
         above = _at_or_above(graph, target)
-
-        def hops(s: str) -> tuple:
-            row = [h + 1 for h in directive_hops(graph, target)]
-            return graph.directive_ids, row, graph.n_nodes + 1
+        rehung[target] = (*graph.children(target), *graph.parents(target), new_id)
+        rehung[new_id] = (target,)
 
         def owners(slc: Slice) -> Mapping[str, str]:
             covering = sorted(above.intersection(slc.members))
@@ -355,10 +342,13 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         seed = frozenset(
             c for c in adopted if graph.node(c).kind is NodeKind.DIRECTIVE
         )
-        rows = inserted_function_hops(graph, target, new_id, adopted)
-
-        def hops(s: str) -> tuple:
-            return graph.directive_ids, rows[s], graph.n_nodes + 1
+        moved = set(adopted)
+        kept = (c for c in graph.children(target) if c not in moved)
+        rehung[target] = (*kept, *graph.parents(target), new_id)
+        for c in adopted:
+            parents = (new_id if p == target else p for p in graph.parents(c))
+            rehung[c] = (*graph.children(c), *parents)
+        rehung[new_id] = (target, *adopted)
 
         def edit() -> tuple:
             nodes, edges, relevance = parts(graph)
@@ -373,7 +363,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
 
     else:
         raise ChangeError(f"unsupported scenario kind {kind!r}")
-    return seed, on_changed, owners, hops, edit
+    return seed, owners, rehung, edit
 
 
 def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:
@@ -498,11 +488,12 @@ def compare_slices(
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:
-                seed, on_changed, owners, hops, edit = _apply(graph, sc)
+                seed, owners, rehung, edit = _apply(graph, sc)
                 if recheck:
                     _rebuild(*edit())  # only to refuse an edit that leaves it invalid
-                rings = {u: _rings(*hops(u)) for u in seed}
-                applied[j] = (seed, on_changed, owners, rings)
+                hops, far = rehung_hops(graph, seed, rehung)
+                rings = {u: _rings(graph.directive_ids, hops[u], far) for u in seed}
+                applied[j] = (seed, bool(rehung), owners, rings)
             row.append(_impact(s, sc, applied[j], thr, owned))
         rows.append(tuple(row))
     reports = tuple(rows)

@@ -51,7 +51,7 @@ from .optimizer import (
     optimize,
     validate_manifest,
 )
-from .rational import fixed, to_fraction
+from .rational import Memo, fixed, to_fraction
 from .slicing import (
     EnumerationCapError,
     InvalidSliceError,
@@ -100,20 +100,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-class _Fragments(dict):
-    """A JSON fragment per key, made by make(key) on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        text = self[key] = self.make(key)
-        return text
-
-
 # a slice document as _emit writes it: keys sorted, compact separators
 _SLICE_LINE = (
     '{"cohesion":{%s},"coupling":{%s},"f":%r,"mean_cohesion":%r,"mean_coupling":%r,'
@@ -134,11 +120,11 @@ def _slice_writer(graph: FDGraph):
     cmd_slices call makes its own writer.
     """
     encode = json.encoder.encode_basestring_ascii
-    ids = _Fragments(encode)
-    cohesions = _Fragments(lambda m: f"{ids[m]}:{float(cohesion(graph, m))!r}")
-    owners = _Fragments(lambda item: f"{encode(item[0])}:{ids[item[1]]}")
-    pair_keys = _Fragments(lambda pair: f"{pair[0]}->{pair[1]}")
-    couplings = _Fragments(lambda item: f"{encode(pair_keys[item[0]])}:{item[1]!r}")
+    ids = Memo(encode)
+    cohesions = Memo(lambda m: f"{ids[m]}:{float(cohesion(graph, m))!r}")
+    owners = Memo(lambda item: f"{encode(item[0])}:{ids[item[1]]}")
+    pair_keys = Memo(lambda pair: f"{pair[0]}->{pair[1]}")
+    couplings = Memo(lambda item: f"{encode(pair_keys[item[0]])}:{item[1]!r}")
     # Unless one function id is a prefix of another, "p->q" keys sort as
     # their (p, q) pairs and never coincide.  Sorted ids put such a pair
     # next to each other.

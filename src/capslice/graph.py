@@ -333,35 +333,23 @@ def directive_hops(graph: FDGraph, u: str) -> list[int]:
     return hops
 
 
-def inserted_function_hops(
-    graph: FDGraph, target: str, new_id: str, adopted: Iterable[str]
-) -> dict[str, list[int]]:
-    """directive_hops from each adopted directive, on graph with a new
-    function new_id inserted under target, above the adopted children.
+def rehung_hops(
+    graph: FDGraph, sources: Iterable[str], rehung: Mapping[str, tuple[str, ...]]
+) -> tuple[dict[str, list[int]], int]:
+    """directive_hops from each source on graph's neighbour table with the
+    entries in rehung put in place: (rows, far).
 
-    No graph is built.  The walks read graph's neighbour table with three
-    kinds of node re-hung: target loses its edges to the adopted children
-    and gains new_id; each adopted child has new_id where it had target;
-    new_id's neighbours are target and the adopted children.  Rows are in
-    graph's directive id order, which the insertion of a function keeps,
-    and a directive a source does not reach reads graph.n_nodes + 1, the
-    changed graph's node count.  adopted must be distinct children of
-    target and new_id a new id, as change simulation checks.  Not cached.
+    When rehung maps every node whose neighbours an edit changes, a new
+    node among them, to its neighbours on the changed graph, the rows are
+    that graph's hop counts.  Rows are in graph's directive id order, and a
+    directive a source does not reach reads far, the table's node count.
+    No graph is built and nothing is cached; with rehung empty the walks
+    read graph's own table.
     """
-    adopted = tuple(adopted)
-    moved = set(adopted)
-    adjacent = dict(graph._adjacent)
-    adjacent[target] = (*(n for n in adjacent[target] if n not in moved), new_id)
-    for c in adopted:
-        adjacent[c] = tuple(new_id if n == target else n for n in adjacent[c])
-    adjacent[new_id] = (target, *adopted)
+    adjacent = {**graph._adjacent, **rehung} if rehung else graph._adjacent
     ids = graph.directive_ids
-    far = graph.n_nodes + 1
-    return {
-        c: list(map(_levels(adjacent, c).get, ids, repeat(far)))
-        for c in adopted
-        if graph._nodes[c].kind is NodeKind.DIRECTIVE
-    }
+    far = len(adjacent)
+    return {s: list(map(_levels(adjacent, s).get, ids, repeat(far))) for s in sources}, far
 
 
 def directive_weights(
@@ -451,33 +439,24 @@ def find_cycle(graph: FDGraph) -> list[str] | None:
     """One directed cycle as a node path, or None when the graph is acyclic."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {i: WHITE for i in graph.node_ids}
-    parent: dict[str, str] = {}
     for root in graph.node_ids:
         if color[root] != WHITE:
             continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(graph._children[root]))]
+        # path holds the gray nodes, root first, in stack order
+        path = [root]
+        stack: list[Iterator[str]] = [iter(graph._children[root])]
         color[root] = GRAY
         while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y in it:
+            for y in stack[-1]:
                 if color[y] == WHITE:
                     color[y] = GRAY
-                    parent[y] = x
-                    stack.append((y, iter(graph._children[y])))
-                    advanced = True
+                    path.append(y)
+                    stack.append(iter(graph._children[y]))
                     break
                 if color[y] == GRAY:
-                    # walk back from x to y to recover the cycle
-                    path = [y, x]
-                    cur = x
-                    while cur != y:
-                        cur = parent[cur]
-                        path.append(cur)
-                    path.reverse()
-                    return path
-            if not advanced:
-                color[x] = BLACK
+                    return path[path.index(y) :] + [y]
+            else:
+                color[path.pop()] = BLACK
                 stack.pop()
     return None
 

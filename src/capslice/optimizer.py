@@ -14,7 +14,6 @@ weights traded away.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graph import entry_parents, impact_category
 from .metrics import PairCoupling, coupling_matrix, entry_parent, size_of
-from .rational import brief, literal_reader, to_fraction
+from .rational import brief, load_exact_json, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
 EXHAUSTIVE_LIMIT = 8
@@ -290,14 +289,7 @@ class OptimizationConfig:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        try:
-            doc = json.loads(text, parse_float=literal_reader())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc.msg} (line {exc.lineno})") from exc
-        except RecursionError:
-            raise ConfigError("invalid config JSON: nested too deeply") from None
-        except ValueError as exc:  # a number to_fraction or int() refuses
-            raise ConfigError(f"invalid config JSON: {exc}") from None
+        doc = load_exact_json(text, "config", ConfigError)
         if not isinstance(doc, Mapping):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)

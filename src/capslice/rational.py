@@ -8,6 +8,7 @@ keeps an input value echoed in an error message short.
 
 from __future__ import annotations
 
+import json
 import math
 import reprlib
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -94,10 +95,17 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {brief(value)} as a rational number")
 
 
-class _Literals(dict):
-    # text of a decimal literal -> its Fraction, read on first lookup
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = to_fraction(text)
+class Memo(dict):
+    """A value per key, made by make(key) on first lookup and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
 
 
@@ -108,7 +116,23 @@ def literal_reader() -> Callable[[str], Fraction]:
     to one shared Fraction; use a fresh reader per document.  Values and
     errors are those of to_fraction.
     """
-    return _Literals().__getitem__
+    return Memo(to_fraction).__getitem__
+
+
+def load_exact_json(text: str, noun: str, error: type[Exception]):
+    """json.loads of text with a fresh literal_reader.
+
+    Malformed JSON, nesting too deep and a number to_fraction refuses raise
+    error, its message starting "invalid {noun} JSON: ".
+    """
+    try:
+        return json.loads(text, parse_float=literal_reader())
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid {noun} JSON: {exc.msg} (line {exc.lineno})") from exc
+    except RecursionError:
+        raise error(f"invalid {noun} JSON: nested too deeply") from None
+    except ValueError as exc:  # a number to_fraction or int() refuses
+        raise error(f"invalid {noun} JSON: {exc}") from None
 
 
 def exact_sum(values: Iterable[Fraction]) -> Fraction:

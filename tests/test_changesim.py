@@ -35,6 +35,7 @@ from capslice.graph import (
     directive_hops,
     parse_graph,
     parts,
+    rehung_hops,
     serialize_graph,
     validate,
 )
@@ -788,27 +789,18 @@ def _owned(fn, *args):
         return type(exc), str(exc)
 
 
-def _row_from(hops, s):
-    # the directive ids of the graph a cell is measured on, seed s's hop row
-    # there and its not-connected mark, as hops(s) = (ids, row, far) gives
-    # them: a seed that is not in ids is the one new directive, at hop count
-    # 0 from itself
-    ids, row, far = hops(s)
-    ids, row = list(ids), list(row)
-    if s not in ids:
-        at = sorted(ids + [s]).index(s)
-        ids.insert(at, s)
-        row.insert(at, 0)
-    return tuple(ids), row, far
+def _neighbours(g, nid):
+    return set(g.children(nid) + g.parents(nid))
 
 
 def test_shortcuts_on_a_valid_base_are_exact():
     # on the graphs tests/test_golden_lib.py records, _apply refuses exactly
     # what apply_change refuses, so a valid base needs no rebuild; it names
-    # the directives the edit changes; the hop rows it gives are those of
-    # the graph apply_change builds (the base graph's own rows where cells
-    # are measured on the base), and the membership it derives there is
-    # resolve_membership's, errors included
+    # the directives the edit changes; each node it re-hangs has its
+    # neighbours on the graph apply_change builds, and no other node's
+    # neighbours change, so rehung_hops gives that graph's rows (the base
+    # graph's own where nothing is re-hung); and the membership it derives
+    # there is resolve_membership's, errors included
     rng = random.Random(2121)
     seen = dict.fromkeys(["refused", "applied", "rows", "derived", "uncovered"], 0)
     for seed in range(100):
@@ -825,20 +817,29 @@ def test_shortcuts_on_a_valid_base_are_exact():
                 assert str(err.value) == str(exc)
                 seen["refused"] += 1
                 continue
-            seed_set, on_changed, owners, hops, _ = _apply(g, sc)
+            seed_set, owners, rehung, _ = _apply(g, sc)
             assert seed_set == edited_directives(g, changed, sc), sc
-            assert on_changed == sc.kind.value.startswith("add_"), sc
+            assert bool(rehung) == sc.kind.value.startswith("add_"), sc
             seen["applied"] += 1
-            if not on_changed:
+            rows, far = rehung_hops(g, seed_set, rehung)
+            assert set(rows) == seed_set
+            if not rehung:
                 for s in seed_set:
-                    assert hops(s) == (g.directive_ids, directive_hops(g, s), g.n_nodes)
+                    assert rows[s] == directive_hops(g, s)
+                assert far == g.n_nodes
                 continue
+            assert set(changed.node_ids) == set(g.node_ids) | set(rehung), sc
+            for nid in changed.node_ids:
+                if nid in rehung:
+                    assert len(set(rehung[nid])) == len(rehung[nid]), (sc, nid)
+                    assert set(rehung[nid]) == _neighbours(changed, nid), (sc, nid)
+                else:
+                    assert _neighbours(g, nid) == _neighbours(changed, nid), (sc, nid)
+            assert far == changed.n_nodes
+            at = {d: i for i, d in enumerate(changed.directive_ids)}
             for s in seed_set:
-                assert _row_from(hops, s) == (
-                    changed.directive_ids,
-                    directive_hops(changed, s),
-                    changed.n_nodes,
-                ), (sc, s)
+                row = directive_hops(changed, s)
+                assert rows[s] == [row[at[d]] for d in g.directive_ids], (sc, s)
                 seen["rows"] += 1
             for slc in chosen:
                 got = _owned(owners, slc)

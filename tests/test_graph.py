@@ -23,6 +23,7 @@ from capslice.graph import (
     directive_weights,
     distances_from,
     export_dot,
+    find_cycle,
     impact_category,
     leaves_of,
     parse_graph,
@@ -364,6 +365,61 @@ def test_validate_cycle(fig2):
     codes = {v.code for v in report.violations}
     assert "CYCLE" in codes
     assert "NODE_DEGREE" in codes  # d_1 now has a child
+
+
+def _acyclic(g):
+    # Kahn's algorithm: every node is peeled off exactly when there is no cycle
+    indeg = {n: len(g.parents(n)) for n in g.node_ids}
+    ready = [n for n, k in indeg.items() if k == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for c in g.children(ready.pop()):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    return peeled == g.n_nodes
+
+
+@pytest.mark.parametrize(
+    "extra, path",
+    [
+        ([("d_13", "m")], ["d_13", "m", "n_3", "n_8", "d_13"]),
+        ([("d_4", "n_2")], ["d_4", "n_2", "n_6", "d_4"]),
+        ([("d_9", "n_1"), ("n_5", "n_2")], ["d_9", "n_1", "n_5", "n_2", "n_7", "d_9"]),
+        ([("n_9", "n_4"), ("d_14", "n_3")], ["d_14", "n_3", "n_8", "d_14"]),
+    ],
+)
+def test_find_cycle_paths_are_pinned(fig2, extra, path):
+    # validate reports the cycle find_cycle's depth-first search meets first
+    nodes, edges = _fig2_parts(fig2)
+    g = build_graph(nodes, edges + [[u, v, None, None] for u, v in extra])
+    assert find_cycle(g) == path
+    cycles = [v.subject for v in validate(g).violations if v.code == "CYCLE"]
+    assert cycles == [" -> ".join(path)]
+
+
+def test_find_cycle_reports_a_closed_walk_or_none():
+    # a cycle away from the search's root starts where the search re-entered it
+    h = build_graph([(n, "function") for n in "abc"], [("a", "b"), ("b", "c"), ("c", "b")])
+    assert find_cycle(h) == ["b", "c", "b"]
+    # seeded graphs with one to four edges added between any two nodes
+    cyclic = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes, edges, relevance = parts(random_fd_graph(rng, max_internal=10, max_directives=12))
+        ids = sorted(nodes)
+        edges |= {tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 4))}
+        g = FDGraph(nodes, dict.fromkeys(edges), relevance)
+        path = find_cycle(g)
+        assert (path is None) == _acyclic(g), seed
+        if path is None:
+            continue
+        cyclic += 1
+        assert len(path) >= 3 and path[0] == path[-1], (seed, path)
+        assert len(set(path[:-1])) == len(path) - 1, (seed, path)
+        assert all(v in g.children(u) for u, v in zip(path, path[1:])), (seed, path)
+    assert 100 <= cyclic <= 200, cyclic
 
 
 def test_validate_mission_count():
