@@ -39,8 +39,8 @@ from .graph import (
     NodeKind,
     Violation,
     coerce_relevance,
+    hop_rows,
     parts,
-    rehung_hops,
     validate,
 )
 from .metrics import UncoveredDirectiveError, UnresolvableSharingError
@@ -195,7 +195,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
     built.  owners(slc) is a slice's membership on the graph its cells are
     measured on.  rehung maps each node whose neighbours the edit changes,
     the new node among them, to its neighbours on the changed graph, for
-    graph.rehung_hops; it is empty where cells are measured on graph.
+    graph.hop_rows; it is empty where cells are measured on graph.
     edit() returns the changed graph's (nodes, edges, relevance) for
     _rebuild.
 
@@ -284,16 +284,19 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             removed.update(nid for nid in graph.node_ids if nid not in reachable)
         # A function whose children all vanished goes too, and so does one
         # that had none; the mission never cascades, a childless mission is
-        # reported by validation instead.
-        while True:
-            newly = [
-                f
-                for f in graph.function_ids
-                if f not in removed and all(c in removed for c in graph.children(f))
-            ]
-            if not newly:
-                break
-            removed.update(newly)
+        # reported by validation instead.  Only the parents of a removed
+        # node can be left childless by it, so only they are tested again.
+        removed.update(f for f in graph.function_ids if not graph.children(f))
+        stack = list(removed)
+        while stack:
+            for p in graph.parents(stack.pop()):
+                if (
+                    p not in removed
+                    and graph.node(p).kind is NodeKind.FUNCTION
+                    and all(c in removed for c in graph.children(p))
+                ):
+                    removed.add(p)
+                    stack.append(p)
         seed = frozenset(nid for nid in removed if graph.node(nid).kind is NodeKind.DIRECTIVE)
 
         def edit() -> tuple:
@@ -491,7 +494,7 @@ def compare_slices(
                 seed, owners, rehung, edit = _apply(graph, sc)
                 if recheck:
                     _rebuild(*edit())  # only to refuse an edit that leaves it invalid
-                hops, far = rehung_hops(graph, seed, rehung)
+                hops, far = hop_rows(graph, seed, rehung)
                 rings = {u: _rings(graph.directive_ids, hops[u], far) for u in seed}
                 applied[j] = (seed, bool(rehung), owners, rings)
             row.append(_impact(s, sc, applied[j], thr, owned))

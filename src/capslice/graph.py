@@ -153,7 +153,6 @@ class FDGraph:
 
         # lazy caches
         self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._hops: dict[str, list[int]] = {}
         self._weights: tuple[int, dict[str, int], list[list[int | None]]] | None = None
         self._column_sums: dict[tuple[int, ...], list[int | None]] = {}
         self._cohesion: dict[str, Fraction] = {}
@@ -318,33 +317,18 @@ def distances_from(graph: FDGraph, u: str) -> dict[str, int]:
     return _levels(graph._adjacent, u)
 
 
-def directive_hops(graph: FDGraph, u: str) -> list[int]:
-    """Undirected hop count from u to each directive, in id order.
-
-    A directive u does not reach reads graph.n_nodes, longer than any path.
-    One search per source, cached on the graph; the list is shared, so
-    callers must not change it.
-    """
-    hops = graph._hops.get(u)
-    if hops is None:
-        far = graph.n_nodes
-        hops = list(map(distances_from(graph, u).get, graph.directive_ids, repeat(far)))
-        graph._hops[u] = hops
-    return hops
-
-
-def rehung_hops(
+def hop_rows(
     graph: FDGraph, sources: Iterable[str], rehung: Mapping[str, tuple[str, ...]]
 ) -> tuple[dict[str, list[int]], int]:
-    """directive_hops from each source on graph's neighbour table with the
-    entries in rehung put in place: (rows, far).
+    """Undirected hop count from each source to each directive, on graph's
+    neighbour table with the entries in rehung put in place: (rows, far).
 
     When rehung maps every node whose neighbours an edit changes, a new
     node among them, to its neighbours on the changed graph, the rows are
     that graph's hop counts.  Rows are in graph's directive id order, and a
     directive a source does not reach reads far, the table's node count.
-    No graph is built and nothing is cached; with rehung empty the walks
-    read graph's own table.
+    One walk per source; no graph is built and nothing is cached.  With
+    rehung empty the walks read graph's own table.
     """
     adjacent = {**graph._adjacent, **rehung} if rehung else graph._adjacent
     ids = graph.directive_ids
@@ -366,23 +350,23 @@ def directive_weights(
     Built once per graph on the identity dist(d, x) = 1 + min(dist(n, x)
     for n a neighbour of d), which holds for every x != d in an unweighted
     graph: each directive's row is the element-wise min of its neighbours'
-    directive_hops (its parents, and its children on a graph validate
-    refuses), so the searches run once per distinct neighbour, not per
-    directive.  The neighbours lie in d's component, so a target is reached
-    from all of them or from none; one without neighbours reaches nothing.
-    A directive's own entry (out to a neighbour and back) is no distance
-    and stays out of the scale.
+    hop rows (its parents, and its children on a graph validate refuses),
+    taken from one hop_rows call, so the searches run once per distinct
+    neighbour, not per directive.  The neighbours lie in d's component, so
+    a target is reached from all of them or from none; one without
+    neighbours reaches nothing.  A directive's own entry (out to a
+    neighbour and back) is no distance and stays out of the scale.
     """
     if graph._weights is None:
         ids = graph.directive_ids
         adjacent = graph._adjacent
-        far = graph.n_nodes  # directive_hops' mark for not connected
+        hops, far = hop_rows(graph, {n for d in ids for n in adjacent[d]}, {})
         rows = []
         for i, d in enumerate(ids):
-            near = [directive_hops(graph, n) for n in adjacent[d]]
+            near = [hops[n] for n in adjacent[d]]
             if len(near) > 1:
                 row = list(map(min, *near))
-            else:  # a copy: rows change below, and hop lists are shared
+            else:  # a copy: rows change below, and neighbours share a row
                 row = list(near[0] if near else repeat(far, len(ids)))
             row[i] = far
             rows.append(row)

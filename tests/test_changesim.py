@@ -32,10 +32,9 @@ from capslice.graph import (
     NodeKind,
     ValidationReport,
     build_graph,
-    directive_hops,
+    hop_rows,
     parse_graph,
     parts,
-    rehung_hops,
     serialize_graph,
     validate,
 )
@@ -50,6 +49,7 @@ from capslice.metrics import (
 from capslice.slicing import Slice, enumerate_slices, make_slice
 from conftest import RELEVANCE_PALETTE, random_fd_graph, random_scenario
 from oracles import (
+    _cascade_childless,
     bfs_distances,
     deletion_reference,
     directive_coupling,
@@ -793,12 +793,19 @@ def _neighbours(g, nid):
     return set(g.children(nid) + g.parents(nid))
 
 
+def _bfs_row(g, source, ids):
+    # the oracle's hop count on g from source to each of ids, in that
+    # order; a directive the source does not reach reads g's node count
+    dist = bfs_distances(g, source)
+    return [dist.get(d, g.n_nodes) for d in ids]
+
+
 def test_shortcuts_on_a_valid_base_are_exact():
     # on the graphs tests/test_golden_lib.py records, _apply refuses exactly
     # what apply_change refuses, so a valid base needs no rebuild; it names
     # the directives the edit changes; each node it re-hangs has its
     # neighbours on the graph apply_change builds, and no other node's
-    # neighbours change, so rehung_hops gives that graph's rows (the base
+    # neighbours change, so hop_rows gives that graph's rows (the base
     # graph's own where nothing is re-hung); and the membership it derives
     # there is resolve_membership's, errors included
     rng = random.Random(2121)
@@ -821,11 +828,11 @@ def test_shortcuts_on_a_valid_base_are_exact():
             assert seed_set == edited_directives(g, changed, sc), sc
             assert bool(rehung) == sc.kind.value.startswith("add_"), sc
             seen["applied"] += 1
-            rows, far = rehung_hops(g, seed_set, rehung)
+            rows, far = hop_rows(g, seed_set, rehung)
             assert set(rows) == seed_set
             if not rehung:
                 for s in seed_set:
-                    assert rows[s] == directive_hops(g, s)
+                    assert rows[s] == _bfs_row(g, s, g.directive_ids), (sc, s)
                 assert far == g.n_nodes
                 continue
             assert set(changed.node_ids) == set(g.node_ids) | set(rehung), sc
@@ -836,10 +843,8 @@ def test_shortcuts_on_a_valid_base_are_exact():
                 else:
                     assert _neighbours(g, nid) == _neighbours(changed, nid), (sc, nid)
             assert far == changed.n_nodes
-            at = {d: i for i, d in enumerate(changed.directive_ids)}
             for s in seed_set:
-                row = directive_hops(changed, s)
-                assert rows[s] == [row[at[d]] for d in g.directive_ids], (sc, s)
+                assert rows[s] == _bfs_row(changed, s, g.directive_ids), (sc, s)
                 seen["rows"] += 1
             for slc in chosen:
                 got = _owned(owners, slc)
@@ -998,6 +1003,46 @@ def test_compare_slices_on_an_invalid_base_matches_the_oracle():
     assert all(accepted[key] >= n for key, n in required.items()), accepted
 
 
+def test_deletion_cascade_matches_the_oracle_on_hand_built_bases():
+    # fd_graphs draws only valid graphs, and the invalid-base differential
+    # takes its oracle's graph from apply_change, so neither holds the
+    # cascade to an independent reference on these: a chain of single-child
+    # functions that one deletion empties, and an invalid base that already
+    # holds a childless function h, whose single-child parent f1 goes too
+    def graph(edges):
+        ids = dict.fromkeys(n for e in edges for n in e)
+        kinds = {"m": "mission", "d": "directive"}
+        return build_graph(
+            [(n, kinds.get(n[0], "function")) for n in ids],
+            [(u, v, None, 1) if v[0] == "d" else (u, v) for u, v in edges],
+        )
+
+    chain = graph(
+        [("m", "f1"), ("f1", "f2"), ("f2", "f3"), ("f3", "d"), ("m", "g"), ("g", "d2")]
+    )
+    holed = graph([("m", "a"), ("a", "d1"), ("a", "d2"), ("m", "f1"), ("f1", "h")])
+    assert validate(chain).ok
+    assert [v.subject for v in validate(holed).violations] == ["h"]
+    # each case's cascade starts from the target and what the mission no
+    # longer reaches without it
+    emptied = {"d", "f3", "f2", "f1"}
+    cases = [
+        (chain, scenario("delete_directive", "d"), {"d"}, emptied),
+        (chain, scenario("delete_function_subtree", "f3"), {"f3", "d"}, emptied),
+        (chain, scenario("delete_function_subtree", "f2"), {"f2", "f3", "d"}, emptied),
+        (holed, scenario("delete_directive", "d1"), {"d1"}, {"d1", "h", "f1"}),
+        (holed, scenario("delete_function_subtree", "f1"), {"f1", "h"}, {"f1", "h"}),
+    ]
+    for g, sc, start, expected in cases:
+        nodes, edges, _ = parts(g)
+        removed = _cascade_childless(nodes, edges, start)
+        assert removed == expected, sc
+        seed, _, rehung, edit = _apply(g, sc)
+        assert rehung == {}
+        assert seed == {n for n in removed if nodes[n].kind is NodeKind.DIRECTIVE}, sc
+        assert set(edit()[0]) == set(nodes) - removed, sc
+
+
 def test_impact_not_connected_error():
     # a validated edit never leaves a directive out of reach, so hand the
     # kernel a base graph with a second component directly
@@ -1008,7 +1053,8 @@ def test_impact_not_connected_error():
     )
     slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
     sc = scenario("modify_directive", "a", {"label": "x"})
-    rings = {"a": _rings(g.directive_ids, directive_hops(g, "a"), g.n_nodes)}
+    rows, far = hop_rows(g, ["a"], {})
+    rings = {"a": _rings(g.directive_ids, rows["a"], far)}
     applied = (frozenset({"a"}), False, _kept, rings)
     with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
         _impact(slc, sc, applied, Fraction(1, 8), Counter(slc.membership.values()))

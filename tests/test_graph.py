@@ -19,11 +19,11 @@ from capslice.graph import (
     build_graph,
     coerce_relevance,
     descendants,
-    directive_hops,
     directive_weights,
     distances_from,
     export_dot,
     find_cycle,
+    hop_rows,
     impact_category,
     leaves_of,
     parse_graph,
@@ -671,7 +671,7 @@ def test_queries_match_oracles_on_random_graphs():
             assert undirected_distance(g, u, v) == undirected_distance(g, v, u)
             assert distances_from(g, u) == bfs_distances(g, u)
         for n in g.node_ids:
-            assert directive_hops(g, n) == _hops_reference(g, n), n
+            assert hop_rows(g, [n], {}) == ({n: _hops_reference(g, n)}, g.n_nodes), n
 
 
 def _hops_reference(g, u):
@@ -717,9 +717,9 @@ def test_directive_weights_match_reference():
         ["m", "f", "g", "d1", "d2", "d3", "d4"],
         [("m", "f"), ("f", "d1"), ("f", "d2"), ("g", "d3")],
     )
-    for n in apart.node_ids:
-        assert directive_hops(apart, n) == _hops_reference(apart, n), n
-    assert directive_hops(apart, "g") == [7, 7, 1, 7]
+    rows, far = hop_rows(apart, apart.node_ids, {})
+    assert rows == {n: _hops_reference(apart, n) for n in apart.node_ids}
+    assert (rows["g"], far) == ([7, 7, 1, 7], 7)
     assert _check_weights(apart) == (
         2,
         [[0, 1, None, None], [1, 0, None, None], [None, None, 0, None], [None, None, None, 0]],
@@ -739,13 +739,13 @@ def test_directive_weights_search_once_per_neighbour(monkeypatch):
     # a fresh fig2: the shared fixture's tables may be built already
     fig2 = load_fig2()
     searches = []
-    search = graph_module.distances_from
+    search = graph_module._levels
 
-    def counted(g, u):
+    def counted(adjacent, u):
         searches.append(u)
-        return search(g, u)
+        return search(adjacent, u)
 
-    monkeypatch.setattr(graph_module, "distances_from", counted)
+    monkeypatch.setattr(graph_module, "_levels", counted)
     rng = random.Random(1818)
     for g in [fig2] + [random_fd_graph(rng) for _ in range(10)]:
         searches.clear()
@@ -754,8 +754,6 @@ def test_directive_weights_search_once_per_neighbour(monkeypatch):
         assert sorted(searches) == sorted(near)
         searches.clear()
         directive_weights(g)
-        for n in near:
-            directive_hops(g, n)
         assert searches == []
 
 
@@ -828,7 +826,8 @@ def _private_reads(source: str, fields: set[str]) -> list[str]:
 
 def test_no_private_graph_fields_outside_graph_module(fig2):
     fields = {name for name in vars(fig2) if name.startswith("_")}
-    assert {"_children", "_parents", "_entry", "_hops"} <= fields
+    assert {"_children", "_parents", "_entry", "_adjacent"} <= fields
+    assert "_hops" not in fields
     assert _private_reads("x = graph._children[n]\ny = graph.children(n)", fields) == [
         "1: ._children"
     ]

@@ -1,13 +1,16 @@
 """The README's contracts checked against the code: its Violation codes
 table names exactly the codes the package emits, each subcommand takes
-exactly the flags the README gives it, and each documented exit code is
-returned."""
+exactly the flags the README gives it, each documented exit code is
+returned, and each module.name it cites exists."""
 
 import argparse
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import capslice
 from capslice import cli
 from capslice.fixtures import fig2_path
 from capslice.graph import build_graph, serialize_graph
@@ -110,3 +113,27 @@ def test_each_documented_exit_code_is_returned(tmp_path, capsys):
     for code, path in graphs.items():
         assert cli.main(["validate", str(path)]) == code, code
     capsys.readouterr()
+
+
+def _named_in_modules() -> list[tuple[str, str]]:
+    # every backticked module.name, or a call of one, whose module is one
+    # of the package's; a file name such as graph.py names nothing in it
+    package = ROOT / "src" / "capslice"
+    modules = {m.name for m in pkgutil.iter_modules(capslice.__path__)}
+    text = (ROOT / "README.md").read_text()
+    return [
+        (module, name)
+        for module, name in re.findall(r"`(?:capslice\.)?([a-z_]+)\.(\w+)[`(]", text)
+        if module in modules and not (package / f"{module}.{name}").is_file()
+    ]
+
+
+def test_every_named_function_exists():
+    named = _named_in_modules()
+    assert len(named) >= 12 and ("graph", "directive_weights") in named, named
+    missing = [
+        f"{module}.{name}"
+        for module, name in named
+        if not hasattr(importlib.import_module(f"capslice.{module}"), name)
+    ]
+    assert missing == [], f"names the README cites that the package lacks: {missing}"
