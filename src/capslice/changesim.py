@@ -17,14 +17,12 @@ conditions).  That is exact whenever the edit leaves a valid graph, which
 every accepted edit of a valid base does.  compare_slices reads its base
 graph's validation report, which graph.validate computes once per graph and
 caches on it; on an invalid base it builds each edit once, only to refuse
-one that leaves the graph invalid.  Each seed's hop row is sorted once per
-scenario into rings of equal distance, and every cell reads only the rings
-within its reach.
+one that leaves the graph invalid.  Each seed's hop row is walked once
+per scenario and shared by every cell, which scans it in directive id order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -38,6 +36,7 @@ from .graph import (
     Node,
     NodeKind,
     Violation,
+    ancestors,
     coerce_relevance,
     hop_rows,
     parts,
@@ -128,18 +127,6 @@ def _strip(graph: FDGraph, removed: set[str]):
         (d, p): r for (d, p), r in relevance.items() if d not in removed and p not in removed
     }
     return nodes, edges, relevance
-
-
-def _at_or_above(graph: FDGraph, node_id: str) -> set[str]:
-    """node_id and every node it lies under."""
-    found = {node_id}
-    stack = [node_id]
-    while stack:
-        for p in graph.parents(stack.pop()):
-            if p not in found:
-                found.add(p)
-                stack.append(p)
-    return found
 
 
 def _kept(slc: Slice) -> Mapping[str, str]:
@@ -311,7 +298,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             raise ChangeError("a new directive needs a relevance")
         value = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
-        above = _at_or_above(graph, target)
+        above = ancestors(graph, target) | {target}
         rehung[target] = (*graph.children(target), *graph.parents(target), new_id)
         rehung[new_id] = (target,)
 
@@ -412,34 +399,28 @@ def impact_set(
     return compare_slices(graph, (slc,), (scenario,), threshold).reports[0][0]
 
 
-def _rings(ids, row, far) -> tuple[list[int], list[str], int]:
-    """(hops, ids, reached): ids sorted by (hop count, id), hops their
-    counts, and reached the number of them the source reaches."""
-    order = sorted(zip(row, ids))
-    hops = [h for h, _ in order]
-    return hops, [d for _, d in order], bisect_left(hops, far)
-
-
 def _impact(
     slc: Slice, scenario: ChangeScenario, applied, thr: Fraction, owned: Counter
 ) -> ImpactReport:
-    # applied is (seed, on_changed, owners, rings) with rings[s] the _rings
-    # of seed s, shared by every slice the scenario is measured on; owned
+    # applied is (seed, on_changed, owners, ids, rows, far) with rows[s]
+    # seed s's hop count to each directive of ids, far where s does not
+    # reach it, shared by every slice the scenario is measured on; owned
     # counts the directives each member owns in slc.membership
-    seed, on_changed, owners, rings = applied
+    seed, on_changed, owners, ids, rows, far = applied
     membership = owners(slc)
     if membership is not slc.membership:
         owned = Counter(membership.values())
 
     # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
-    # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers
+    # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers.
+    # far marks a directive s does not reach, so the cut stays below it.
     affected = set(seed)
     for s in sorted(seed):
-        hops, ids, reached = rings[s]
-        reach = thr.denominator // (owned[membership[s]] * thr.numerator)
-        affected.update(ids[: bisect_right(hops, reach, 0, reached)])
-        for d in ids[reached:]:  # all at the far mark, so in id order
-            if d not in affected:
+        reach = min(thr.denominator // (owned[membership[s]] * thr.numerator), far - 1)
+        for d, h in zip(ids, rows[s]):
+            if h <= reach:
+                affected.add(d)
+            elif h == far and d not in affected:
                 raise GraphError(f"{d!r} and {s!r} are not connected")
     capabilities = frozenset(map(membership.__getitem__, affected))
     # positional: keyword arguments cost a frozen dataclass as much again
@@ -495,8 +476,7 @@ def compare_slices(
                 if recheck:
                     _rebuild(*edit())  # only to refuse an edit that leaves it invalid
                 hops, far = hop_rows(graph, seed, rehung)
-                rings = {u: _rings(graph.directive_ids, hops[u], far) for u in seed}
-                applied[j] = (seed, bool(rehung), owners, rings)
+                applied[j] = (seed, bool(rehung), owners, graph.directive_ids, hops, far)
             row.append(_impact(s, sc, applied[j], thr, owned))
         rows.append(tuple(row))
     reports = tuple(rows)

@@ -229,21 +229,28 @@ class FDGraph:
         return f"<FDGraph nodes={self.n_nodes} edges={len(self._edge_kinds)}>"
 
 
-def descendants(graph: FDGraph, node_id: str) -> frozenset[str]:
-    """All nodes reachable from node_id along child edges (excluding itself).
-
-    One walk per call, not cached.
-    """
+def _walk(graph: FDGraph, node_id: str, table: Mapping[str, tuple[str, ...]]) -> frozenset[str]:
+    # every node reached from node_id's entries in table, node_id itself
+    # only when it lies on a cycle; one walk per call, not cached
     graph.node(node_id)
-    children = graph._children
     seen: set[str] = set()
-    stack = list(children[node_id])
+    stack = list(table[node_id])
     while stack:
         x = stack.pop()
         if x not in seen:
             seen.add(x)
-            stack.extend(children[x])
+            stack.extend(table[x])
     return frozenset(seen)
+
+
+def descendants(graph: FDGraph, node_id: str) -> frozenset[str]:
+    """All nodes reachable from node_id along child edges."""
+    return _walk(graph, node_id, graph._children)
+
+
+def ancestors(graph: FDGraph, node_id: str) -> frozenset[str]:
+    """All nodes node_id is reachable from along child edges."""
+    return _walk(graph, node_id, graph._parents)
 
 
 def cohesion_memo(graph: FDGraph) -> dict[str, Fraction]:

@@ -499,6 +499,17 @@ def export_capabilities(
 
 def validate_manifest(doc: Mapping) -> None:
     """Structural completeness check for a manifest; raises ManifestError."""
+    try:
+        problems = _manifest_problems(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        # a part of the wrong shape: a list given as a number or None, an
+        # entry that is no object or lacks its id
+        raise ManifestError(f"malformed manifest: {type(exc).__name__}: {exc}") from None
+    if problems:
+        raise ManifestError("; ".join(problems))
+
+
+def _manifest_problems(doc: Mapping) -> list[str]:
     problems: list[str] = []
     required = {
         "kind",
@@ -554,6 +565,4 @@ def validate_manifest(doc: Mapping) -> None:
                 problems.append(f"{key} of {m} does not cover the other members")
     if total != doc["directive_count"]:
         problems.append("directive_count disagrees with capability contents")
-
-    if problems:
-        raise ManifestError("; ".join(problems))
+    return problems

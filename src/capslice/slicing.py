@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .graph import FDGraph, NodeKind, Violation, descendants, entry_parents
+from .graph import FDGraph, NodeKind, Violation, ancestors, entry_parents
 from .metrics import (
     PairCoupling,
     assign_owners,
@@ -111,11 +111,11 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
                 Violation("DIRECTIVE_MEMBER", m, "a directive cannot be a capability")
             )
 
-    below = {m: descendants(graph, m) for m in members}
+    above = {m: ancestors(graph, m) for m in members}
     ancestor_pairs = False
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            if b in below[a] or a in below[b]:
+            if a in above[b] or b in above[a]:
                 ancestor_pairs = True
                 violations.append(
                     Violation(
@@ -166,10 +166,11 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
 
 def make_slice(graph: FDGraph, members: Iterable[str]) -> Slice:
     """Build a Slice after full validity checking; raises InvalidSliceError."""
+    members = sorted(set(members))  # read once: members may be an iterator
     check = is_valid_slice(graph, members)
     if not check.ok:
         raise InvalidSliceError(check.violations)
-    return Slice(tuple(sorted(set(members))), dict(check.membership))
+    return Slice(tuple(members), dict(check.membership))
 
 
 class SliceSearch:

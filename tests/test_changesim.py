@@ -14,7 +14,6 @@ from capslice.changesim import (
     _apply,
     _impact,
     _kept,
-    _rings,
     apply_change,
     compare_slices,
     impact_set,
@@ -1045,7 +1044,9 @@ def test_deletion_cascade_matches_the_oracle_on_hand_built_bases():
 
 def test_impact_not_connected_error():
     # a validated edit never leaves a directive out of reach, so hand the
-    # kernel a base graph with a second component directly
+    # kernel a base graph with a second component directly.  At 1/100 the
+    # reach (100 // 2 = 50) lies beyond the far mark (6 nodes), so a cut
+    # that counted far as a distance would take z in instead of raising.
     g = build_graph(
         [("m", "mission"), ("f", "function"), ("a", "directive"), ("b", "directive"),
          ("o", "function"), ("z", "directive")],
@@ -1054,10 +1055,11 @@ def test_impact_not_connected_error():
     slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
     sc = scenario("modify_directive", "a", {"label": "x"})
     rows, far = hop_rows(g, ["a"], {})
-    rings = {"a": _rings(g.directive_ids, rows["a"], far)}
-    applied = (frozenset({"a"}), False, _kept, rings)
-    with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
-        _impact(slc, sc, applied, Fraction(1, 8), Counter(slc.membership.values()))
+    assert far == 6
+    applied = (frozenset({"a"}), False, _kept, g.directive_ids, rows, far)
+    for thr in (Fraction(1, 8), Fraction(1, 100)):
+        with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
+            _impact(slc, sc, applied, thr, Counter(slc.membership.values()))
 
 
 def test_add_directive_under_nested_members_is_a_sharing_error():

@@ -16,6 +16,7 @@ from capslice.graph import (
     Node,
     NodeKind,
     UnknownNodeError,
+    ancestors,
     build_graph,
     coerce_relevance,
     descendants,
@@ -637,6 +638,9 @@ def test_ancestors_descendants_fig2(fig2):
     assert above("m") == set()
     for n in fig2.node_ids:
         assert descendants(fig2, n) == below(fig2, n)
+        assert ancestors(fig2, n) == above(n)
+    with pytest.raises(UnknownNodeError):
+        ancestors(fig2, "nope")
 
 
 def test_distance_fig2(fig2):

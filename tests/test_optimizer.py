@@ -542,6 +542,21 @@ def test_manifest_validation_catches_damage(fig2):
         validate_manifest(doc)
 
 
+def test_manifest_of_the_wrong_shape_is_a_manifest_error(fig2):
+    good = export_capabilities(fig2, make_slice(fig2, S1))
+    damage = [
+        lambda doc: doc.update(members=5),
+        lambda doc: doc.update(order=None),
+        lambda doc: doc.update(capabilities=[1]),
+        lambda doc: doc["capabilities"][0]["directives"][0].pop("id"),
+    ]
+    for edit in damage:
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        with pytest.raises(ManifestError, match="^malformed manifest: "):
+            validate_manifest(doc)
+
+
 def test_manifest_with_tf(fig2):
     slc = make_slice(fig2, S2)
     doc = export_capabilities(

@@ -23,10 +23,15 @@ from capslice.changesim import (  # noqa: E402
     compare_slices,
 )
 from capslice.graph import parse_graph, serialize_graph, validate  # noqa: E402
-from capslice.metrics import MembershipError  # noqa: E402
-from capslice.slicing import enumerate_slices, slice_objective  # noqa: E402
+from capslice.metrics import (  # noqa: E402
+    MembershipError,
+    UnresolvableSharingError,
+    resolve_membership,
+)
+from capslice.slicing import enumerate_slices, is_valid_slice, slice_objective  # noqa: E402
 from conftest import random_fd_graph, relabeled  # noqa: E402
 from oracles import (  # noqa: E402
+    below,
     deletion_reference,
     impact_by_coupling,
     membership_bruteforce,
@@ -77,6 +82,31 @@ def test_enumeration_and_membership_match_bruteforce(graph):
     assert [s.members for s in enum.slices] == valid_slices_bruteforce(graph)
     for slc in enum.slices:
         assert dict(slc.membership) == membership_bruteforce(graph, slc.members)[0]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(), data=st.data())
+def test_membership_and_ancestor_pairs_match_oracles(graph, data):
+    # any set of functions, valid slice or not: resolution without the
+    # cover requirement gives the oracle's membership or raises its first
+    # conflict, and the related pairs are those a plain walk finds
+    funs = graph.function_ids
+    drawn = data.draw(st.lists(st.sampled_from(funs), min_size=1, max_size=len(funs), unique=True))
+    members = sorted(drawn)
+    membership, conflicts = membership_bruteforce(graph, members)
+    expected = ("sharing", conflicts[0]) if conflicts else ("ok", membership)
+    try:
+        got = ("ok", resolve_membership(graph, drawn, complete=False))
+    except UnresolvableSharingError as exc:
+        got = ("sharing", (exc.directive, exc.parent, exc.members))
+    assert got == expected
+    check = is_valid_slice(graph, drawn)
+    assert [v.subject for v in check.violations if v.code == "ANCESTOR_PAIR"] == [
+        f"{a},{b}"
+        for i, a in enumerate(members)
+        for b in members[i + 1 :]
+        if b in below(graph, a) or a in below(graph, b)
+    ]
 
 
 def _outcome(fn, *args):

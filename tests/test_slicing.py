@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 
 from capslice import slicing
-from capslice.graph import FDGraph, Node, NodeKind, UnknownNodeError, build_graph, parts, validate
+from capslice.graph import (
+    FDGraph,
+    Node,
+    NodeKind,
+    UnknownNodeError,
+    ancestors,
+    build_graph,
+    parts,
+    validate,
+)
 from capslice.metrics import cohesion, coupling_matrix, resolve_membership
 from capslice.optimizer import schedule_slice
 from capslice.rational import exact_sum
@@ -178,6 +187,8 @@ def test_ancestor_pairs_match_a_plain_walk():
             if v in g.directive_ids:
                 relevance[(v, u)] = Fraction(1, 2)
         g = FDGraph(nodes, dict.fromkeys(edges), relevance)
+        for n in ids:  # a node on a cycle lies above itself
+            assert ancestors(g, n) == {a for a in ids if n in below(g, a)}, n
         for _ in range(10):
             members = sorted(rng.sample(ids, rng.randint(2, 5)))
             expected = [
@@ -223,6 +234,11 @@ def test_make_slice(fig2):
     slc = make_slice(fig2, ["n_7", "n_3", "n_1"])
     assert slc.members == ("n_1", "n_3", "n_7")
     assert slc.owned("n_7") == ("d_6", "d_7", "d_8", "d_9")
+    # members are read once, so an iterator gives the same slice
+    once = make_slice(fig2, (m for m in ["n_1", "n_3", "n_7"]))
+    assert once.members == slc.members
+    assert dict(once.membership) == dict(slc.membership)
+    assert len(once.membership) == 14
     with pytest.raises(InvalidSliceError) as err:
         make_slice(fig2, ["n_1", "n_5"])
     assert {v.code for v in err.value.violations} == {"ANCESTOR_PAIR", "UNCOVERED"}
