@@ -572,6 +572,8 @@ def coerce_relevance(raw, parent: str, child: str) -> Fraction:
     raw is an impact category name or a number; anything else, and a value
     outside (0, 1], raises GraphParseError.
     """
+    if type(raw) is Fraction and 0 < raw.numerator <= raw.denominator:
+        return raw  # a parsed decimal in range, the common case
     if isinstance(raw, str):
         try:
             value = IMPACT_RELEVANCE[raw.lower()]
@@ -589,48 +591,45 @@ def coerce_relevance(raw, parent: str, child: str) -> Fraction:
     return value
 
 
-def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
-    """Assemble a graph from node and edge descriptions.
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_EDGE_KINDS = {k.value: k for k in EdgeKind}
 
-    nodes: Node instances or (id, kind[, label]) tuples.
-    edges: (parent, child[, kind[, relevance]]) tuples; kind None means
-    "infer from degrees", which FDGraph does, and relevance is required only
-    on directive edges (enforced later by validate, so partially annotated
-    graphs can still be inspected).
-    """
+
+def _checked_graph(nodes: list, edges: list) -> FDGraph:
+    # The one checker of outside input, for parse_graph and build_graph
+    # alike.  Entries come in the JSON document's shape, {"id", "kind"[,
+    # "label"]} and {"from", "to"[, "kind"][, "relevance"]}; kinds may also
+    # be members already.  Every node's shape is checked, then every edge's,
+    # then each node in turn and each edge in turn, so the first error
+    # reported does not depend on the path the input came in by.
+    for i, item in enumerate(nodes):
+        if not isinstance(item, dict) or "id" not in item or "kind" not in item:
+            raise GraphParseError(f"node entry {i} must carry id and kind: {brief(item)}")
+    for i, item in enumerate(edges):
+        if not isinstance(item, dict) or "from" not in item or "to" not in item:
+            raise GraphParseError(f"edge entry {i} must carry from and to: {brief(item)}")
+
     node_map: dict[str, Node] = {}
-    for i, spec in enumerate(nodes):
-        if isinstance(spec, Node):
-            node = spec
-        else:
-            nid, kind = spec[0], spec[1]
-            label = spec[2] if len(spec) > 2 else ""
-            if isinstance(kind, str):
-                try:
-                    kind = NodeKind(kind.lower())
-                except ValueError:
-                    pass
-            if not isinstance(kind, NodeKind):
-                raise GraphParseError(f"node entry {i}: unknown node kind {brief(spec[1])}")
-            node = Node(nid, kind, label)
-        if not node.id or not isinstance(node.id, str):
+    for i, item in enumerate(nodes):
+        nid, kind, label = item["id"], item["kind"], item.get("label", "")
+        if isinstance(kind, str):
+            kind = _NODE_KINDS.get(kind.lower(), kind)
+        if not isinstance(kind, NodeKind):
+            raise GraphParseError(f"node entry {i}: unknown node kind {brief(kind)}")
+        if not nid or not isinstance(nid, str):
             raise GraphParseError(
-                f"node entry {i}: id must be a non-empty string, got {brief(node.id)}"
+                f"node entry {i}: id must be a non-empty string, got {brief(nid)}"
             )
-        if node.id in node_map:
-            raise GraphParseError(f"node entry {i}: duplicate node id {brief(node.id)}")
-        if not isinstance(node.label, str):
-            raise GraphParseError(
-                f"node entry {i}: label must be a string, got {brief(node.label)}"
-            )
-        node_map[node.id] = node
+        if nid in node_map:
+            raise GraphParseError(f"node entry {i}: duplicate node id {brief(nid)}")
+        if not isinstance(label, str):
+            raise GraphParseError(f"node entry {i}: label must be a string, got {brief(label)}")
+        node_map[nid] = Node(nid, kind, label)
 
     edge_kinds: dict[tuple[str, str], EdgeKind | None] = {}
     relevance: dict[tuple[str, str], Fraction] = {}
-    for i, spec in enumerate(edges):
-        u, v = spec[0], spec[1]
-        kind = spec[2] if len(spec) > 2 else None
-        rel = spec[3] if len(spec) > 3 else None
+    for i, item in enumerate(edges):
+        u, v, kind, rel = item["from"], item["to"], item.get("kind"), item.get("relevance")
         for end in (u, v):
             # a non-string end (a list is not even hashable) names no node
             if not isinstance(end, str) or end not in node_map:
@@ -641,16 +640,11 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
         if u == v:
             raise GraphParseError(f"edge entry {i}: self loop on {brief(u)}")
         if (u, v) in edge_kinds:
-            raise GraphParseError(
-                f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}"
-            )
+            raise GraphParseError(f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}")
         if isinstance(kind, str):
-            try:
-                kind = EdgeKind(kind.lower())
-            except ValueError:
-                pass
+            kind = _EDGE_KINDS.get(kind.lower(), kind)
         if kind is not None and not isinstance(kind, EdgeKind):
-            raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(spec[2])}")
+            raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(kind)}")
         if rel is not None:
             if node_map[v].kind is not NodeKind.DIRECTIVE:
                 raise GraphParseError(
@@ -663,6 +657,43 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
         edge_kinds[(u, v)] = kind
 
     return FDGraph(node_map, edge_kinds, relevance)
+
+
+def _node_entry(spec):
+    # a Node or an (id, kind[, label]) sequence in the document's shape; any
+    # other entry is passed on as it is, for the shape check to refuse
+    if isinstance(spec, Node):
+        return {"id": spec.id, "kind": spec.kind, "label": spec.label}
+    if isinstance(spec, (tuple, list)) and len(spec) >= 2:
+        return {"id": spec[0], "kind": spec[1], "label": spec[2] if len(spec) > 2 else ""}
+    return spec
+
+
+def _edge_entry(spec):
+    # a (parent, child[, kind[, relevance]]) sequence in the document's shape
+    if isinstance(spec, (tuple, list)) and len(spec) >= 2:
+        return {
+            "from": spec[0],
+            "to": spec[1],
+            "kind": spec[2] if len(spec) > 2 else None,
+            "relevance": spec[3] if len(spec) > 3 else None,
+        }
+    return spec
+
+
+def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
+    """Assemble a graph from node and edge descriptions.
+
+    nodes: Node instances or (id, kind[, label]) tuples; a kind is a NodeKind
+    or its name in any case, in a Node as in a tuple.
+    edges: (parent, child[, kind[, relevance]]) tuples; kind None means
+    "infer from degrees", which FDGraph does, and relevance is required only
+    on directive edges (enforced later by validate, so partially annotated
+    graphs can still be inspected).  Entries are checked as parse_graph
+    checks a document's, and one of another form is a GraphParseError
+    naming it.
+    """
+    return _checked_graph([_node_entry(s) for s in nodes], [_edge_entry(s) for s in edges])
 
 
 def parse_graph(text: str) -> FDGraph:
@@ -686,20 +717,7 @@ def parse_graph(text: str) -> FDGraph:
     for key in ("nodes", "edges"):
         if not isinstance(doc.get(key), list):
             raise GraphParseError(f"missing or non-list {key!r} section")
-
-    nodes = []
-    for i, item in enumerate(doc["nodes"]):
-        if not isinstance(item, dict) or "id" not in item or "kind" not in item:
-            raise GraphParseError(f"node entry {i} must carry id and kind: {brief(item)}")
-        nodes.append((item["id"], item["kind"], item.get("label", "")))
-
-    edges = []
-    for i, item in enumerate(doc["edges"]):
-        if not isinstance(item, dict) or "from" not in item or "to" not in item:
-            raise GraphParseError(f"edge entry {i} must carry from and to: {brief(item)}")
-        edges.append((item["from"], item["to"], item.get("kind"), item.get("relevance")))
-
-    return build_graph(nodes, edges)
+    return _checked_graph(doc["nodes"], doc["edges"])
 
 
 def serialize_graph(graph: FDGraph) -> str:

@@ -109,14 +109,29 @@ class Memo(dict):
         return value
 
 
+def _read_decimal(text: str) -> Fraction:
+    # a plain JSON decimal, -12.340, is its digits over a power of ten:
+    # Fraction(-12340, 1000); an exponent form, and a literal whose digits
+    # int() refuses (more than 4300 of them), go to to_fraction, whose value,
+    # message and exponent bound are the ones to keep
+    if "e" in text or "E" in text:
+        return to_fraction(text)
+    whole, _, frac = text.partition(".")
+    try:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    except ValueError:
+        return to_fraction(text)
+
+
 def literal_reader() -> Callable[[str], Fraction]:
     """A json.loads parse_float that reads each distinct decimal literal once.
 
     A document's repeated literals, such as relevance 0.7 on many edges, map
-    to one shared Fraction; use a fresh reader per document.  Values and
-    errors are those of to_fraction.
+    to one shared Fraction; use a fresh reader per document.  A plain
+    decimal is read from its digits, an exponent form through to_fraction;
+    values and errors are those of to_fraction for any JSON number literal.
     """
-    return Memo(to_fraction).__getitem__
+    return Memo(_read_decimal).__getitem__
 
 
 def load_exact_json(text: str, noun: str, error: type[Exception]):

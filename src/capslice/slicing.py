@@ -88,6 +88,28 @@ class SliceCheck:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """What one SliceSearch did, set when its iteration ends.
+
+    frames counts loop steps, popped the frames left because the cursor
+    reached the end or the cover could no longer be completed, and sharing,
+    empty_member and empty_rival the branches each pruning rule cut.  Every
+    complete cover is a slice, so no cover is rejected, and a search that
+    ran to the end has frames == 2 * popped - 1 + sharing + empty_member +
+    empty_rival (each pushed frame is popped once, the root too).
+    truncated_by is "max_slices", "time_budget" or None.
+    """
+
+    frames: int
+    popped: int
+    sharing: int
+    empty_member: int
+    empty_rival: int
+    emitted: int
+    truncated_by: str | None
+
+
+@dataclass(frozen=True)
 class Enumeration:
     slices: tuple[Slice, ...]
     complete: bool
@@ -177,7 +199,8 @@ class SliceSearch:
     """One-shot iterator over all valid slices in canonical member order.
 
     After iteration finishes, ``complete`` tells whether the search space was
-    exhausted (True) or cut short by max_slices / time_budget (False).
+    exhausted (True) or cut short by max_slices / time_budget (False), and
+    ``stats`` holds the search's counts (SearchStats).
     """
 
     def __init__(
@@ -199,6 +222,7 @@ class SliceSearch:
         self.max_slices = max_slices
         self.time_budget = time_budget
         self.complete: bool | None = None
+        self.stats: SearchStats | None = None
 
     def __iter__(self) -> Iterator[Slice]:
         graph = self.graph
@@ -246,9 +270,8 @@ class SliceSearch:
         deadline = None
         if self.time_budget is not None:
             deadline = time.monotonic() + self.time_budget
-        emitted = 0
-        steps = 0
-        truncated = False
+        emitted = frames = popped = sharing = empty_member = empty_rival = 0
+        truncated_by = None
         # Preorder over the subset tree in id order, which emits slices in
         # lexicographic order of their sorted member tuples.  A frame is
         # [cursor, covered, used entry edges, chosen members]; the members
@@ -256,28 +279,32 @@ class SliceSearch:
         # once its cover and all undecided members together miss a directive.
         stack = [[0, 0, 0, 0]]
         while stack:
-            steps += 1
+            frames += 1
             if (
                 deadline is not None
-                and (steps & 0xFF) == 0
+                and (frames & 0xFF) == 0
                 and time.monotonic() > deadline
             ):
-                truncated = True
+                truncated_by = "time_budget"
                 break
             frame = stack[-1]
             i, covered, used, chosen = frame
             if i == n or covered | suffix[i] != universe:
                 stack.pop()
+                popped += 1
                 continue
             frame[0] = i + 1
             if entry[i] & used:  # sharing rule
+                sharing += 1
                 continue
             # empty-member rule: adding members only adds competitors, so once
             # i or a chosen member it beats owns nothing, every extension fails
             chosen |= 1 << i
             if all(b & chosen for b in beats[i]):
+                empty_member += 1
                 continue
             if any(all(b & chosen for b in beats[j]) for j in _bits(chosen & rivals[i])):
+                empty_rival += 1
                 continue
             covered |= leaf[i]
             stack.append([i + 1, covered, used | entry[i], chosen])
@@ -285,10 +312,13 @@ class SliceSearch:
                 yield self._finish(chosen)
                 emitted += 1
                 if self.max_slices is not None and emitted >= self.max_slices:
-                    truncated = True
+                    truncated_by = "max_slices"
                     break
 
-        self.complete = not truncated
+        self.complete = truncated_by is None
+        self.stats = SearchStats(
+            frames, popped, sharing, empty_member, empty_rival, emitted, truncated_by
+        )
 
     def _finish(self, chosen: int) -> Slice:
         # Coverage, resolvable sharing and a directive for every member

@@ -9,14 +9,18 @@ these with exact rational equality.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import deque
 from fractions import Fraction
 
 from capslice.changesim import ChangeError, ImpactReport, ScenarioKind, apply_change
 from capslice.graph import (
+    IMPACT_RELEVANCE,
     EdgeKind,
     FDGraph,
+    GraphParseError,
+    Node,
     NodeKind,
     ValidationReport,
     Violation,
@@ -25,7 +29,7 @@ from capslice.graph import (
     parts,
 )
 from capslice.metrics import resolve_membership
-from capslice.rational import brief
+from capslice.rational import brief, to_fraction
 from capslice.slicing import is_valid_slice
 
 
@@ -234,6 +238,120 @@ def reparsed(graph):
     relevance = parts(graph)[2]
     specs = [(u, v, None, relevance.get((v, u))) for u, v, _ in graph.edges()]
     return build_graph([graph.node(i) for i in graph.node_ids], specs)
+
+
+def _relevance_reference(raw, parent: str, child: str) -> Fraction:
+    if isinstance(raw, str):
+        try:
+            value = IMPACT_RELEVANCE[raw.lower()]
+        except KeyError:
+            raise GraphParseError(f"unknown impact category {brief(raw)}") from None
+    else:
+        try:
+            value = to_fraction(raw)
+        except (TypeError, ValueError) as exc:
+            raise GraphParseError(f"bad relevance value {brief(raw)}: {exc}") from None
+    if not 0 < value.numerator <= value.denominator:
+        raise GraphParseError(
+            f"relevance {brief(value)} on {brief(parent)} -> {brief(child)} outside (0, 1]"
+        )
+    return value
+
+
+def build_reference(nodes, edges) -> FDGraph:
+    """build_graph the long way: tuples read by index, kinds through Enum
+    calls, every literal through to_fraction.  A Node's kind is taken as it
+    is, and an entry too short to index raises IndexError."""
+    node_map: dict[str, Node] = {}
+    for i, spec in enumerate(nodes):
+        if isinstance(spec, Node):
+            node = spec
+        else:
+            nid, kind = spec[0], spec[1]
+            label = spec[2] if len(spec) > 2 else ""
+            if isinstance(kind, str):
+                try:
+                    kind = NodeKind(kind.lower())
+                except ValueError:
+                    pass
+            if not isinstance(kind, NodeKind):
+                raise GraphParseError(f"node entry {i}: unknown node kind {brief(spec[1])}")
+            node = Node(nid, kind, label)
+        if not node.id or not isinstance(node.id, str):
+            raise GraphParseError(
+                f"node entry {i}: id must be a non-empty string, got {brief(node.id)}"
+            )
+        if node.id in node_map:
+            raise GraphParseError(f"node entry {i}: duplicate node id {brief(node.id)}")
+        if not isinstance(node.label, str):
+            raise GraphParseError(
+                f"node entry {i}: label must be a string, got {brief(node.label)}"
+            )
+        node_map[node.id] = node
+
+    edge_kinds: dict[tuple[str, str], EdgeKind | None] = {}
+    relevance: dict[tuple[str, str], Fraction] = {}
+    for i, spec in enumerate(edges):
+        u, v = spec[0], spec[1]
+        kind = spec[2] if len(spec) > 2 else None
+        rel = spec[3] if len(spec) > 3 else None
+        for end in (u, v):
+            if not isinstance(end, str) or end not in node_map:
+                raise GraphParseError(
+                    f"edge entry {i}: {brief(u)} -> {brief(v)} "
+                    f"references unknown node {brief(end)}"
+                )
+        if u == v:
+            raise GraphParseError(f"edge entry {i}: self loop on {brief(u)}")
+        if (u, v) in edge_kinds:
+            raise GraphParseError(f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}")
+        if isinstance(kind, str):
+            try:
+                kind = EdgeKind(kind.lower())
+            except ValueError:
+                pass
+        if kind is not None and not isinstance(kind, EdgeKind):
+            raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(spec[2])}")
+        if rel is not None:
+            if node_map[v].kind is not NodeKind.DIRECTIVE:
+                raise GraphParseError(
+                    f"edge entry {i}: relevance on a non-directive edge {brief(u)} -> {brief(v)}"
+                )
+            try:
+                relevance[(v, u)] = _relevance_reference(rel, u, v)
+            except GraphParseError as exc:
+                raise GraphParseError(f"edge entry {i}: {exc}") from None
+        edge_kinds[(u, v)] = kind
+    return FDGraph(node_map, edge_kinds, relevance)
+
+
+def parse_reference(text: str) -> FDGraph:
+    """parse_graph the long way: every node entry's shape, then every edge
+    entry's, checked into tuple lists that build_reference reads."""
+    try:
+        doc = json.loads(text, parse_float=to_fraction)
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise GraphParseError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise GraphParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GraphParseError("top level must be a JSON object")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc.get(key), list):
+            raise GraphParseError(f"missing or non-list {key!r} section")
+    nodes = []
+    for i, item in enumerate(doc["nodes"]):
+        if not isinstance(item, dict) or "id" not in item or "kind" not in item:
+            raise GraphParseError(f"node entry {i} must carry id and kind: {brief(item)}")
+        nodes.append((item["id"], item["kind"], item.get("label", "")))
+    edges = []
+    for i, item in enumerate(doc["edges"]):
+        if not isinstance(item, dict) or "from" not in item or "to" not in item:
+            raise GraphParseError(f"edge entry {i} must carry from and to: {brief(item)}")
+        edges.append((item["from"], item["to"], item.get("kind"), item.get("relevance")))
+    return build_reference(nodes, edges)
 
 
 def double_sum_coupling(graph, d_p, d_q) -> Fraction:

@@ -233,6 +233,24 @@ def test_parse_kinds_must_be_names():
     assert g.edge_kind("m", "f") is EdgeKind.REFINEMENT
 
 
+def test_build_graph_entries_of_the_wrong_form_are_named():
+    # a Node's string kind used to reach FDGraph and raise a bare KeyError,
+    # and a short tuple an IndexError; a Node's kind is read as a tuple's
+    g = build_graph([Node("m", "Mission")], [])
+    assert g == build_graph([("m", "mission")], []) and g.mission_ids == ("m",)
+    assert g.node("m").kind is NodeKind.MISSION
+    with pytest.raises(GraphParseError, match="^node entry 1: unknown node kind 'mision'$"):
+        build_graph([("m", "mission"), Node("f", "mision")], [])
+    with pytest.raises(GraphParseError, match="^node entry 0: unknown node kind 3$"):
+        build_graph([Node("m", 3)], [])
+    with pytest.raises(GraphParseError, match=r"^node entry 0 must carry id and kind: \('m',\)$"):
+        build_graph([("m",)], [])
+    with pytest.raises(GraphParseError, match=r"^edge entry 1 must carry from and to: \['f'\]$"):
+        build_graph([("m", "mission"), ("f", "function")], [("m", "f"), ["f"]])
+    with pytest.raises(GraphParseError, match="^node entry 0 must carry id and kind: 5$"):
+        build_graph([5], [])
+
+
 def test_oversized_relevance_is_named():
     # str() of 10**4300 exceeds Python's int-string digit limit, which used
     # to replace the message; 1e4300 is within the decimal exponent bound

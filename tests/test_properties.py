@@ -28,7 +28,12 @@ from capslice.metrics import (  # noqa: E402
     UnresolvableSharingError,
     resolve_membership,
 )
-from capslice.slicing import enumerate_slices, is_valid_slice, slice_objective  # noqa: E402
+from capslice.slicing import (  # noqa: E402
+    SliceSearch,
+    enumerate_slices,
+    is_valid_slice,
+    slice_objective,
+)
 from conftest import random_fd_graph, relabeled  # noqa: E402
 from oracles import (  # noqa: E402
     below,
@@ -82,6 +87,18 @@ def test_enumeration_and_membership_match_bruteforce(graph):
     assert [s.members for s in enum.slices] == valid_slices_bruteforce(graph)
     for slc in enum.slices:
         assert dict(slc.membership) == membership_bruteforce(graph, slc.members)[0]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs())
+def test_search_stats_count_the_bruteforce_slices(graph):
+    search = SliceSearch(graph)
+    list(search)
+    stats = search.stats
+    assert stats.emitted == len(valid_slices_bruteforce(graph))
+    assert stats.truncated_by is None
+    cuts = stats.sharing + stats.empty_member + stats.empty_rival
+    assert stats.frames == 2 * stats.popped - 1 + cuts
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

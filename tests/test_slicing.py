@@ -363,6 +363,54 @@ def test_baseline_graph(monkeypatch):
         assert dict(check.membership) == dict(slc.membership)
 
 
+def _frame_identity(stats) -> bool:
+    # each frame pushed is popped once, the root too, and every other step
+    # is a cut by one rule
+    cuts = stats.sharing + stats.empty_member + stats.empty_rival
+    return stats.frames == 2 * stats.popped - 1 + cuts
+
+
+def test_search_stats_on_the_baseline_graph():
+    search = SliceSearch(baseline_graph())
+    assert search.stats is None
+    assert len(list(search)) == 474
+    assert search.stats == slicing.SearchStats(
+        frames=4651,
+        popped=1268,
+        sharing=1534,
+        empty_member=404,
+        empty_rival=178,
+        emitted=474,
+        truncated_by=None,
+    )
+    assert _frame_identity(search.stats)
+
+
+def test_search_stats_frame_identity_random():
+    rng = random.Random(4411)
+    for _ in range(30):
+        g = random_fd_graph(rng, max_internal=12, max_directives=16)
+        search = SliceSearch(g)
+        slices = list(search)
+        assert search.stats.emitted == len(slices)
+        assert search.stats.truncated_by is None
+        assert _frame_identity(search.stats)
+
+
+def test_search_stats_name_the_truncation(fig2):
+    search = SliceSearch(fig2, max_slices=2)
+    assert len(list(search)) == 2
+    assert (search.stats.emitted, search.stats.truncated_by) == (2, "max_slices")
+    search = SliceSearch(power_family(10), time_budget=1e-9)
+    slices = list(search)
+    assert (search.stats.emitted, search.stats.truncated_by) == (len(slices), "time_budget")
+    assert search.complete is False
+    # a cap that is never reached truncates nothing
+    search = SliceSearch(fig2, max_slices=10)
+    list(search)
+    assert (search.stats.emitted, search.stats.truncated_by) == (3, None)
+
+
 def test_enumerated_slices_self_consistent():
     rng = random.Random(6402)
     for _ in range(20):
