@@ -1,6 +1,5 @@
 """The graph reader against its reference: parse_graph and build_graph on
-seeded mutations of valid documents, and the decimal literal reader on drawn
-JSON number literals.
+seeded mutations of valid documents.
 
 oracles.parse_reference and oracles.build_reference check entries the long
 way, into tuple lists through Enum calls; the package's one checker must give
@@ -13,11 +12,9 @@ import random
 import re
 from collections import Counter
 
-import pytest
-
 from capslice.fixtures import fig2_text
 from capslice.graph import Node, NodeKind, build_graph, parse_graph, serialize_graph, validate
-from capslice.rational import literal_reader, to_fraction
+from capslice.rational import to_fraction
 from conftest import random_fd_graph
 from oracles import build_reference, parse_reference
 
@@ -57,6 +54,7 @@ NODE_KINDS = ("mission", "function", "directive", "Function", "DIRECTIVE", "refi
 EDGE_KINDS = ("decomposition", "refinement", "intersection", "Refinement", "INTERSECTION", "mission")
 CATEGORIES = ("catastrophic", "critical", "Marginal", "NEGLIGIBLE", "critical ")
 NON_ENTRIES = ("x", 3, [], ["m", "f"], None, 0.5)
+MEMBERS = {k.value: k for k in NodeKind}
 # a phrase of each error the reader gives
 PHRASES = (
     "invalid JSON",
@@ -190,7 +188,7 @@ def _as_specs(rng: random.Random, doc: dict):
         if not isinstance(item, dict) or "id" not in item or "kind" not in item:
             return None
         kind = item["kind"]
-        member = {k.value: k for k in NodeKind}.get(kind) if isinstance(kind, str) else None
+        member = MEMBERS.get(kind) if isinstance(kind, str) else None
         if member is not None and rng.random() < 0.3:
             nodes.append(Node(item["id"], member, item.get("label", "")))
         elif "label" in item or rng.random() < 0.5:
@@ -268,27 +266,3 @@ def test_parse_matches_the_reference_on_pinned_orderings():
         assert ours == _outcome(parse_reference, text)
         assert ours[2].startswith(message)
 
-
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
-
-def _read(reader, text: str):
-    try:
-        value = reader(text)
-    except Exception as exc:
-        return ("error", type(exc), str(exc))
-    return ("ok", type(value), value)
-
-
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(text=st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,5})?", fullmatch=True))
-@example(text="-0.0")
-@example(text="1.50")
-@example(text="1E-1")
-@example(text="1e4301")
-@example(text="0." + "1" * 4301)  # a 4,301-digit fraction part
-@example(text="1" * 4301 + ".5")  # a 4,301-digit whole part
-@example(text="1" * 4000 + "." + "1" * 1000)  # over the limit only when joined
-def test_literal_reader_reads_as_to_fraction(text):
-    assert _read(literal_reader(), text) == _read(to_fraction, text)

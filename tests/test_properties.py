@@ -11,7 +11,7 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from fractions import Fraction  # noqa: E402
 
@@ -28,6 +28,7 @@ from capslice.metrics import (  # noqa: E402
     UnresolvableSharingError,
     resolve_membership,
 )
+from capslice.rational import literal_reader, to_fraction  # noqa: E402
 from capslice.slicing import (  # noqa: E402
     SliceSearch,
     enumerate_slices,
@@ -87,6 +88,31 @@ def test_enumeration_and_membership_match_bruteforce(graph):
     assert [s.members for s in enum.slices] == valid_slices_bruteforce(graph)
     for slc in enum.slices:
         assert dict(slc.membership) == membership_bruteforce(graph, slc.members)[0]
+
+
+def _read(reader, text: str):
+    try:
+        value = reader(text)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    return ("ok", type(value), value)
+
+
+# the literals json.loads hands its parse_float, and the integers beside them
+JSON_NUMBER = r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][-+]?[0-9]{1,5})?"
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(text=st.from_regex(JSON_NUMBER, fullmatch=True))
+@example(text="-0.0")
+@example(text="1.50")
+@example(text="1E-1")
+@example(text="1e4301")
+@example(text="0." + "1" * 4301)  # a 4,301-digit fraction part
+@example(text="1" * 4301 + ".5")  # a 4,301-digit whole part, named by its count
+@example(text="1" * 4000 + "." + "1" * 1000)  # over the limit only when joined
+def test_literal_reader_reads_as_to_fraction(text):
+    assert _read(literal_reader(), text) == _read(to_fraction, text)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
