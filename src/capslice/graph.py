@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .rational import brief, fixed, literal_reader, to_fraction
 
@@ -152,7 +152,7 @@ class FDGraph:
         self._ids_by_kind = {k: tuple(ids) for k, ids in by_kind.items()}
 
         # lazy caches
-        self._entry: dict[str, dict[str, tuple[str, ...]]] = {}
+        self._index: GraphIndex | None = None
         self._weights: tuple[int, dict[str, int], list[list[int | None]]] | None = None
         self._column_sums: dict[tuple[int, ...], list[int | None]] = {}
         self._cohesion: dict[str, Fraction] = {}
@@ -229,28 +229,181 @@ class FDGraph:
         return f"<FDGraph nodes={self.n_nodes} edges={len(self._edge_kinds)}>"
 
 
-def _walk(graph: FDGraph, node_id: str, table: Mapping[str, tuple[str, ...]]) -> frozenset[str]:
-    # every node reached from node_id's entries in table, node_id itself
-    # only when it lies on a cycle; one walk per call, not cached
-    graph.node(node_id)
-    seen: set[str] = set()
-    stack = list(table[node_id])
-    while stack:
-        x = stack.pop()
-        if x not in seen:
-            seen.add(x)
-            stack.extend(table[x])
-    return frozenset(seen)
+class GraphIndex(NamedTuple):
+    """What one depth-first search of a graph's child table finds.
+
+    Nodes are bits in one order: the directives take the low bits in id
+    order, then the functions, then the missions.  Directive edges
+    (parent, directive) are bits in (directive, parent) order.
+
+    cycle: the first directed cycle the search meets, as a closed node path
+    (first node repeated last), or None on an acyclic graph.
+    bit: each node's bit; leaves: the bits of all directives.
+    below: each node's mask of the nodes below it; a node on a cycle is
+    below itself.
+    entry: each node's mask of the directive edges whose parent is the node
+    or lies below it, the edges it reaches those directives through.
+    edges: the directive edges as (parent, directive), by bit position.
+    routes: each directive's mask of its edges.
+    rank: by bit position, the rank of each edge's relevance among the
+    graph's distinct values in increasing order, or None without one.
+    missing: the directive edges without a relevance.
+    """
+
+    cycle: tuple[str, ...] | None
+    bit: dict[str, int]
+    leaves: int
+    below: dict[str, int]
+    entry: dict[str, int]
+    edges: list[tuple[str, str]]
+    routes: dict[str, int]
+    rank: list[int | None]
+    missing: int
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def graph_index(graph: FDGraph) -> GraphIndex:
+    """The graph's index, built on first use and cached on the graph."""
+    if graph._index is None:
+        graph._index = _build_index(graph)
+    return graph._index
+
+
+def _build_index(graph: FDGraph) -> GraphIndex:
+    children, parents, relevance = graph._children, graph._parents, graph._relevance
+    directives = graph.directive_ids
+    bit = {n: 1 << k for k, n in enumerate(directives + graph.function_ids + graph.mission_ids)}
+
+    own = dict.fromkeys(graph._node_ids, 0)  # each node's own directive edges
+    edges: list[tuple[str, str]] = []
+    routes: dict[str, int] = {}
+    keys = []  # each edge's relevance as an int pair, which hashes far faster than a Fraction
+    missing = 0
+    b = 1  # the next edge's bit
+    for d in directives:
+        start = b
+        for p in parents[d]:
+            own[p] |= b
+            value = relevance.get((d, p))
+            if value is None:
+                missing |= b
+                keys.append(None)
+            else:
+                keys.append(value.as_integer_ratio())
+            edges.append((p, d))
+            b <<= 1
+        routes[d] = b - start
+    values = set(keys)
+    values.discard(None)
+    # exact order on integers: each value over the lcm of the denominators
+    scale = math.lcm(*(den for _, den in values))
+    order = {key: r for r, key in enumerate(sorted(values, key=lambda k: k[0] * (scale // k[1])))}
+    rank = list(map(order.get, keys))
+
+    # Tarjan's strongly connected components, found by the one search.  Roots
+    # and children are taken in id order, so the first node met again while
+    # still on the path closes the first cycle a plain depth-first search
+    # meets.  low holds the lowest discovery number each path node reaches.
+    # A node's masks are taken from its children when it finishes, where a
+    # child in its own component reads 0; a node whose component's root lies
+    # further up waits in held with them, and the root gives every node of
+    # the component the union.  On an acyclic graph held stays empty.
+    below: dict[str, int] = {}
+    entry: dict[str, int] = {}
+    num: dict[str, int] = {}  # discovery number
+    held: list[tuple[str, int, int]] = []
+    cycle = None
+    for root in graph._node_ids:
+        if root in num:
+            continue
+        num[root] = first = len(num)
+        if not children[root]:  # a leaf is a component with nothing below it
+            below[root] = entry[root] = 0
+            continue
+        path = [root]
+        low = [first]
+        stack = [iter(children[root])]
+        while stack:
+            for w in stack[-1]:
+                if w in below:  # in a finished component
+                    continue
+                if w in num:  # still open: on the path or held
+                    if cycle is None and w in path:
+                        cycle = tuple(path[path.index(w) :]) + (w,)
+                    if num[w] < low[-1]:
+                        low[-1] = num[w]
+                    continue
+                num[w] = first = len(num)
+                if not children[w]:  # a leaf again
+                    below[w] = entry[w] = 0
+                    continue
+                path.append(w)
+                low.append(first)
+                stack.append(iter(children[w]))
+                break
+            else:
+                stack.pop()
+                v = path.pop()
+                reach = low.pop()
+                down = 0
+                through = own[v]
+                for c in children[v]:
+                    down |= bit[c] | below.get(c, 0)
+                    through |= entry.get(c, 0)
+                first = num[v]
+                if reach < first:
+                    held.append((v, down, through))
+                    if reach < low[-1]:
+                        low[-1] = reach
+                    continue
+                if not held or num[held[-1][0]] < first:  # v is its component
+                    below[v] = down
+                    entry[v] = through
+                    continue
+                component = [v]
+                while held and num[held[-1][0]] > first:
+                    u, more_down, more_through = held.pop()
+                    component.append(u)
+                    down |= more_down
+                    through |= more_through
+                for u in component:
+                    below[u] = down
+                    entry[u] = through
+    leaves = (1 << len(directives)) - 1
+    return GraphIndex(cycle, bit, leaves, below, entry, edges, routes, rank, missing)
+
+
+def require_relevance(graph: FDGraph, edges: int) -> None:
+    """Raise relevance()'s GraphError for the first directive edge of the
+    mask edges, in (directive, parent) order, that carries no relevance."""
+    index = graph_index(graph)
+    gap = edges & index.missing
+    if gap:
+        parent, directive = index.edges[(gap & -gap).bit_length() - 1]
+        graph.relevance(directive, parent)
 
 
 def descendants(graph: FDGraph, node_id: str) -> frozenset[str]:
     """All nodes reachable from node_id along child edges."""
-    return _walk(graph, node_id, graph._children)
+    graph.node(node_id)
+    index = graph_index(graph)
+    mask = index.below[node_id]
+    return frozenset(n for n, b in index.bit.items() if mask & b)
 
 
 def ancestors(graph: FDGraph, node_id: str) -> frozenset[str]:
     """All nodes node_id is reachable from along child edges."""
-    return _walk(graph, node_id, graph._parents)
+    graph.node(node_id)
+    index = graph_index(graph)
+    b = index.bit[node_id]
+    return frozenset(n for n, mask in index.below.items() if mask & b)
 
 
 def cohesion_memo(graph: FDGraph) -> dict[str, Fraction]:
@@ -272,19 +425,15 @@ def entry_parents(graph: FDGraph, node_id: str) -> Mapping[str, tuple[str, ...]]
     Those parents are node_id itself or lie below it.  Directives and parents
     come in id order; a directive maps to itself with no parents.
     """
-    node = graph.node(node_id)
-    cache = graph._entry
-    if node_id not in cache:
-        if node.kind is NodeKind.DIRECTIVE:
-            cache[node_id] = {node_id: ()}
-        else:
-            down = descendants(graph, node_id)
-            cache[node_id] = {
-                d: tuple(p for p in graph._parents[d] if p == node_id or p in down)
-                for d in sorted(down)
-                if graph._nodes[d].kind is NodeKind.DIRECTIVE
-            }
-    return cache[node_id]
+    if graph.node(node_id).kind is NodeKind.DIRECTIVE:
+        return {node_id: ()}
+    index = graph_index(graph)
+    mask, entry, edges = index.below[node_id], index.entry[node_id], index.edges
+    return {
+        d: tuple(edges[k][0] for k in bit_positions(entry & index.routes[d]))
+        for d in graph.directive_ids
+        if mask & index.bit[d]
+    }
 
 
 def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
@@ -292,7 +441,11 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
 
     Set semantics: a directive reachable along several paths counts once.
     """
-    return frozenset(entry_parents(graph, node_id))
+    if graph.node(node_id).kind is NodeKind.DIRECTIVE:
+        return frozenset((node_id,))
+    index = graph_index(graph)
+    mask = index.below[node_id]
+    return frozenset(d for d in graph.directive_ids if mask & index.bit[d])
 
 
 def _levels(adjacent: Mapping[str, tuple[str, ...]], u: str) -> dict[str, int]:
@@ -427,29 +580,13 @@ def undirected_distance(graph: FDGraph, u: str, v: str) -> int:
 
 
 def find_cycle(graph: FDGraph) -> list[str] | None:
-    """One directed cycle as a node path, or None when the graph is acyclic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in graph.node_ids}
-    for root in graph.node_ids:
-        if color[root] != WHITE:
-            continue
-        # path holds the gray nodes, root first, in stack order
-        path = [root]
-        stack: list[Iterator[str]] = [iter(graph._children[root])]
-        color[root] = GRAY
-        while stack:
-            for y in stack[-1]:
-                if color[y] == WHITE:
-                    color[y] = GRAY
-                    path.append(y)
-                    stack.append(iter(graph._children[y]))
-                    break
-                if color[y] == GRAY:
-                    return path[path.index(y) :] + [y]
-            else:
-                color[path.pop()] = BLACK
-                stack.pop()
-    return None
+    """One directed cycle as a node path, or None when the graph is acyclic.
+
+    The cycle is the first one a depth-first search meets, roots and
+    children taken in id order; it is read off the graph's index.
+    """
+    cycle = graph_index(graph).cycle
+    return None if cycle is None else list(cycle)
 
 
 # -- validation ----------------------------------------------------------
@@ -458,8 +595,8 @@ def find_cycle(graph: FDGraph) -> list[str] | None:
 def validate(graph: FDGraph) -> ValidationReport:
     """Check every structural rule and report all violations found.
 
-    find_cycle decides acyclicity, and on an acyclic graph one walk from the
-    mission decides reachability.  A graph never changes once built, so its
+    The graph's index decides acyclicity and, on an acyclic graph,
+    reachability from the mission.  A graph never changes once built, so its
     report is computed on the first call and cached on the graph: every
     later call, from any caller, returns that same report.
     """
@@ -478,7 +615,8 @@ def validate(graph: FDGraph) -> ValidationReport:
             )
         )
 
-    cycle = find_cycle(graph)
+    index = graph_index(graph)
+    cycle = index.cycle
     if cycle:
         violations.append(
             Violation("CYCLE", " -> ".join(cycle), "decomposition must be acyclic")
@@ -513,11 +651,12 @@ def validate(graph: FDGraph) -> ValidationReport:
                 )
 
     if missions and not cycle:
-        reachable = set(missions)
+        bit, below = index.bit, index.below
+        reachable = 0
         for m in missions:
-            reachable |= descendants(graph, m)
+            reachable |= bit[m] | below[m]
         for nid in graph.node_ids:
-            if nid not in reachable:
+            if not reachable & bit[nid]:
                 violations.append(
                     Violation("UNREACHABLE", nid, "node is not reachable from the mission")
                 )
@@ -536,14 +675,12 @@ def validate(graph: FDGraph) -> ValidationReport:
                 )
             )
 
+    # the index numbers these edges in (directive, parent) order
+    for u, v in sorted(index.edges[k] for k in bit_positions(index.missing)):
+        violations.append(
+            Violation("RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight")
+        )
     relevance = graph._relevance
-    for u, v in graph._edge_kinds:
-        if nodes[v].kind is NodeKind.DIRECTIVE and (v, u) not in relevance:
-            violations.append(
-                Violation(
-                    "RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight"
-                )
-            )
     # found in any order, reported in (directive, parent) order
     found: dict[tuple[str, str], Violation] = {}
     for (d, p), value in relevance.items():

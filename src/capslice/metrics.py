@@ -23,15 +23,18 @@ from __future__ import annotations
 import math
 from collections import abc
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graph import (
     FDGraph,
     GraphError,
     NodeKind,
+    bit_positions,
     cohesion_memo,
     directive_weights,
-    entry_parents,
+    graph_index,
+    require_relevance,
     undirected_distance,
     weight_column_sums,
 )
@@ -64,7 +67,10 @@ class UnresolvableSharingError(MembershipError):
 
 def size_of(graph: FDGraph, node_id: str) -> int:
     """Number of distinct directives under a node; 1 for a directive."""
-    return len(entry_parents(graph, node_id))
+    if graph.node(node_id).kind is NodeKind.DIRECTIVE:
+        return 1
+    index = graph_index(graph)
+    return (index.below[node_id] & index.leaves).bit_count()
 
 
 def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fraction:
@@ -137,30 +143,26 @@ def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
 # -- membership ------------------------------------------------------------
 
 
-#: {directive: {member: the parents the member enters the directive through}}
-Cover = dict[str, dict[str, tuple[str, ...]]]
-
-
-def cover_map(graph: FDGraph, members: Iterable[str]) -> Cover:
-    """The members covering each covered directive, members in id order,
-    each with its entry parents of that directive (see entry_parents)."""
-    cover: Cover = {}
-    for m in sorted(set(members)):
-        for d, routes in entry_parents(graph, m).items():
-            cover.setdefault(d, {})[m] = routes
-    return cover
-
-
-def sharing_conflicts(cover: Cover) -> list[tuple[str, str, tuple[str, str]]]:
-    """All (directive, parent, member pair) entries of a cover map where two
-    members reach the same directive through the same immediate parent."""
-    conflicts: list[tuple[str, str, tuple[str, str]]] = []
-    for d, owners in sorted(cover.items()):
-        if len(owners) < 2:
+def entry_conflicts(
+    graph: FDGraph, members: Sequence[str]
+) -> list[tuple[str, str, tuple[str, str]]]:
+    """Every (directive, parent, member pair) where two of the members reach
+    the directive through the same immediate parent, in (directive, member,
+    parent) order.  members are functions in id order."""
+    index = graph_index(graph)
+    entry = [index.entry[m] for m in members]
+    used = clash = 0
+    for e in entry:
+        clash |= used & e
+        used |= e
+    conflicts = []
+    for d, routes in index.routes.items():
+        if not clash & routes:
             continue
         seen: dict[str, str] = {}
-        for m, routes in owners.items():
-            for p in routes:
+        for m, e in zip(members, entry):
+            for k in bit_positions(e & routes):  # edge bits run in parent order
+                p = index.edges[k][0]
                 if p in seen:
                     conflicts.append((d, p, (seen[p], m)))
                 else:
@@ -176,26 +178,57 @@ def entry_parent(graph: FDGraph, directive: str, routes: Iterable[str]) -> str:
     return max(routes, key=lambda p: graph.relevance(directive, p))
 
 
-def assign_owners(graph: FDGraph, cover: Cover) -> dict[str, str]:
-    """Give each directive of a cover map to one of its covering members.
+def owner_orders(graph: FDGraph, members: Sequence[str]) -> list[list[int]]:
+    """For each directive of the graph, in id order, the positions in members
+    of the members covering it, in the order they claim it.
 
-    The member whose best entry parent carries the highest relevance wins;
-    exact ties go to the smallest member id.  Sharing is not checked here.
+    members are functions in id order.  The member whose best entry parent
+    (see entry_parent) carries the highest relevance comes first, exact ties
+    in member order, so the first chosen member of an order owns the
+    directive.  Relevances are compared by their ranks in the graph's index.
+    A directive covered once needs no relevance; under a shared one, a
+    member entering it through an edge without a relevance raises the
+    graph's GraphError for the first such member and edge.
     """
-    assignment: dict[str, str] = {}
-    for d, owners in sorted(cover.items()):
-        if len(owners) == 1:
-            (assignment[d],) = owners
-            continue
-        # owners come in id order and only a strictly higher relevance
-        # displaces the leader, so a tie keeps the smallest id
-        leader = top = None
-        for m, routes in owners.items():
-            best = max([graph.relevance(d, p) for p in routes])
-            if top is None or best > top:
-                leader, top = m, best
-        assignment[d] = leader
-    return assignment
+    index = graph_index(graph)
+    rank, missing = index.rank, index.missing
+    entry = [index.entry[m] for m in members]
+    orders: list[list[int]] = [[] for _ in index.routes]
+    seen = shared = 0
+    for k, m in enumerate(members):
+        mask = index.below[m] & index.leaves
+        shared |= seen & mask
+        seen |= mask
+        while mask:
+            low = mask & -mask
+            orders[low.bit_length() - 1].append(k)
+            mask ^= low
+    ids = graph.directive_ids
+    for j in bit_positions(shared):
+        routes = index.routes[ids[j]]
+        claims = []
+        for k in orders[j]:
+            through = entry[k] & routes
+            if through & missing:
+                require_relevance(graph, through)
+            if through & (through - 1):  # several routes: the best one counts
+                claims.append((max([rank[i] for i in bit_positions(through)]), k))
+            else:
+                claims.append((rank[through.bit_length() - 1], k))
+        # a stable sort keeps ties in member order, reverse included
+        claims.sort(key=itemgetter(0), reverse=True)
+        orders[j] = [k for _, k in claims]
+    return orders
+
+
+def owner_map(graph: FDGraph, members: Sequence[str]) -> dict[str, str]:
+    """Each directive some member covers, in id order, with its owner, the
+    first member of its owner order.  Sharing is not checked here."""
+    return {
+        d: members[order[0]]
+        for d, order in zip(graph.directive_ids, owner_orders(graph, members))
+        if order
+    }
 
 
 def resolve_membership(
@@ -203,7 +236,7 @@ def resolve_membership(
 ) -> dict[str, str]:
     """Assign each covered directive to exactly one owning member.
 
-    Ownership follows assign_owners.  Raises MembershipError naming the
+    Ownership follows owner_orders.  Raises MembershipError naming the
     smallest member that is not a function (the mission or a directive),
     UnresolvableSharingError when two members share an entry parent, and
     (with complete=True) UncoveredDirectiveError when some directive of the
@@ -214,15 +247,18 @@ def resolve_membership(
         kind = graph.node(m).kind
         if kind is not NodeKind.FUNCTION:
             raise MembershipError(f"a {kind.value} cannot be a member: {m}")
-    cover = cover_map(graph, members)
     if complete:
-        missing = set(graph.directive_ids) - set(cover)
+        index = graph_index(graph)
+        covered = 0
+        for m in members:
+            covered |= index.below[m]
+        missing = [d for d in graph.directive_ids if not covered & index.bit[d]]
         if missing:
             raise UncoveredDirectiveError(missing)
-    conflicts = sharing_conflicts(cover)
+    conflicts = entry_conflicts(graph, members)
     if conflicts:
         raise UnresolvableSharingError(*conflicts[0])
-    return assign_owners(graph, cover)
+    return owner_map(graph, members)
 
 
 def owned_directives(membership: Mapping[str, str], member: str) -> tuple[str, ...]:

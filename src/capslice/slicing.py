@@ -15,13 +15,13 @@ relevance).  No ancestor test is needed: a function above a member enters
 that member's directives through the same edges, so the sharing rule cuts
 it, and a function with no directive under it owns nothing.
 
-The search runs on Python-int bitsets built once per search: the
-directives under each function and the directive edges (parent, directive)
-it enters them through, both read from graph.entry_parents, and for every
-directive its owner order, the functions covering it ranked as
-metrics.assign_owners ranks them.  Each branch costs a few mask tests, and
-every complete cover the search reaches is a valid slice whose membership
-is read off the owner order.
+The search runs on Python-int bitsets read from the graph's index
+(graph.graph_index): the directives under each function and the directive
+edges (parent, directive) it enters them through, and for every directive
+its owner order from metrics.owner_orders, the order membership resolution
+follows.  Each branch costs a few mask tests, and every complete cover the
+search reaches is a valid slice whose membership is read off the owner
+order.
 """
 
 from __future__ import annotations
@@ -30,19 +30,17 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .graph import FDGraph, NodeKind, Violation, ancestors, entry_parents
+from .graph import FDGraph, NodeKind, Violation, bit_positions, graph_index, require_relevance
 from .metrics import (
     PairCoupling,
-    assign_owners,
     cohesion,
     coupling_matrix,
-    cover_map,
-    entry_parent,
+    entry_conflicts,
     owned_directives,
-    sharing_conflicts,
+    owner_map,
+    owner_orders,
 )
 from .rational import exact_sum, to_fraction
 
@@ -121,7 +119,10 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
     if not members:
         raise ValueError("candidate slice is empty")
 
+    index = graph_index(graph)
+    bit, below = index.bit, index.below
     violations: list[Violation] = []
+    chosen = covered = under = 0
     for m in members:
         kind = graph.node(m).kind
         if kind is NodeKind.MISSION:
@@ -132,34 +133,33 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
             violations.append(
                 Violation("DIRECTIVE_MEMBER", m, "a directive cannot be a capability")
             )
+        chosen |= bit[m]
+        under |= below[m]
+        covered |= bit[m] if kind is NodeKind.DIRECTIVE else below[m]
+    blocking = bool(violations)
 
-    above = {m: ancestors(graph, m) for m in members}
-    ancestor_pairs = False
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if a in above[b] or b in above[a]:
-                ancestor_pairs = True
-                violations.append(
-                    Violation(
-                        "ANCESTOR_PAIR",
-                        f"{a},{b}",
-                        f"{a} and {b} are related by decomposition",
+    if under & chosen:  # some member lies below a member, maybe itself on a cycle
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                if below[a] & bit[b] or below[b] & bit[a]:
+                    blocking = True
+                    violations.append(
+                        Violation(
+                            "ANCESTOR_PAIR",
+                            f"{a},{b}",
+                            f"{a} and {b} are related by decomposition",
+                        )
                     )
-                )
 
-    cover = cover_map(graph, members)
-    missing = sorted(set(graph.directive_ids) - set(cover))
-    if missing:
+    if covered & index.leaves != index.leaves:
+        missing = [d for d in graph.directive_ids if not covered & bit[d]]
         violations.append(
             Violation("UNCOVERED", ",".join(missing), "some directives are covered by no member")
         )
 
     membership: Mapping[str, str] | None = None
-    blocking = ancestor_pairs or any(
-        v.code in ("MISSION_MEMBER", "DIRECTIVE_MEMBER") for v in violations
-    )
     if not blocking:
-        conflicts = sharing_conflicts(cover)
+        conflicts = entry_conflicts(graph, members)
         for d, p, pair in conflicts:
             violations.append(
                 Violation(
@@ -169,7 +169,7 @@ def is_valid_slice(graph: FDGraph, candidate: Iterable[str]) -> SliceCheck:
                 )
             )
         if not conflicts:
-            assignment = assign_owners(graph, cover)
+            assignment = owner_map(graph, members)
             owners = set(assignment.values())
             for m in members:
                 if m not in owners:
@@ -226,35 +226,25 @@ class SliceSearch:
 
     def __iter__(self) -> Iterator[Slice]:
         graph = self.graph
+        index = graph_index(graph)
         internals = graph.function_ids
         n = len(internals)
-        # Bit masks: directives and functions in id order, and the directive
-        # edges (parent, directive) functions enter through, as first met in
-        # the entry table.  Two members conflict exactly when their entry
-        # masks meet, which replaces the pairwise parent-route comparison.
-        d_bit = {d: 1 << j for j, d in enumerate(graph.directive_ids)}
-        e_bit: dict[tuple[str, str], int] = {}
-        leaf = [0] * n
-        entry = [0] * n
-        ranked: dict[str, list[tuple[Fraction, int]]] = {d: [] for d in d_bit}
-        for i, m in enumerate(internals):
-            for d, routes in entry_parents(graph, m).items():
-                leaf[i] |= d_bit[d]
-                for p in routes:
-                    entry[i] |= e_bit.setdefault((p, d), 1 << len(e_bit))
-                ranked[d].append((graph.relevance(d, entry_parent(graph, d, routes)), i))
-        # Owner order: the functions covering a directive, best entry
-        # relevance first and ties to the smaller id (a stable sort keeps id
-        # order), so the first chosen one owns it, as in metrics.assign_owners.
-        # beats[i] holds, per directive under i, the functions that would take
-        # it from i, and rivals[i] the functions i would take some directive
-        # from.
-        owners: list[list[int]] = []
+        # Bit masks from the graph's index: directives in id order, and the
+        # directive edges (parent, directive) functions enter through.  Two
+        # members conflict exactly when their entry masks meet, which
+        # replaces the pairwise parent-route comparison.
+        leaf = [index.below[m] & index.leaves for m in internals]
+        entry = [index.entry[m] for m in internals]
+        for e in entry:  # every route's relevance is read, as ranking them all would
+            require_relevance(graph, e)
+        # Owner order: the functions covering a directive in the order they
+        # claim it, so the first chosen one owns it.  beats[i] holds, per
+        # directive under i, the functions that would take it from i, and
+        # rivals[i] the functions i would take some directive from.
+        owners = owner_orders(graph, internals)
         beats: list[list[int]] = [[] for _ in range(n)]
         rivals = [0] * n
-        for covering in ranked.values():
-            order = [i for _, i in sorted(covering, key=itemgetter(0), reverse=True)]
-            owners.append(order)
+        for order in owners:
             rest = sum(1 << i for i in order)
             ahead = 0
             for i in order:
@@ -265,7 +255,7 @@ class SliceSearch:
         suffix = [0] * (n + 1)  # directives some member from i on covers
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] | leaf[i]
-        universe = (1 << len(d_bit)) - 1
+        universe = index.leaves
 
         deadline = None
         if self.time_budget is not None:
@@ -303,7 +293,7 @@ class SliceSearch:
             if all(b & chosen for b in beats[i]):
                 empty_member += 1
                 continue
-            if any(all(b & chosen for b in beats[j]) for j in _bits(chosen & rivals[i])):
+            if any(all(b & chosen for b in beats[j]) for j in bit_positions(chosen & rivals[i])):
                 empty_rival += 1
                 continue
             covered |= leaf[i]
@@ -332,15 +322,7 @@ class SliceSearch:
                     membership[d] = internals[i]
                     break
         # a tuple built from a list is allocated at its size, not grown and cut
-        return Slice(tuple([internals[i] for i in _bits(chosen)]), membership)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return Slice(tuple([internals[i] for i in bit_positions(chosen)]), membership)
 
 
 def enumerate_slices(

@@ -28,9 +28,14 @@ from capslice.graph import (
     find_cycle,
     parts,
 )
-from capslice.metrics import resolve_membership
+from capslice.metrics import (
+    MembershipError,
+    UncoveredDirectiveError,
+    UnresolvableSharingError,
+    resolve_membership,
+)
 from capslice.rational import brief, to_fraction
-from capslice.slicing import is_valid_slice
+from capslice.slicing import SliceCheck, is_valid_slice
 
 
 def undirected_adjacency(graph) -> dict[str, set[str]]:
@@ -215,6 +220,121 @@ def membership_bruteforce(graph, members):
         best = {m: best_entry(graph, d, routes[m][d])[0] for m in owners}
         membership[d] = min(m for m in owners if best[m] == max(best.values()))
     return membership, conflicts
+
+
+def _cover_reference(graph, members):
+    # {directive: {member: its entry parents in id order}}, members in id order
+    cover: dict[str, dict[str, tuple[str, ...]]] = {}
+    for m in members:
+        for d, ps in sorted(entry_routes(graph, m).items()):
+            cover.setdefault(d, {})[m] = tuple(sorted(ps))
+    return cover
+
+
+def _sharing_reference(cover):
+    # (directive, parent, member pair) wherever two members share a parent
+    conflicts = []
+    for d, owners in sorted(cover.items()):
+        seen: dict[str, str] = {}
+        for m, routes in owners.items():
+            for p in routes:
+                if p in seen:
+                    conflicts.append((d, p, (seen[p], m)))
+                else:
+                    seen[p] = m
+    return conflicts
+
+
+def _owners_reference(graph, cover):
+    # best entry relevance wins, ties to the smallest member; a directive
+    # with one covering member reads no relevance
+    assignment = {}
+    for d, owners in sorted(cover.items()):
+        if len(owners) == 1:
+            (assignment[d],) = owners
+            continue
+        leader = top = None
+        for m, routes in owners.items():
+            best = max([graph.relevance(d, p) for p in routes])
+            if top is None or best > top:
+                leader, top = m, best
+        assignment[d] = leader
+    return assignment
+
+
+def is_valid_slice_reference(graph, candidate) -> SliceCheck:
+    """is_valid_slice as a cover map of plain walks: every violation in the
+    package's order, the membership of a valid slice, and the GraphError of
+    a relevance read under a shared directive."""
+    members = sorted(set(candidate))
+    if not members:
+        raise ValueError("candidate slice is empty")
+    violations = []
+    for m in members:
+        kind = graph.node(m).kind
+        if kind is NodeKind.MISSION:
+            violations.append(
+                Violation("MISSION_MEMBER", m, "the mission root cannot be a capability")
+            )
+        elif kind is NodeKind.DIRECTIVE:
+            violations.append(
+                Violation("DIRECTIVE_MEMBER", m, "a directive cannot be a capability")
+            )
+    blocking = bool(violations)
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if b in below(graph, a) or a in below(graph, b):
+                blocking = True
+                violations.append(
+                    Violation(
+                        "ANCESTOR_PAIR", f"{a},{b}", f"{a} and {b} are related by decomposition"
+                    )
+                )
+    cover = _cover_reference(graph, members)
+    missing = sorted(set(graph.directive_ids) - set(cover))
+    if missing:
+        violations.append(
+            Violation("UNCOVERED", ",".join(missing), "some directives are covered by no member")
+        )
+    membership = None
+    if not blocking:
+        conflicts = _sharing_reference(cover)
+        for d, p, pair in conflicts:
+            violations.append(
+                Violation(
+                    "UNRESOLVABLE",
+                    d,
+                    f"{pair[0]} and {pair[1]} reach {d} through the same parent {p}",
+                )
+            )
+        if not conflicts:
+            assignment = _owners_reference(graph, cover)
+            owners = set(assignment.values())
+            for m in members:
+                if m not in owners:
+                    violations.append(
+                        Violation("EMPTY_CAPABILITY", m, f"{m} owns no directives after resolution")
+                    )
+            if not violations:
+                membership = assignment
+    return SliceCheck(not violations, tuple(violations), membership)
+
+
+def resolve_membership_reference(graph, members, complete: bool = True) -> dict[str, str]:
+    """resolve_membership on the same cover map: refused members, then
+    uncovered directives, then the first shared parent, then ownership."""
+    members = sorted(set(members))
+    for m in members:
+        kind = graph.node(m).kind
+        if kind is not NodeKind.FUNCTION:
+            raise MembershipError(f"a {kind.value} cannot be a member: {m}")
+    cover = _cover_reference(graph, members)
+    if complete and set(graph.directive_ids) - set(cover):
+        raise UncoveredDirectiveError(set(graph.directive_ids) - set(cover))
+    conflicts = _sharing_reference(cover)
+    if conflicts:
+        raise UnresolvableSharingError(*conflicts[0])
+    return _owners_reference(graph, cover)
 
 
 def cohesion_recursive(graph, node_id: str) -> Fraction:

@@ -15,10 +15,15 @@ from conftest import RELEVANCE_PALETTE
 
 
 @st.composite
-def fd_graphs(draw, max_functions=10, max_directives=12):
+def fd_graphs(draw, max_functions=10, max_directives=12, valid=True):
     """A valid graph: functions hang under the mission or an earlier
     function, every directive has a function parent, and extra edges go
-    from a function to a later function or to a directive."""
+    from a function to a later function or to a directive.
+
+    With valid=False the graph may then lose up to three drawn edges, gain
+    up to two functions without children, gain one back edge from a node to
+    one of its ancestors, which closes a cycle, and lose one relevance; each
+    is drawn, so validate may accept the graph or refuse it."""
     n_fun = draw(st.integers(1, max_functions))
     n_dir = draw(st.integers(2, max_directives))
     funs = [f"f{i:02d}" for i in range(n_fun)]
@@ -41,17 +46,40 @@ def fd_graphs(draw, max_functions=10, max_directives=12):
         if f not in parents:
             edges.add((f, dirs[draw(st.integers(0, n_dir - 1))]))
 
+    bare = None  # the directive edge left without a relevance
+    if not valid:
+        for e in draw(st.lists(st.sampled_from(sorted(edges)), max_size=3, unique=True)):
+            edges.discard(e)
+        for i in range(draw(st.integers(0, 2))):
+            f = f"f{n_fun + i:02d}"
+            edges.add((draw(st.sampled_from(["m"] + funs)), f))
+            funs.append(f)
+        if draw(st.booleans()):
+            u = draw(st.sampled_from(funs + dirs))
+            up, stack = set(), [u]
+            while stack:
+                x = stack.pop()
+                for a, b in edges:
+                    if b == x and a not in up:
+                        up.add(a)
+                        stack.append(a)
+            if up:
+                edges.add((u, draw(st.sampled_from(sorted(up)))))
+        leaf_edges = sorted(e for e in edges if e[1] in dirs)
+        if leaf_edges and draw(st.booleans()):
+            bare = draw(st.sampled_from(leaf_edges))
+
     nodes = [("m", "mission")]
     nodes += [(f, "function") for f in funs]
     nodes += [(d, "directive") for d in dirs]
     specs = []
     for u, v in sorted(edges):
-        if v in dirs:
+        if v in dirs and (u, v) != bare:
             specs.append((u, v, None, draw(st.sampled_from(RELEVANCE_PALETTE))))
         else:
             specs.append((u, v))
     graph = build_graph(nodes, specs)
-    assert validate(graph).ok, "fd_graphs drew an invalid graph"
+    assert not valid or validate(graph).ok, "fd_graphs drew an invalid graph"
     return graph
 
 

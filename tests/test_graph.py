@@ -261,6 +261,7 @@ def test_oversized_relevance_is_named():
     assert str(err.value) == f"edge entry 1: relevance {cut} on 'f' -> 'd' outside (0, 1]"
     assert brief(Fraction(-(10**5000), 3)) == f"-{cut}/3"
     assert brief([Fraction(7, 10), 10**40 - 1]) == f"[7/10, {'9' * 40}]"
+    assert brief(10**40) == cut  # 41 digits, the first elided
 
 
 def test_parse_unknown_category():
@@ -848,7 +849,7 @@ def _private_reads(source: str, fields: set[str]) -> list[str]:
 
 def test_no_private_graph_fields_outside_graph_module(fig2):
     fields = {name for name in vars(fig2) if name.startswith("_")}
-    assert {"_children", "_parents", "_entry", "_adjacent"} <= fields
+    assert {"_children", "_parents", "_index", "_adjacent"} <= fields
     assert "_hops" not in fields
     assert _private_reads("x = graph._children[n]\ny = graph.children(n)", fields) == [
         "1: ._children"

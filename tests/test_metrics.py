@@ -22,10 +22,8 @@ from capslice.metrics import (
     cohesion,
     cohesion_map,
     coupling_matrix,
-    cover_map,
     owned_directives,
     resolve_membership,
-    sharing_conflicts,
     size_of,
 )
 from conftest import random_fd_graph
@@ -220,11 +218,13 @@ def test_resolve_membership_unresolvable(fig2):
     assert err.value.parent == "n_6"
     assert err.value.members == ("n_1", "n_2")
 
-    conflicts = sharing_conflicts(cover_map(fig2, ["n_1", "n_2"]))
-    assert [(d, p) for d, p, _ in conflicts] == [
-        ("d_3", "n_6"),
-        ("d_4", "n_6"),
-        ("d_5", "n_6"),
+    # is_valid_slice reports every such entry, in directive order
+    check = is_valid_slice(fig2, ["n_1", "n_2"])
+    assert [(v.code, v.subject, v.message) for v in check.violations] == [
+        ("UNCOVERED", "d_10,d_11,d_12,d_13,d_14", "some directives are covered by no member"),
+    ] + [
+        ("UNRESOLVABLE", d, f"n_1 and n_2 reach {d} through the same parent n_6")
+        for d in ("d_3", "d_4", "d_5")
     ]
 
 
@@ -266,8 +266,10 @@ def test_resolve_membership_refuses_the_mission(fig2):
 
 
 def test_sharing_conflicts_clean_slices(fig2):
-    assert sharing_conflicts(cover_map(fig2, ["n_1", "n_3", "n_7"])) == []
-    assert sharing_conflicts(cover_map(fig2, ["n_2", "n_3", "n_5"])) == []
+    for members in (["n_1", "n_3", "n_7"], ["n_2", "n_3", "n_5"]):
+        check = is_valid_slice(fig2, members)
+        assert check.ok and check.violations == ()
+        assert resolve_membership(fig2, members) == check.membership
 
 
 def test_membership_matches_oracle_random(fig2):

@@ -338,6 +338,15 @@ def test_optimize_sched_max(fig2):
     assert all(r.violated == ("sched",) for r in res.infeasible)
 
 
+def test_optimize_bounds_are_inclusive(fig2):
+    # a slice sitting exactly on tf_min, f_min or sched_max meets it
+    slices = fig2_slices(fig2)
+    s1 = next(r for r in optimize(fig2, slices).feasible if r.slice.members == S1)
+    for doc in ({"tf_min": s1.tf}, {"f_min": s1.f}, {"sched_max": s1.schedule.makespan}):
+        res = optimize(fig2, slices, OptimizationConfig(**doc))
+        assert S1 in [r.slice.members for r in res.feasible], doc
+
+
 def test_optimize_no_feasible_is_not_an_error(fig2):
     config = OptimizationConfig.from_dict({"tf_min": 2})
     res = optimize(fig2, fig2_slices(fig2), config)

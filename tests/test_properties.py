@@ -22,7 +22,14 @@ from capslice.changesim import (  # noqa: E402
     apply_change,
     compare_slices,
 )
-from capslice.graph import parse_graph, serialize_graph, validate  # noqa: E402
+from capslice.graph import (  # noqa: E402
+    GraphError,
+    find_cycle,
+    parse_graph,
+    parts,
+    serialize_graph,
+    validate,
+)
 from capslice.metrics import (  # noqa: E402
     MembershipError,
     UnresolvableSharingError,
@@ -40,8 +47,11 @@ from oracles import (  # noqa: E402
     below,
     deletion_reference,
     impact_by_coupling,
+    is_valid_slice_reference,
     membership_bruteforce,
+    resolve_membership_reference,
     valid_slices_bruteforce,
+    validate_reference,
 )
 from strategies import fd_graphs, scenarios  # noqa: E402
 
@@ -190,3 +200,59 @@ def test_deletions_match_deletion_reference(graph, data):
         assert _outcome(lambda: (apply_change(graph, sc), _apply(graph, sc)[0])) == expected, sc
         if isinstance(expected[0], type):
             assert _outcome(_apply, graph, sc) == expected, sc
+
+
+# -- graphs validate may refuse --------------------------------------------------
+
+
+def _result(fn, *args):
+    # a result, or the type and message of the graph error it raised
+    try:
+        return fn(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False))
+def test_validate_matches_reference_on_invalid_graphs(graph):
+    assert validate(graph) == validate_reference(graph)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False), data=st.data())
+def test_membership_matches_reference_on_invalid_graphs(graph, data):
+    # any nodes, functions or not, on graphs with cycles, childless
+    # functions, dropped edges and a missing relevance
+    ids = graph.node_ids
+    drawn = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6, unique=True))
+    assert _result(is_valid_slice, graph, drawn) == _result(is_valid_slice_reference, graph, drawn)
+    for complete in (True, False):
+        assert _result(lambda: resolve_membership(graph, drawn, complete=complete)) == _result(
+            resolve_membership_reference, graph, drawn, complete
+        )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False))
+def test_search_matches_bruteforce_on_invalid_graphs(graph):
+    # the brute force filters member sets through is_valid_slice, which
+    # reads a relevance only under a shared directive; the search ranks
+    # every route, so a route without one is an error there
+    relevance = parts(graph)[2]
+    routes = {
+        (d, p)
+        for m in graph.function_ids
+        for d in graph.directive_ids
+        for p in graph.parents(d)
+        if p == m or p in below(graph, m)
+    }
+    gaps = sorted(routes - set(relevance))
+    try:
+        slices = [s.members for s in enumerate_slices(graph).slices]
+    except GraphError as exc:
+        assert gaps and str(exc).startswith("no relevance recorded for directive")
+        return
+    assert not gaps
+    if find_cycle(graph) is None:  # a cycle puts a node below itself in the brute force
+        assert slices == valid_slices_bruteforce(graph)

@@ -6,6 +6,7 @@ import pytest
 from capslice import slicing
 from capslice.graph import (
     FDGraph,
+    GraphError,
     Node,
     NodeKind,
     UnknownNodeError,
@@ -331,6 +332,56 @@ def test_owner_order_ranks_by_best_entry_parent():
         assert slc.membership == resolve_membership(g, slc.members)
 
 
+def _no_relevance(directive, parent):
+    return f"^no relevance recorded for directive '{directive}' under '{parent}'$"
+
+
+def test_search_names_the_first_route_without_a_relevance():
+    # a is the first function, and its route to y lacks a relevance; b's
+    # route to x lacks one too, and x comes before y
+    g = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"),
+         ("x", "directive"), ("y", "directive"), ("z", "directive")],
+        [("m", "a"), ("m", "b"), ("a", "y"), ("a", "z", None, "critical"),
+         ("b", "x"), ("b", "z", None, "marginal")],
+    )
+    with pytest.raises(GraphError, match=_no_relevance("y", "a")):
+        list(SliceSearch(g))
+
+
+def test_membership_reads_a_relevance_only_under_a_shared_directive():
+    # x is shared by a (through q) and b (through p); neither route has a
+    # relevance, and the first member's, q, is named although p < q
+    g = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"), ("p", "function"),
+         ("q", "function"), ("x", "directive"), ("y", "directive"), ("z", "directive")],
+        [("m", "a"), ("m", "b"), ("a", "q"), ("b", "p"), ("q", "x"), ("p", "x"),
+         ("q", "y", None, "critical"), ("p", "z", None, "critical")],
+    )
+    for check in (is_valid_slice, resolve_membership):
+        with pytest.raises(GraphError, match=_no_relevance("x", "q")):
+            check(g, ["a", "b"])
+    # with one route missing, the member whose route has a relevance still
+    # does not win by default
+    nodes, edges, relevance = parts(g)
+    relevance[("x", "p")] = Fraction(1, 10)
+    g = FDGraph(nodes, dict.fromkeys(edges), relevance)
+    with pytest.raises(GraphError, match=_no_relevance("x", "q")):
+        is_valid_slice(g, ["a", "b"])
+    # a directive with a single owner needs no relevance: x goes to a alone
+    g = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"),
+         ("x", "directive"), ("y", "directive"), ("z", "directive")],
+        [("m", "a"), ("m", "b"), ("a", "x"), ("a", "y", None, "critical"),
+         ("b", "z", None, "critical")],
+    )
+    check = is_valid_slice(g, ["a", "b"])
+    assert check.ok and check.membership == {"x": "a", "y": "a", "z": "b"}
+    assert resolve_membership(g, ["b", "a"]) == check.membership
+    with pytest.raises(GraphError, match=_no_relevance("x", "a")):
+        list(SliceSearch(g))
+
+
 def baseline_graph():
     """The densest of 400 random_fd_graph(random.Random(7), max_internal=22,
     max_directives=40) draws: 22 functions and 8 directives."""
@@ -467,6 +518,8 @@ def test_node_cap(fig2, monkeypatch):
         list(SliceSearch(fig2))
     with pytest.raises(EnumerationCapError):
         enumerate_slices(fig2)
+    monkeypatch.setattr(slicing, "NODE_CAP", 24)  # a graph of exactly the cap is enumerated
+    assert len(enumerate_slices(fig2).slices) == 3
 
 
 def test_search_argument_validation(fig2):
