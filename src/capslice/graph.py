@@ -320,62 +320,57 @@ def _build_index(graph: FDGraph) -> GraphIndex:
     num: dict[str, int] = {}  # discovery number
     held: list[tuple[str, int, int]] = []
     cycle = None
-    for root in graph._node_ids:
-        if root in num:
-            continue
-        num[root] = first = len(num)
-        if not children[root]:  # a leaf is a component with nothing below it
-            below[root] = entry[root] = 0
-            continue
-        path = [root]
-        low = [first]
-        stack = [iter(children[root])]
-        while stack:
-            for w in stack[-1]:
-                if w in below:  # in a finished component
-                    continue
-                if w in num:  # still open: on the path or held
-                    if cycle is None and w in path:
-                        cycle = tuple(path[path.index(w) :]) + (w,)
-                    if num[w] < low[-1]:
-                        low[-1] = num[w]
-                    continue
-                num[w] = first = len(num)
-                if not children[w]:  # a leaf again
-                    below[w] = entry[w] = 0
-                    continue
-                path.append(w)
-                low.append(first)
-                stack.append(iter(children[w]))
+    path: list[str] = []
+    low: list[int] = []
+    stack = [iter(graph._node_ids)]  # the roots, under every path
+    while stack:
+        for w in stack[-1]:
+            if w in below:  # in a finished component
+                continue
+            if w in num:  # still open: on the path or held
+                if cycle is None and w in path:
+                    cycle = tuple(path[path.index(w) :]) + (w,)
+                if num[w] < low[-1]:
+                    low[-1] = num[w]
+                continue
+            num[w] = first = len(num)
+            if not children[w]:  # a leaf is a component with nothing below it
+                below[w] = entry[w] = 0
+                continue
+            path.append(w)
+            low.append(first)
+            stack.append(iter(children[w]))
+            break
+        else:
+            stack.pop()
+            if not path:  # every root is done
                 break
-            else:
-                stack.pop()
-                v = path.pop()
-                reach = low.pop()
-                down = 0
-                through = own[v]
-                for c in children[v]:
-                    down |= bit[c] | below.get(c, 0)
-                    through |= entry.get(c, 0)
-                first = num[v]
-                if reach < first:
-                    held.append((v, down, through))
-                    if reach < low[-1]:
-                        low[-1] = reach
-                    continue
-                if not held or num[held[-1][0]] < first:  # v is its component
-                    below[v] = down
-                    entry[v] = through
-                    continue
-                component = [v]
-                while held and num[held[-1][0]] > first:
-                    u, more_down, more_through = held.pop()
-                    component.append(u)
-                    down |= more_down
-                    through |= more_through
-                for u in component:
-                    below[u] = down
-                    entry[u] = through
+            v = path.pop()
+            reach = low.pop()
+            down = 0
+            through = own[v]
+            for c in children[v]:
+                down |= bit[c] | below.get(c, 0)
+                through |= entry.get(c, 0)
+            first = num[v]
+            if reach < first:
+                held.append((v, down, through))
+                if reach < low[-1]:
+                    low[-1] = reach
+                continue
+            if not held or num[held[-1][0]] < first:  # v is its component
+                below[v] = down
+                entry[v] = through
+                continue
+            component = [v]
+            while held and num[held[-1][0]] > first:
+                u, more_down, more_through = held.pop()
+                component.append(u)
+                down |= more_down
+                through |= more_through
+            for u in component:
+                below[u] = down
+                entry[u] = through
     leaves = (1 << len(directives)) - 1
     return GraphIndex(cycle, bit, leaves, below, entry, edges, routes, rank, missing)
 
