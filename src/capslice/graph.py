@@ -245,8 +245,10 @@ class GraphIndex(NamedTuple):
     or lies below it, the edges it reaches those directives through.
     edges: the directive edges as (parent, directive), by bit position.
     routes: each directive's mask of its edges.
-    rank: by bit position, the rank of each edge's relevance among the
-    graph's distinct values in increasing order, or None without one.
+    values: the distinct relevance values on directive edges as
+    (numerator, denominator), in increasing order.
+    rank: by bit position, the position in values of each edge's relevance,
+    or None without one.
     missing: the directive edges without a relevance.
     """
 
@@ -257,6 +259,7 @@ class GraphIndex(NamedTuple):
     entry: dict[str, int]
     edges: list[tuple[str, str]]
     routes: dict[str, int]
+    values: list[tuple[int, int]]
     rank: list[int | None]
     missing: int
 
@@ -300,12 +303,12 @@ def _build_index(graph: FDGraph) -> GraphIndex:
             edges.append((p, d))
             b <<= 1
         routes[d] = b - start
-    values = set(keys)
-    values.discard(None)
+    distinct = set(keys)
+    distinct.discard(None)
     # exact order on integers: each value over the lcm of the denominators
-    scale = math.lcm(*(den for _, den in values))
-    order = {key: r for r, key in enumerate(sorted(values, key=lambda k: k[0] * (scale // k[1])))}
-    rank = list(map(order.get, keys))
+    scale = math.lcm(*(den for _, den in distinct))
+    values = sorted(distinct, key=lambda k: k[0] * (scale // k[1]))
+    rank = list(map({key: r for r, key in enumerate(values)}.get, keys))
 
     # Tarjan's strongly connected components, found by the one search.  Roots
     # and children are taken in id order, so the first node met again while
@@ -372,7 +375,7 @@ def _build_index(graph: FDGraph) -> GraphIndex:
                 below[u] = down
                 entry[u] = through
     leaves = (1 << len(directives)) - 1
-    return GraphIndex(cycle, bit, leaves, below, entry, edges, routes, rank, missing)
+    return GraphIndex(cycle, bit, leaves, below, entry, edges, routes, values, rank, missing)
 
 
 def require_relevance(graph: FDGraph, edges: int) -> None:
@@ -676,20 +679,26 @@ def validate(graph: FDGraph) -> ValidationReport:
             Violation("RELEVANCE_MISSING", f"{u}->{v}", "directive edge lacks a relevance weight")
         )
     relevance = graph._relevance
-    # found in any order, reported in (directive, parent) order
-    found: dict[tuple[str, str], Violation] = {}
-    for (d, p), value in relevance.items():
-        if (p, d) not in graph._edge_kinds or nodes[d].kind is not NodeKind.DIRECTIVE:
-            found[(d, p)] = Violation(
-                "RELEVANCE_EXTRA",
-                f"{p}->{d}",
-                "relevance recorded for a missing or non-directive edge",
-            )
-        elif not 0 < value.numerator <= value.denominator:  # denominator > 0
-            found[(d, p)] = Violation(
-                "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"
-            )
-    violations += [found[key] for key in sorted(found)]
+    values = index.values
+    # with one relevance per directive edge that has one, none is extra, and
+    # with the least and the greatest value in (0, 1] none is out of range
+    if len(relevance) != len(index.edges) - index.missing.bit_count() or (
+        values and not (values[0][0] > 0 and values[-1][0] <= values[-1][1])
+    ):
+        # found in any order, reported in (directive, parent) order
+        found: dict[tuple[str, str], Violation] = {}
+        for (d, p), value in relevance.items():
+            if (p, d) not in graph._edge_kinds or nodes[d].kind is not NodeKind.DIRECTIVE:
+                found[(d, p)] = Violation(
+                    "RELEVANCE_EXTRA",
+                    f"{p}->{d}",
+                    "relevance recorded for a missing or non-directive edge",
+                )
+            elif not 0 < value.numerator <= value.denominator:  # denominator > 0
+                found[(d, p)] = Violation(
+                    "RELEVANCE_RANGE", f"{p}->{d}", f"relevance {brief(value)} outside (0, 1]"
+                )
+        violations += [found[key] for key in sorted(found)]
 
     graph._validation = ValidationReport(not violations, tuple(violations))
     return graph._validation
