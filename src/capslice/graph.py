@@ -439,11 +439,7 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
 
     Set semantics: a directive reachable along several paths counts once.
     """
-    if graph.node(node_id).kind is NodeKind.DIRECTIVE:
-        return frozenset((node_id,))
-    index = graph_index(graph)
-    mask = index.below[node_id]
-    return frozenset(d for d in graph.directive_ids if mask & index.bit[d])
+    return frozenset(entry_parents(graph, node_id))
 
 
 def _levels(adjacent: Mapping[str, tuple[str, ...]], u: str) -> dict[str, int]:
