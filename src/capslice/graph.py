@@ -250,6 +250,9 @@ class GraphIndex(NamedTuple):
     rank: by bit position, the position in values of each edge's relevance,
     or None without one.
     missing: the directive edges without a relevance.
+
+    One index is shared by every reader of the graph, so callers must not
+    change its tables.
     """
 
     cycle: tuple[str, ...] | None
