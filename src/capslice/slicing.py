@@ -235,7 +235,7 @@ class SliceSearch:
         # replaces the pairwise parent-route comparison.
         leaf = [index.below[m] & index.leaves for m in internals]
         entry = [index.entry[m] for m in internals]
-        for e in entry:  # every route's relevance is read, as ranking them all would
+        for e in entry:  # a route without a relevance is an error, shared or not
             require_relevance(graph, e)
         # Owner order: the functions covering a directive in the order they
         # claim it, so the first chosen one owns it.  beats[i] holds, per
