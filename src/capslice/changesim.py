@@ -239,10 +239,8 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
                 raise ChangeError(f"{target!r} has {len(parents)} parents, relevance must name one")
             updates = {parents[0]: rel}
         for parent, value in sorted(updates.items()):
-            try:
-                graph.relevance(target, parent)
-            except GraphError:
-                raise ChangeError(f"{parent!r} is not a parent of {target!r}") from None
+            if parent not in graph.parents(target):
+                raise ChangeError(f"{parent!r} is not a parent of {target!r}")
             updates[parent] = _relevance(value, parent, target)
         seed = frozenset((target,))
 

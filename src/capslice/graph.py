@@ -712,8 +712,6 @@ def coerce_relevance(raw, parent: str, child: str) -> Fraction:
     raw is an impact category name or a number; anything else, and a value
     outside (0, 1], raises GraphParseError.
     """
-    if type(raw) is Fraction and 0 < raw.numerator <= raw.denominator:
-        return raw  # a parsed decimal in range, the common case
     if isinstance(raw, str):
         try:
             value = IMPACT_RELEVANCE[raw.lower()]

@@ -74,36 +74,37 @@ def size_of(graph: FDGraph, node_id: str) -> int:
 
 
 def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fraction:
-    # Iterative post-order over function children; guards against cycles so
-    # a bad graph fails loudly instead of hanging.
-    on_stack: set[str] = set()
+    # Iterative post-order over function children, the last child taken
+    # first.  A pending child already opened is on the path, as a memoised
+    # child is never pending, so it closes a cycle: a bad graph fails loudly
+    # instead of hanging.  Kinds and sizes come from the graph's index: a
+    # child is a directive when its bit is a leaf's.
+    index = graph_index(graph)
+    bit, leaves, below = index.bit, index.leaves, index.below
+    opened: set[str] = set()
     stack = [start]
     while stack:
         n = stack[-1]
         if n in memo:
             stack.pop()
-            on_stack.discard(n)
             continue
-        on_stack.add(n)
-        pending = [
-            c
-            for c in graph.children(n)
-            if graph.node(c).kind is not NodeKind.DIRECTIVE and c not in memo
-        ]
-        blocked = [c for c in pending if c in on_stack]
-        if blocked:
-            raise GraphError(f"cycle through {blocked[0]!r} while evaluating cohesion")
-        if pending:
-            stack.extend(pending)
-            continue
+        if n not in opened:
+            opened.add(n)
+            pending = [c for c in graph.children(n) if not bit[c] & leaves and c not in memo]
+            blocked = [c for c in pending if c in opened]
+            if blocked:
+                raise GraphError(f"cycle through {blocked[0]!r} while evaluating cohesion")
+            if pending:
+                stack.extend(pending)
+                continue
         # each child's contribution as an integer over the lcm of their
         # denominators, finished as one Fraction
         terms = []
         for c in graph.children(n):
-            if graph.node(c).kind is NodeKind.DIRECTIVE:
+            if bit[c] & leaves:
                 terms.append((1, graph.relevance(c, n)))
             else:
-                terms.append((size_of(graph, c), memo[c]))
+                terms.append(((below[c] & leaves).bit_count(), memo[c]))
         den = sum(w for w, _ in terms)
         if den == 0:
             raise GraphError(f"{n!r} has no children, cohesion undefined")
@@ -111,7 +112,6 @@ def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fra
         num = sum(w * v.numerator * (scale // v.denominator) for w, v in terms)
         memo[n] = Fraction(num, den * scale)
         stack.pop()
-        on_stack.discard(n)
     return memo[start]
 
 
@@ -133,11 +133,11 @@ def cohesion(graph: FDGraph, node_id: str) -> Fraction:
 
 def cohesion_map(graph: FDGraph) -> dict[str, Fraction]:
     """Cohesion of every mission and function node, one shared evaluation."""
-    out: dict[str, Fraction] = {}
-    for nid in graph.node_ids:
-        if graph.node(nid).kind is not NodeKind.DIRECTIVE:
-            out[nid] = _cohesion_eval(graph, nid, cohesion_memo(graph))
-    return out
+    return {
+        nid: cohesion(graph, nid)
+        for nid in graph.node_ids
+        if graph.node(nid).kind is not NodeKind.DIRECTIVE
+    }
 
 
 # -- membership ------------------------------------------------------------

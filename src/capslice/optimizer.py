@@ -70,8 +70,6 @@ def _int_costs(
     if isinstance(coupling, PairCoupling):
         return coupling.units, coupling.scale
     pairs = [(p, q) for p in members for q in members if p != q]
-    if not pairs:
-        return {}, 1
     denom = math.lcm(*(coupling[pq].denominator for pq in pairs))
     return {pq: coupling[pq].numerator * (denom // coupling[pq].denominator) for pq in pairs}, denom
 
@@ -422,7 +420,7 @@ def optimize(
     ]
     feasible.sort(key=lambda s: (-s.z, s.slice.members))
     best = feasible[0]
-    front = pareto_front(sorted(feasible, key=lambda s: s.slice.members))
+    front = pareto_front(feasible)
     return OptimizationResult(best, tuple(feasible), front, infeasible)
 
 

@@ -157,8 +157,6 @@ def exact_sum(values: Iterable[Fraction]) -> Fraction:
     normalises after every term; the result is the same rational.
     """
     values = list(values)
-    if not values:
-        return Fraction(0)
     scale = math.lcm(*(v.denominator for v in values))
     return Fraction(sum(v.numerator * (scale // v.denominator) for v in values), scale)
 

@@ -19,6 +19,7 @@ from capslice.graph import (
     IMPACT_RELEVANCE,
     EdgeKind,
     FDGraph,
+    GraphError,
     GraphParseError,
     Node,
     NodeKind,
@@ -33,6 +34,7 @@ from capslice.metrics import (
     UncoveredDirectiveError,
     UnresolvableSharingError,
     resolve_membership,
+    size_of,
 )
 from capslice.rational import brief, to_fraction
 from capslice.slicing import SliceCheck, is_valid_slice
@@ -350,6 +352,49 @@ def cohesion_recursive(graph, node_id: str) -> Fraction:
         num += weight * contrib
         den += weight
     return num / den
+
+
+def cohesion_reference(graph, node, memo: dict) -> Fraction:
+    """Cohesion of a mission or function node by an iterative post-order
+    walk: children pushed first to last, so the last is taken first, and a
+    cycle reported through the first pending child still open.  memo is
+    filled as nodes finish and may be shared across calls, so on a graph
+    where some node fails the value or error of a later call depends on
+    what earlier calls left in it, as it does for metrics.cohesion's memo.
+    """
+    on_stack: set[str] = set()
+    stack = [node]
+    while stack:
+        n = stack[-1]
+        if n in memo:
+            stack.pop()
+            on_stack.discard(n)
+            continue
+        on_stack.add(n)
+        pending = [
+            c
+            for c in graph.children(n)
+            if graph.node(c).kind is not NodeKind.DIRECTIVE and c not in memo
+        ]
+        blocked = [c for c in pending if c in on_stack]
+        if blocked:
+            raise GraphError(f"cycle through {blocked[0]!r} while evaluating cohesion")
+        if pending:
+            stack.extend(pending)
+            continue
+        terms = []
+        for c in graph.children(n):
+            if graph.node(c).kind is NodeKind.DIRECTIVE:
+                terms.append((1, graph.relevance(c, n)))
+            else:
+                terms.append((size_of(graph, c), memo[c]))
+        den = sum(w for w, _ in terms)
+        if den == 0:
+            raise GraphError(f"{n!r} has no children, cohesion undefined")
+        memo[n] = sum((w * v for w, v in terms), Fraction(0)) / den
+        stack.pop()
+        on_stack.discard(n)
+    return memo[node]
 
 
 def reparsed(graph):

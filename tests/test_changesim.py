@@ -189,6 +189,27 @@ def test_modify_errors(fig2):
         apply_change(fig2, scenario("modify_directive", "d_1", {"relevance": 0}))
 
 
+def test_modify_relevance_of_a_parent_without_one():
+    # f -> d exists but carries no relevance: f is still d's parent, so the
+    # edit sets the missing relevance and the rebuilt graph validates
+    base = build_graph(
+        [("m", "mission"), ("f", "function"), ("g", "function"), ("d", "directive"),
+         ("e", "directive")],
+        [("m", "f"), ("m", "g"), ("f", "d"), ("g", "e", None, Fraction(1, 2))],
+    )
+    assert [v.code for v in validate(base).violations] == ["RELEVANCE_MISSING"]
+    new = apply_change(base, scenario("modify_directive", "d", {"relevance": {"f": 0.5}}))
+    assert new.relevance("d", "f") == Fraction(1, 2)
+    assert validate(new).ok
+    with pytest.raises(ChangeError, match="^'g' is not a parent of 'd'$"):
+        apply_change(base, scenario("modify_directive", "d", {"relevance": {"g": 0.5}}))
+
+
+def test_unsupported_scenario_kind(fig2):
+    with pytest.raises(ChangeError, match="^unsupported scenario kind 'modify_directive'$"):
+        apply_change(fig2, ChangeScenario("modify_directive", "d_1", {"label": "x"}))
+
+
 def test_bad_relevance_names_the_scenario_edge(fig2):
     # the range check runs before the rebuild, whose edge list the user never wrote
     cases = [
@@ -293,6 +314,11 @@ def test_add_directive_errors(fig2):
         apply_change(fig2, scenario("add_directive", "d_1", {"id": "d_15", "relevance": 0.7}))
     with pytest.raises(ChangeError, match="new directive id"):
         apply_change(fig2, scenario("add_directive", "n_7", {"relevance": 0.7}))
+
+
+def test_add_directive_under_an_unknown_parent(fig2):
+    with pytest.raises(ChangeError, match="^unknown parent 'nope'$"):
+        apply_change(fig2, scenario("add_directive", "nope", {"id": "d_15", "relevance": 0.7}))
 
 
 # -- delete function subtree -------------------------------------------------------

@@ -155,6 +155,12 @@ def test_zero_denominator_is_usage(tmp_path, capsys, argv, text):
     assert "Traceback" not in err and "/0" in err
 
 
+def test_malformed_number_flag_is_usage(capsys):
+    rc, out, err = run(capsys, "slices", FIG, "--lambda", "1e")
+    assert rc == EXIT_USAGE and out == ""
+    assert err.splitlines()[-1].endswith("error: argument --lambda: not a number: '1e'")
+
+
 HUGE_LAMBDA = '{"lambda": 1e400}'
 HUGE_TIME = '{"times": {"n_1": 1e400}}'
 

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from capslice.graph import (
     EdgeKind,
     FDGraph,
+    GraphError,
     GraphParseError,
     IMPACT_RELEVANCE,
     Node,
@@ -67,6 +69,11 @@ def test_fig2_edge_kinds(fig2):
     assert fig2.edge_kind("n_8", "d_13") is EdgeKind.INTERSECTION
     assert fig2.edge_kind("n_9", "d_14") is EdgeKind.INTERSECTION
     assert fig2.edge_kind("n_5", "d_1") is EdgeKind.DECOMPOSITION
+
+
+def test_edge_kind_of_a_missing_edge(fig2):
+    with pytest.raises(GraphError, match="^no edge 'm' -> 'd_1'$"):
+        fig2.edge_kind("m", "d_1")
 
 
 def test_edge_kinds_follow_degrees(fig2):
@@ -440,6 +447,22 @@ def test_find_cycle_reports_a_closed_walk_or_none():
         assert len(set(path[:-1])) == len(path) - 1, (seed, path)
         assert all(v in g.children(u) for u, v in zip(path, path[1:])), (seed, path)
     assert 100 <= cyclic <= 200, cyclic
+
+
+def test_validate_is_linear_on_a_long_cyclic_chain():
+    # 2,000 functions in a chain, each with an edge back to its predecessor:
+    # one component the index condenses in its one search, where closing
+    # the masks by repeated sweeps would take a sweep per link
+    funs = [f"f{i:04d}" for i in range(2000)]
+    nodes = [("m", "mission")] + [(f, "function") for f in funs] + [("d", "directive")]
+    edges = [("m", funs[0]), (funs[-1], "d", None, 1)]
+    edges += [(a, b) for a, b in zip(funs, funs[1:])] + [(b, a) for a, b in zip(funs, funs[1:])]
+    g = build_graph(nodes, edges)
+    start = time.perf_counter()
+    report = validate(g)
+    assert time.perf_counter() - start < 1.0
+    assert "CYCLE" in {v.code for v in report.violations}
+    assert descendants(g, funs[0]) == frozenset(funs) | {"d"}
 
 
 def test_validate_mission_count():

@@ -551,6 +551,25 @@ def test_manifest_validation_catches_damage(fig2):
         validate_manifest(doc)
 
 
+def test_manifest_validation_reports_kind_members_and_capabilities(fig2):
+    good = export_capabilities(fig2, make_slice(fig2, S1))
+    damage = [
+        (lambda doc: doc.update(kind="manifest"), "unexpected kind 'manifest'"),
+        (lambda doc: doc.update(members=[]), "empty member list"),
+        (lambda doc: doc["capabilities"].pop(), "capability entries do not match members"),
+        (
+            lambda doc: doc["capabilities"][0].update(id="n_9"),
+            "capability entries do not match members",
+        ),
+    ]
+    for edit, problem in damage:
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        with pytest.raises(ManifestError) as err:
+            validate_manifest(doc)
+        assert problem in str(err.value).split("; "), str(err.value)
+
+
 def test_manifest_of_the_wrong_shape_is_a_manifest_error(fig2):
     good = export_capabilities(fig2, make_slice(fig2, S1))
     damage = [

@@ -33,6 +33,7 @@ from capslice.graph import (  # noqa: E402
 from capslice.metrics import (  # noqa: E402
     MembershipError,
     UnresolvableSharingError,
+    cohesion,
     resolve_membership,
 )
 from capslice.rational import literal_reader, to_fraction  # noqa: E402
@@ -45,6 +46,7 @@ from capslice.slicing import (  # noqa: E402
 from conftest import random_fd_graph, relabeled  # noqa: E402
 from oracles import (  # noqa: E402
     below,
+    cohesion_reference,
     deletion_reference,
     impact_by_coupling,
     is_valid_slice_reference,
@@ -256,3 +258,15 @@ def test_search_matches_bruteforce_on_invalid_graphs(graph):
     assert not gaps
     if find_cycle(graph) is None:  # a cycle puts a node below itself in the brute force
         assert slices == valid_slices_bruteforce(graph)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False), data=st.data())
+def test_cohesion_matches_reference_in_any_order(graph, data):
+    # cycles, childless functions and a missing relevance make some nodes
+    # fail; both memos keep what earlier calls finished, so the order the
+    # nodes are asked in can decide which error a later call meets
+    order = data.draw(st.permutations(graph.mission_ids + graph.function_ids))
+    memo: dict = {}
+    for n in order:
+        assert _result(cohesion, graph, n) == _result(cohesion_reference, graph, n, memo), n

@@ -12,6 +12,8 @@ from capslice.graph import (
     UnknownNodeError,
     ancestors,
     build_graph,
+    descendants,
+    entry_parents,
     parts,
     validate,
 )
@@ -37,6 +39,7 @@ from oracles import (
     bfs_distance,
     cohesion_recursive,
     double_sum_coupling,
+    entry_routes,
     valid_slices_bruteforce,
 )
 
@@ -201,6 +204,34 @@ def test_ancestor_pairs_match_a_plain_walk():
             assert _ancestor_pairs(is_valid_slice(g, members)) == expected, members
             found += len(expected)
     assert found >= 300
+
+
+def test_index_masks_match_plain_walks_on_cyclic_graphs():
+    # the index condenses cycles in its one search; every node's reach and
+    # entry routes must equal a plain walk's, wherever the cycles fall
+    rng = random.Random(3333)
+    cyclic = 0
+    for _ in range(300):
+        g = random_fd_graph(rng, max_internal=8, max_directives=10)
+        nodes, edges, relevance = parts(g)
+        ids = list(g.node_ids)
+        for _ in range(rng.randint(1, 6)):
+            u, v = rng.sample(ids, 2)
+            if (u, v) not in edges:
+                edges.add((u, v))
+                if v in g.directive_ids:
+                    relevance[(v, u)] = Fraction(1, 2)
+        g = FDGraph(nodes, dict.fromkeys(edges), relevance)
+        down = {n: below(g, n) for n in ids}
+        cyclic += any(n in down[n] for n in ids)
+        for n in ids:
+            assert descendants(g, n) == down[n], n
+            assert ancestors(g, n) == {a for a in ids if n in down[a]}, n
+            routes = entry_parents(g, n)
+            assert list(routes) == sorted(routes), n
+            assert all(list(ps) == sorted(ps) for ps in routes.values()), n
+            assert {d: set(ps) for d, ps in routes.items()} == entry_routes(g, n), n
+    assert 120 <= cyclic <= 220, cyclic
 
 
 def test_uncovered(fig2):
