@@ -420,29 +420,15 @@ def parts(
     return dict(graph._nodes), set(graph._edge_kinds), dict(graph._relevance)
 
 
-def entry_parents(graph: FDGraph, node_id: str) -> Mapping[str, tuple[str, ...]]:
-    """Each directive under a node, with the parents the node reaches it through.
-
-    Those parents are node_id itself or lie below it.  Directives and parents
-    come in id order; a directive maps to itself with no parents.
-    """
-    if graph.node(node_id).kind is NodeKind.DIRECTIVE:
-        return {node_id: ()}
-    index = graph_index(graph)
-    mask, entry, edges = index.below[node_id], index.entry[node_id], index.edges
-    return {
-        d: tuple(edges[k][0] for k in bit_positions(entry & index.routes[d]))
-        for d in graph.directive_ids
-        if mask & index.bit[d]
-    }
-
-
 def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
     """Distinct directives under a node; a directive yields itself.
 
     Set semantics: a directive reachable along several paths counts once.
     """
-    return frozenset(entry_parents(graph, node_id))
+    graph.node(node_id)
+    index = graph_index(graph)
+    mask = index.bit[node_id] & index.leaves or index.below[node_id] & index.leaves
+    return frozenset(map(graph.directive_ids.__getitem__, bit_positions(mask)))
 
 
 def _levels(adjacent: Mapping[str, tuple[str, ...]], u: str) -> dict[str, int]:

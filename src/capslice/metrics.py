@@ -35,7 +35,6 @@ from .graph import (
     directive_weights,
     graph_index,
     require_relevance,
-    undirected_distance,
     weight_column_sums,
 )
 
@@ -170,24 +169,28 @@ def entry_conflicts(
     return conflicts
 
 
-def entry_parent(graph: FDGraph, directive: str, routes: Iterable[str]) -> str:
-    """The entry parent with the highest relevance; ties go to the smallest id.
-
-    routes come in id order, as entry_parents gives them.
-    """
-    return max(routes, key=lambda p: graph.relevance(directive, p))
+def best_route(graph: FDGraph, edges: int) -> int:
+    """The position of the edge with the highest relevance among the set bits
+    of edges, directive edges that all enter one directive; ties go to the
+    lowest bit, the smallest parent id.  Relevances are compared by their
+    ranks in the graph's index.  An edge without a relevance raises the
+    graph's GraphError for the first such parent in id order."""
+    index = graph_index(graph)
+    if edges & index.missing:
+        require_relevance(graph, edges)
+    return max(bit_positions(edges), key=index.rank.__getitem__)
 
 
 def owner_orders(graph: FDGraph, members: Sequence[str]) -> list[list[int]]:
     """For each directive of the graph, in id order, the positions in members
     of the members covering it, in the order they claim it.
 
-    members are functions in id order.  The member whose best entry parent
-    (see entry_parent) carries the highest relevance comes first, exact ties
-    in member order, so the first chosen member of an order owns the
-    directive.  Relevances are compared by their ranks in the graph's index.
-    A directive covered once needs no relevance; under a shared one, a
-    member entering it through an edge without a relevance raises the
+    members are functions in id order.  The member whose best route into the
+    directive (see best_route) carries the highest relevance comes first,
+    exact ties in member order, so the first chosen member of an order owns
+    the directive.  Relevances are compared by their ranks in the graph's
+    index.  A directive covered once needs no relevance; under a shared one,
+    a member entering it through an edge without a relevance raises the
     graph's GraphError for the first such member and edge.
     """
     index = graph_index(graph)
@@ -212,7 +215,7 @@ def owner_orders(graph: FDGraph, members: Sequence[str]) -> list[list[int]]:
             if through & missing:
                 require_relevance(graph, through)
             if through & (through - 1):  # several routes: the best one counts
-                claims.append((max([rank[i] for i in bit_positions(through)]), k))
+                claims.append((rank[best_route(graph, through)], k))
             else:
                 claims.append((rank[through.bit_length() - 1], k))
         # a stable sort keeps ties in member order, reverse included
@@ -331,7 +334,7 @@ def coupling_matrix(
     members = sorted(set(members))
     if len(members) < 2:
         return PairCoupling({}, 1)
-    scale, index, _ = directive_weights(graph)
+    scale, index, rows = directive_weights(graph)
     owned: dict[str, list[int]] = {}
     for d, o in membership.items():
         try:
@@ -348,11 +351,9 @@ def coupling_matrix(
             try:  # scale * S; a None sum marks a pair that is not connected
                 total = sum(map(col.__getitem__, d_q))
             except TypeError:  # raise for the first such pair in id order
+                a, b = min((a, b) for a in d_p for b in d_q if rows[a][b] is None)
                 ids = graph.directive_ids
-                for a in sorted(d_p):
-                    for b in sorted(d_q):
-                        undirected_distance(graph, ids[a], ids[b])
-                raise
+                raise GraphError(f"{ids[a]!r} and {ids[b]!r} are not connected") from None
             n_p, n_q = len(d_p), len(d_q)
             half[(p, q)] = total * (cube // (n_p * n_q * n_q))
             half[(q, p)] = total * (cube // (n_q * n_p * n_p))

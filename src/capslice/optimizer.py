@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .graph import entry_parents, impact_category
-from .metrics import PairCoupling, coupling_matrix, entry_parent, size_of
+from .graph import graph_index, impact_category
+from .metrics import PairCoupling, best_route, coupling_matrix, size_of
 from .rational import brief, load_exact_json, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
@@ -445,12 +445,12 @@ def export_capabilities(
     sched = schedule_slice(graph, slc, coupling=metrics.coupling)
     position = {m: i for i, m in enumerate(sched.order)}
 
+    index = graph_index(graph)
     capabilities = []
     for m in slc.members:
-        routes = entry_parents(graph, m)
         directives = []
         for d in slc.owned(m):
-            via = entry_parent(graph, d, routes[d])
+            via = index.edges[best_route(graph, index.entry[m] & index.routes[d])][0]
             rel = graph.relevance(d, via)
             directives.append(
                 {

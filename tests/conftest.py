@@ -7,7 +7,7 @@ import pytest
 
 from capslice.changesim import ChangeScenario, ScenarioKind
 from capslice.fixtures import load_fig2
-from capslice.graph import FDGraph, Node, build_graph, parts, validate
+from capslice.graph import FDGraph, Node, bit_positions, build_graph, graph_index, parts, validate
 
 # the tests that run `python -m capslice.cli` in a subprocess find the
 # package where pytest's pythonpath setting finds it, installed or not
@@ -31,6 +31,19 @@ RELEVANCE_PALETTE = (
 @pytest.fixture(scope="session")
 def fig2():
     return load_fig2()
+
+
+def index_routes(graph, node_id: str) -> dict[str, list[str]]:
+    """Each directive below a mission or function node, with the parents the
+    node enters it through, read off the graph index's below, entry and
+    routes masks in bit order, for comparison with oracles.entry_routes."""
+    index = graph_index(graph)
+    entry = index.entry[node_id]
+    return {
+        d: [index.edges[k][0] for k in bit_positions(entry & index.routes[d])]
+        for d in graph.directive_ids
+        if index.below[node_id] & index.bit[d]
+    }
 
 
 def random_fd_graph(rng: random.Random, max_internal=16, max_directives=24, extra_rate=0.3):

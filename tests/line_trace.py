@@ -1,4 +1,4 @@
-"""List the statement lines of src/capslice that no tier-1 test executes.
+"""Check that every statement line of src/capslice runs under the tests.
 
 A stdlib stand-in for a coverage report: it runs the test suite in this
 process through pytest.main under sys.settrace, records every line executed
@@ -6,14 +6,15 @@ in a file under src/capslice, and prints each statement line that never ran,
 as path:line: source, followed by a count.  Docstrings are not statements
 here, and neither is a statement that compiles to no bytecode of its own.
 Code run in a subprocess (the CLI tests that start `python -m capslice.cli`)
-is not seen.
+is not seen, so statements under `if __name__ == "__main__":` are left out.
 
 Run from the repository root; arguments go to pytest:
 
     PYTHONPATH=src python tests/line_trace.py -q -p no:cacheprovider
 
-The name does not match pytest's test file pattern, so the suite never
-collects this file.  Tracing slows the suite about fourfold.
+It exits 0 when pytest passes and every statement line ran, and 1
+otherwise.  The name does not match pytest's test file pattern, so the
+suite never collects this file.  Tracing slows the suite about fourfold.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
+def _main_guard_lines(tree: ast.AST) -> set[int]:
+    return {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+
 def _code_lines(code: types.CodeType) -> set[int]:
     lines = {line for _, _, line in code.co_lines() if line is not None}
     for const in code.co_consts:
@@ -51,12 +61,12 @@ def _code_lines(code: types.CodeType) -> set[int]:
 
 def statement_lines(path: Path) -> set[int]:
     """The first line of every statement of a source file that compiles to
-    bytecode on that line, docstrings left out."""
+    bytecode on that line, docstrings and the `__main__` guard left out."""
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source)
     starts = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)}
     compiled = _code_lines(compile(source, str(path), "exec"))
-    return (starts & compiled) - _docstring_lines(tree)
+    return (starts & compiled) - _docstring_lines(tree) - _main_guard_lines(tree)
 
 
 def main(argv: list[str]) -> int:
@@ -90,7 +100,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{n}: {lines[n - 1].strip()}")
             missed += 1
     print(f"{missed} statement lines of src/capslice executed by no test")
-    return int(code)
+    return 1 if code or missed else 0
 
 
 if __name__ == "__main__":

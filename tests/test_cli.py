@@ -29,6 +29,19 @@ def machine_docs(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines() if line]
 
 
+def test_closed_stdout_exits_ok(monkeypatch):
+    # a reader that went away (`capslice slices ... | head`) ends the run quietly
+    class Closed:
+        def isatty(self):
+            return False
+
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["slices", FIG]) == EXIT_OK
+
+
 # -- validate ---------------------------------------------------------------------
 
 

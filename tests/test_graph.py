@@ -61,6 +61,13 @@ def test_fig2_shape(fig2):
     assert fig2.node("n_1").label == ""
 
 
+def test_graph_equality_and_repr(fig2):
+    assert fig2 == load_fig2()
+    assert fig2.__eq__(1) is NotImplemented  # so Python falls back to identity
+    assert not fig2 == 1 and fig2 != 1
+    assert repr(fig2) == "<FDGraph nodes=24 edges=27>"
+
+
 def test_fig2_edge_kinds(fig2):
     assert fig2.edge_kind("m", "n_1") is EdgeKind.DECOMPOSITION
     assert fig2.edge_kind("n_4", "n_9") is EdgeKind.REFINEMENT
@@ -691,6 +698,17 @@ def test_distance_fig2(fig2):
     assert undirected_distance(fig2, "d_3", "d_4") == 2
     assert undirected_distance(fig2, "n_5", "n_5") == 0
     assert undirected_distance(fig2, "d_9", "d_1") == 6
+
+
+def test_distance_between_components():
+    split = build_graph(
+        [("m", "mission"), ("a", "function"), ("b", "function"), ("x", "directive"),
+         ("y", "directive")],
+        [("m", "a"), ("a", "x", None, "critical"), ("b", "y", None, "critical")],
+    )
+    assert undirected_distance(split, "m", "x") == 2
+    with pytest.raises(GraphError, match="^'x' and 'b' are not connected$"):
+        undirected_distance(split, "x", "b")
 
 
 def test_unknown_node_raises(fig2):

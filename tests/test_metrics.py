@@ -9,13 +9,13 @@ from capslice.graph import (
     GraphError,
     NodeKind,
     build_graph,
-    entry_parents,
     validate,
     weight_column_sums,
 )
 from capslice.metrics import (
     CohesionUndefinedError,
     MembershipError,
+    PairCoupling,
     UncoveredDirectiveError,
     UnresolvableSharingError,
     capability_coupling,
@@ -26,7 +26,7 @@ from capslice.metrics import (
     resolve_membership,
     size_of,
 )
-from conftest import random_fd_graph
+from conftest import index_routes, random_fd_graph
 from capslice.optimizer import export_capabilities
 from capslice.slicing import Slice, enumerate_slices, is_valid_slice, slice_objective
 from oracles import (
@@ -158,10 +158,10 @@ def test_cohesion_bounds():
 
 def test_parent_routes(fig2):
     # the parents through which a member reaches a directive
-    assert entry_parents(fig2, "n_1")["d_3"] == ("n_5", "n_6")
-    assert entry_parents(fig2, "n_2")["d_3"] == ("n_6",)
-    assert entry_parents(fig2, "n_5")["d_3"] == ("n_5",)
-    assert "d_1" not in entry_parents(fig2, "n_3")
+    assert index_routes(fig2, "n_1")["d_3"] == ["n_5", "n_6"]
+    assert index_routes(fig2, "n_2")["d_3"] == ["n_6"]
+    assert index_routes(fig2, "n_5")["d_3"] == ["n_5"]
+    assert "d_1" not in index_routes(fig2, "n_3")
 
 
 def test_resolve_membership_s1(fig2):
@@ -280,9 +280,9 @@ def test_membership_matches_oracle_random(fig2):
     ]
     manifests = 0
     for g in graphs:
-        for n in g.node_ids:
-            expected = {d: tuple(sorted(ps)) for d, ps in sorted(entry_routes(g, n).items())}
-            assert list(entry_parents(g, n).items()) == list(expected.items()), n
+        for n in g.mission_ids + g.function_ids:
+            expected = {d: sorted(ps) for d, ps in sorted(entry_routes(g, n).items())}
+            assert list(index_routes(g, n).items()) == list(expected.items()), n
         sets = [s for k in (1, 2, 3) for s in itertools.combinations(g.function_ids, k)]
         for members in sets[:130]:
             membership, conflicts = membership_bruteforce(g, members)
@@ -421,6 +421,12 @@ def test_coupling_matrix_keys(fig2):
     matrix = coupling_matrix(fig2, members, ms)
     assert set(matrix) == {(p, q) for p in members for q in members if p != q}
     assert matrix[("n_1", "n_7")] != matrix[("n_7", "n_1")]
+
+
+def test_pair_coupling_reads_as_fractions():
+    pc = PairCoupling({("a", "b"): 3}, 4)
+    assert repr(pc) == "PairCoupling({('a', 'b'): 3}, 4)"
+    assert pc == {("a", "b"): Fraction(3, 4)}
 
 
 def test_coupling_matrix_errors(fig2):

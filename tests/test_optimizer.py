@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from capslice.graph import GraphError, build_graph
 from capslice.optimizer import (
     EXHAUSTIVE_LIMIT,
     ConfigError,
@@ -502,6 +503,27 @@ def test_manifest_shared_directive_attribution(fig2):
     d3 = next(d for d in caps["n_5"]["directives"] if d["id"] == "d_3")
     assert d3["via_parent"] == "n_5"
     assert d3["relevance"] == 0.7
+
+
+def test_manifest_names_the_first_route_without_a_relevance():
+    # a directive's children put c and e below a, so a reaches d2 through
+    # a, c and e while its cohesion reads only the edge into d1; the best
+    # route is unknown, and the manifest raises relevance()'s error for c,
+    # the first parent in id order without one
+    g = build_graph(
+        [("m", "mission"), ("a", "function"), ("c", "function"), ("e", "function"),
+         ("d1", "directive"), ("d2", "directive")],
+        [("m", "a"), ("a", "d1", None, 1), ("a", "d2", None, Fraction(1, 2)),
+         ("d1", "c"), ("d1", "e"), ("c", "d2"), ("e", "d2")],
+    )
+    slc = make_slice(g, ["a"])
+    assert slc.owned("a") == ("d1", "d2")
+    with pytest.raises(GraphError) as expected:
+        g.relevance("d2", "c")
+    with pytest.raises(GraphError) as got:
+        export_capabilities(g, slc)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "no relevance recorded for directive 'd2' under 'c'"
 
 
 def test_manifest_validation_catches_damage(fig2):

@@ -34,8 +34,10 @@ from capslice.metrics import (  # noqa: E402
     MembershipError,
     UnresolvableSharingError,
     cohesion,
+    coupling_matrix,
     resolve_membership,
 )
+from capslice.optimizer import schedule_slice  # noqa: E402
 from capslice.rational import literal_reader, to_fraction  # noqa: E402
 from capslice.slicing import (  # noqa: E402
     SliceSearch,
@@ -52,6 +54,7 @@ from oracles import (  # noqa: E402
     is_valid_slice_reference,
     membership_bruteforce,
     resolve_membership_reference,
+    schedule_bruteforce,
     valid_slices_bruteforce,
     validate_reference,
 )
@@ -100,6 +103,22 @@ def test_enumeration_and_membership_match_bruteforce(graph):
     assert [s.members for s in enum.slices] == valid_slices_bruteforce(graph)
     for slc in enum.slices:
         assert dict(slc.membership) == membership_bruteforce(graph, slc.members)[0]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(), data=st.data())
+def test_schedule_matches_bruteforce_on_drawn_slices(graph, data):
+    # on coupling_matrix tables the exact order is the members sorted by
+    # (owned count, id)
+    slices = [s for s in enumerate_slices(graph).slices if len(s.members) <= 7]
+    assume(slices)
+    slc = data.draw(st.sampled_from(slices))
+    sched = schedule_slice(graph, slc)
+    coupling = coupling_matrix(graph, slc.members, slc.membership)
+    assert sched.method == "exhaustive"
+    assert (sched.order, sched.order_cost) == schedule_bruteforce(slc.members, coupling)
+    owned = {m: len(slc.owned(m)) for m in slc.members}
+    assert list(sched.order) == sorted(slc.members, key=lambda m: (owned[m], m))
 
 
 def _read(reader, text: str):

@@ -13,7 +13,7 @@ from capslice.graph import (
     ancestors,
     build_graph,
     descendants,
-    entry_parents,
+    leaves_of,
     parts,
     validate,
 )
@@ -33,7 +33,7 @@ from capslice.slicing import (
     score_slices,
     slice_objective,
 )
-from conftest import random_fd_graph
+from conftest import index_routes, random_fd_graph
 from oracles import (
     below,
     bfs_distance,
@@ -207,8 +207,9 @@ def test_ancestor_pairs_match_a_plain_walk():
 
 
 def test_index_masks_match_plain_walks_on_cyclic_graphs():
-    # the index condenses cycles in its one search; every node's reach and
-    # entry routes must equal a plain walk's, wherever the cycles fall
+    # the index condenses cycles in its one search; every node's reach,
+    # directives and entry routes must equal a plain walk's, wherever the
+    # cycles fall, and a directive with children still yields only itself
     rng = random.Random(3333)
     cyclic = 0
     for _ in range(300):
@@ -227,9 +228,12 @@ def test_index_masks_match_plain_walks_on_cyclic_graphs():
         for n in ids:
             assert descendants(g, n) == down[n], n
             assert ancestors(g, n) == {a for a in ids if n in down[a]}, n
-            routes = entry_parents(g, n)
-            assert list(routes) == sorted(routes), n
-            assert all(list(ps) == sorted(ps) for ps in routes.values()), n
+            if n in g.directive_ids:
+                assert leaves_of(g, n) == {n}, n
+                continue
+            assert leaves_of(g, n) == {d for d in g.directive_ids if d in down[n]}, n
+            routes = index_routes(g, n)
+            assert all(ps == sorted(ps) for ps in routes.values()), n
             assert {d: set(ps) for d, ps in routes.items()} == entry_routes(g, n), n
     assert 120 <= cyclic <= 220, cyclic
 
