@@ -15,18 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .changesim import (
-    DEFAULT_THRESHOLD,
-    ChangeError,
-    ScenarioParseError,
-    compare_slices,
-    parse_scenarios,
-)
 from .graph import (
     FDGraph,
     GraphParseError,
@@ -44,13 +38,6 @@ from .metrics import (
     resolve_membership,
     size_of,
 )
-from .optimizer import (
-    ConfigError,
-    OptimizationConfig,
-    export_capabilities,
-    optimize,
-    validate_manifest,
-)
 from .rational import Memo, fixed, to_fraction
 from .slicing import (
     EnumerationCapError,
@@ -66,6 +53,46 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 CONFIG_ENV = "CAPSLICE_CONFIG"
+
+# optimizer and changesim are imported only by the subcommands that call
+# them (optimize and export --manifest, simulate), so validate, metrics and
+# slices start without them.  Their names stay attributes of this module, as
+# callers that patch them expect (the benchmark's tracer wraps cli.optimize
+# and cli.compare_slices): __getattr__ binds a module's names on first
+# access, and a handler binds only the names still missing, so a patched
+# name stays patched.
+_DEFERRED = {
+    "optimizer": (
+        "ConfigError",
+        "OptimizationConfig",
+        "export_capabilities",
+        "optimize",
+        "validate_manifest",
+    ),
+    "changesim": (
+        "DEFAULT_THRESHOLD",
+        "ChangeError",
+        "ScenarioParseError",
+        "compare_slices",
+        "parse_scenarios",
+    ),
+}
+_DEFERRED_FROM = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import a deferred module and bind each of its names not yet bound."""
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    module = _DEFERRED_FROM.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 class _Failure(Exception):
@@ -349,6 +376,7 @@ def cmd_slices(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _bind("optimizer")
     graph = _load_graph(args.graph)
     config_path = args.config or os.environ.get(CONFIG_ENV)
     config = OptimizationConfig.load(config_path) if config_path else OptimizationConfig()
@@ -429,11 +457,15 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _bind("changesim")
     graph = _load_graph(args.graph)
     scenarios = parse_scenarios(_read_file(args.scenarios))
     slices = [make_slice(graph, _split_ids(spec)) for spec in args.slice]
     threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    comparison = compare_slices(graph, slices, scenarios, threshold)
+    try:
+        comparison = compare_slices(graph, slices, scenarios, threshold)
+    except ChangeError as exc:
+        raise _domain(str(exc)) from exc
 
     machine = _machine(args)
     if machine:
@@ -489,6 +521,7 @@ def cmd_export(args) -> int:
     if args.manifest:
         if not args.slice:
             raise _usage("--manifest needs a --slice to export")
+        _bind("optimizer")
         slc = make_slice(graph, _split_ids(args.slice))
         doc = export_capabilities(graph, slc, lam=lam)
         validate_manifest(doc)
@@ -636,14 +669,14 @@ def main(argv=None) -> int:
     except _Failure as failure:
         print(f"error: {failure.message}", file=sys.stderr)
         return failure.code
-    except (GraphParseError, ScenarioParseError, ConfigError, UnknownNodeError) as exc:
+    except (GraphParseError, UnknownNodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidSliceError as exc:
         for v in exc.violations:
             print(f"{v.code} {v.subject}: {v.message}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (MembershipError, ChangeError, EnumerationCapError) as exc:
+    except (MembershipError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

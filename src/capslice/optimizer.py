@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .graph import graph_index, impact_category
-from .metrics import PairCoupling, best_route, coupling_matrix, size_of
+from .metrics import MembershipError, PairCoupling, best_route, coupling_matrix, size_of
 from .rational import brief, load_exact_json, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
@@ -438,7 +438,9 @@ def export_capabilities(
 
     Each capability lists its owned directives with relevance through the
     winning entry parent, its coupling to and from every other capability,
-    and its position in the suggested build order.
+    and its position in the suggested build order.  A membership that hands
+    a member a directive it does not reach raises MembershipError naming
+    both.
     """
     metrics = slice_objective(graph, slc, lam)
     tf = tf or TechFeasibility()
@@ -450,7 +452,10 @@ def export_capabilities(
     for m in slc.members:
         directives = []
         for d in slc.owned(m):
-            via = index.edges[best_route(graph, index.entry[m] & index.routes[d])][0]
+            routes = index.entry[m] & index.routes[d]
+            if not routes:
+                raise MembershipError(f"member {m} owns directive {d} but does not reach it")
+            via = index.edges[best_route(graph, routes)][0]
             rel = graph.relevance(d, via)
             directives.append(
                 {

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capslice.graph import GraphError, build_graph
+from capslice.metrics import MembershipError
 from capslice.optimizer import (
     EXHAUSTIVE_LIMIT,
     ConfigError,
@@ -524,6 +525,14 @@ def test_manifest_names_the_first_route_without_a_relevance():
         export_capabilities(g, slc)
     assert str(got.value) == str(expected.value)
     assert str(got.value) == "no relevance recorded for directive 'd2' under 'c'"
+
+
+def test_manifest_names_a_member_that_does_not_reach_its_directive(fig2):
+    # a membership built by hand: n_3 does not reach d_1, so no route of
+    # n_3 enters it and the manifest has no via_parent to give
+    slc = Slice(("n_3", "n_7"), {"d_1": "n_3", "d_6": "n_7"})
+    with pytest.raises(MembershipError, match="^member n_3 owns directive d_1 but does not reach it$"):
+        export_capabilities(fig2, slc)
 
 
 def test_manifest_validation_catches_damage(fig2):

@@ -6,17 +6,28 @@ draw the structure itself and shrink to a small graph.  The settings keep
 the run deterministic: derandomized, no example database, no deadline.
 """
 
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis import (  # noqa: E402
+    HealthCheck,
+    assume,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from fractions import Fraction  # noqa: E402
 
 from capslice.changesim import (  # noqa: E402
     ChangeError,
+    parse_scenarios,
     ScenarioKind,
     _apply,
     apply_change,
@@ -37,9 +48,11 @@ from capslice.metrics import (  # noqa: E402
     coupling_matrix,
     resolve_membership,
 )
+from capslice.cli import main  # noqa: E402
 from capslice.optimizer import schedule_slice  # noqa: E402
 from capslice.rational import literal_reader, to_fraction  # noqa: E402
 from capslice.slicing import (  # noqa: E402
+    Slice,
     SliceSearch,
     enumerate_slices,
     is_valid_slice,
@@ -206,6 +219,63 @@ def test_compare_slices_matches_impact_by_coupling(graph, data):
             expected = _outcome(lambda: [[impact_by_coupling(graph, s, sc, thr)] for s in picked])
             got = _outcome(lambda: [list(row) for row in compare_slices(graph, picked, [sc], thr).reports])
             assert got == expected, sc
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(graph=fd_graphs(), data=st.data())
+def test_simulate_cells_match_impact_by_coupling(tmp_path, graph, data):
+    # `capslice simulate` on files, against the per-cell oracle over the
+    # brute-force slices and memberships; the CLI stops at the first cell
+    # in (slice, scenario) order that raises, with that error
+    members = valid_slices_bruteforce(graph)
+    assume(members)
+    picked = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=3, unique=True))
+    kinds = data.draw(st.lists(st.sampled_from(ScenarioKind), min_size=1, max_size=3))
+    edits = [data.draw(scenarios(graph, kind)) for kind in kinds]
+    threshold = data.draw(st.sampled_from([None, "0.01"]))
+    graph_file, scenario_file = tmp_path / "graph.json", tmp_path / "scenarios.json"
+    graph_file.write_text(serialize_graph(graph))
+    # drawn relevances are short decimals, so a float's repr is the exact
+    # literal and the file reads back as the drawn scenarios
+    docs = [{"kind": sc.kind.value, "target": sc.target, "payload": sc.payload} for sc in edits]
+    scenario_file.write_text(json.dumps(docs, default=float))
+    assert parse_scenarios(scenario_file.read_text()) == edits
+
+    thr = Fraction(1, 8) if threshold is None else to_fraction(threshold)
+    slices = [Slice(m, membership_bruteforce(graph, m)[0]) for m in picked]
+    try:
+        cells = [[impact_by_coupling(graph, s, sc, thr) for sc in edits] for s in slices]
+    except (ChangeError, MembershipError) as exc:
+        expected = (1, "", f"error: {exc}\n")
+    else:
+        doc = [
+            [
+                {
+                    "directives": sorted(r.affected_directives),
+                    "capabilities": sorted(r.affected_capabilities),
+                    "count": r.impact_count,
+                    "evaluated_on": r.evaluated_on,
+                }
+                for r in row
+            ]
+            for row in cells
+        ]
+        expected = (0, doc, "")
+
+    argv = ["simulate", str(graph_file), str(scenario_file), "--format", "machine"]
+    argv += [arg for m in picked for arg in ("--slice", ",".join(m))]
+    argv += ["--threshold", threshold] if threshold else []
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    got = (code, json.loads(out.getvalue())["cells"] if code == 0 else out.getvalue(), err.getvalue())
+    assert got == expected
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
