@@ -495,34 +495,48 @@ def directive_weights(
     graph: each directive's row is the element-wise min of its neighbours'
     hop rows (its parents, and its children on a graph validate refuses),
     taken from one hop_rows call, so the searches run once per distinct
-    neighbour, not per directive.  The neighbours lie in d's component, so
-    a target is reached from all of them or from none; one without
-    neighbours reaches nothing.  A directive's own entry (out to a
-    neighbour and back) is no distance and stays out of the scale.
+    neighbour, not per directive.  Directives with the same neighbours
+    share one min row and one mapping to weights; each gets a copy with its
+    own 0.  The neighbours lie in d's component, so a target is reached
+    from all of them or from none; one without neighbours reaches nothing.
+    A directive's own entry (out to a neighbour and back) is no distance,
+    but in a group of two or more it equals the distance between two of
+    the group's directives, so the whole shared row counts towards the
+    scale; a lone directive's own entry stays out of it.
     """
     if graph._weights is None:
         ids = graph.directive_ids
         adjacent = graph._adjacent
-        hops, far = hop_rows(graph, {n for d in ids for n in adjacent[d]}, {})
-        rows = []
+        groups: dict[tuple[str, ...], list[int]] = {}
         for i, d in enumerate(ids):
-            near = [hops[n] for n in adjacent[d]]
+            groups.setdefault(adjacent[d], []).append(i)
+        hops, far = hop_rows(graph, {n for near in groups for n in near}, {})
+        present: set[int] = set()
+        shared = []
+        for near, group in groups.items():
             if len(near) > 1:
-                row = list(map(min, *near))
-            else:  # a copy: rows change below, and neighbours share a row
-                row = list(near[0] if near else repeat(far, len(ids)))
-            row[i] = far
-            rows.append(row)
-        present = set().union(*rows)
+                row = list(map(min, *(hops[n] for n in near)))
+            else:  # read only: neighbours share a hop row
+                row = hops[near[0]] if near else [far] * len(ids)
+            if len(group) > 1:
+                present.update(row)
+            else:
+                i = group[0]
+                present.update(row[:i], row[i + 1 :])
+            shared.append((row, group))
         present.discard(far)
         scale = math.lcm(*(h + 1 for h in present))
         # one int object per distance, shared by every row; a hop count from
-        # the nearest neighbour is one less than the distance
+        # the nearest neighbour is one less than the distance, and a lone
+        # directive's own entry, missing from the mapping, reads None until
+        # its 0 is set
         weight = {h: scale // (h + 1) for h in present}
-        weight[far] = None
-        for i, row in enumerate(rows):
-            row[:] = map(weight.__getitem__, row)
-            row[i] = 0
+        rows: list = [None] * len(ids)
+        for row, group in shared:
+            weights = list(map(weight.get, row))
+            for i in group:
+                rows[i] = own = weights.copy()
+                own[i] = 0
         graph._weights = (scale, {d: j for j, d in enumerate(ids)}, rows)
     return graph._weights
 

@@ -268,13 +268,6 @@ def owned_directives(membership: Mapping[str, str], member: str) -> tuple[str, .
     return tuple(sorted(d for d, o in membership.items() if o == member))
 
 
-def _nonempty(owned: Mapping[str, list[int]], member: str) -> list[int]:
-    directives = owned.get(member)
-    if not directives:
-        raise ValueError(f"capability {member!r} resolves to an empty directive set")
-    return directives
-
-
 # -- coupling ----------------------------------------------------------------
 
 
@@ -328,34 +321,43 @@ def coupling_matrix(
     directive_weights table: the sum over D_q of p's weight_column_sums,
     which the graph caches per owned set, so a member that owns the same
     directives in many slices sums its rows once.  With c the lcm of the
-    members' set sizes, both directions land on the one denominator L * c**3
-    without a Fraction.  Keys come in sorted (p, q) order.
+    members' set sizes and f_p = c / |D_p|, Cp(p, q) = S / (|D_p| * |D_q|**2)
+    is S * f_p * f_q**2 over the one denominator L * c**3, with no Fraction
+    and no division per pair.  Keys come in sorted (p, q) order.
     """
     members = sorted(set(members))
     if len(members) < 2:
         return PairCoupling({}, 1)
     scale, index, rows = directive_weights(graph)
-    owned: dict[str, list[int]] = {}
-    for d, o in membership.items():
-        try:
-            owned.setdefault(o, []).append(index[d])
-        except KeyError:
-            raise ValueError(f"membership key {d!r} is not a directive of the graph") from None
-    sets = [_nonempty(owned, p) for p in members]
-    cube = math.lcm(*map(len, sets)) ** 3
-    half: dict[tuple[str, str], int] = {}
-    for i, p in enumerate(members[:-1]):
+    owned: dict[str, list[int]] = {m: [] for m in members}
+    others: list[int] = []  # directives of owners outside members
+    try:
+        for d, o in membership.items():
+            owned.get(o, others).append(index[d])
+    except KeyError:
+        raise ValueError(f"membership key {d!r} is not a directive of the graph") from None
+    sets = list(owned.values())
+    for m, d_m in zip(members, sets):
+        if not d_m:
+            raise ValueError(f"capability {m!r} resolves to an empty directive set")
+    k = len(members)
+    sums = [[0] * k for _ in range(k)]  # S of each pair, both ways round
+    for i in range(k - 1):
         d_p = sets[i]
         col = weight_column_sums(graph, tuple(d_p))
-        for q, d_q in zip(members[i + 1 :], sets[i + 1 :]):
-            try:  # scale * S; a None sum marks a pair that is not connected
-                total = sum(map(col.__getitem__, d_q))
+        for j in range(i + 1, k):
+            try:  # L * S; a None sum marks a pair that is not connected
+                sums[i][j] = sums[j][i] = sum(map(col.__getitem__, sets[j]))
             except TypeError:  # raise for the first such pair in id order
-                a, b = min((a, b) for a in d_p for b in d_q if rows[a][b] is None)
+                a, b = min((a, b) for a in d_p for b in sets[j] if rows[a][b] is None)
                 ids = graph.directive_ids
                 raise GraphError(f"{ids[a]!r} and {ids[b]!r} are not connected") from None
-            n_p, n_q = len(d_p), len(d_q)
-            half[(p, q)] = total * (cube // (n_p * n_q * n_q))
-            half[(q, p)] = total * (cube // (n_q * n_p * n_p))
-    units = {(p, q): half[(p, q)] for p in members for q in members if p != q}
-    return PairCoupling(units, scale * cube)
+    c = math.lcm(*map(len, sets))
+    f = [c // len(d_m) for d_m in sets]
+    units = {
+        (p, q): sums[i][j] * f[i] * f[j] * f[j]
+        for i, p in enumerate(members)
+        for j, q in enumerate(members)
+        if i != j
+    }
+    return PairCoupling(units, scale * c**3)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graph import graph_index, impact_category
 from .metrics import MembershipError, PairCoupling, best_route, coupling_matrix, size_of
-from .rational import brief, load_exact_json, to_fraction
+from .rational import brief, exact_sum, load_exact_json, to_fraction
 from .slicing import Slice, SliceMetrics, slice_objective
 
 EXHAUSTIVE_LIMIT = 8
@@ -81,18 +81,29 @@ def _agreeing_order(weight: Sequence[Sequence[int]]) -> list[int] | None:
     # one, the order meets that bound, so it is optimal; a smaller member
     # skipped at a step would put some pair its dearer way, so it is also
     # the lexicographically first optimum.  None when some step finds no
-    # such member: the strict preferences then hold a cycle.
-    remaining = list(range(len(weight)))
+    # such member: the strict preferences then hold a cycle.  dearer[c] has
+    # bit r set when c before r costs strictly more than r before c, so a
+    # member may go next when its mask misses the remaining set.
+    k = len(weight)
+    dearer = [0] * k
+    for c in range(k - 1):
+        row = weight[c]
+        for r in range(c + 1, k):
+            there, back = row[r], weight[r][c]
+            if there > back:
+                dearer[c] |= 1 << r
+            elif back > there:
+                dearer[r] |= 1 << c
+    remaining = (1 << k) - 1
     order: list[int] = []
     while remaining:
-        c = next(
-            (c for c in remaining if all(weight[c][r] <= weight[r][c] for r in remaining)),
-            None,
-        )
-        if c is None:
-            return None
+        rest = remaining  # c runs up the remaining members from the lowest
+        while dearer[c := (rest & -rest).bit_length() - 1] & remaining:
+            rest &= rest - 1
+            if not rest:
+                return None
         order.append(c)
-        remaining.remove(c)
+        remaining ^= 1 << c
     return order
 
 
@@ -164,13 +175,14 @@ def _greedy_order(
 def schedule_slice(graph, slc: Slice, times=None, coupling=None) -> ScheduleModel:
     """Sequential build schedule for a slice.
 
-    Build time per member defaults to its size; the build order minimizes
-    the summed coupling from earlier members onto later ones.  Up to
-    EXHAUSTIVE_LIMIT members it is exact ("exhaustive" names the exact
-    answer, not how it is found) and the lexicographically first optimal
-    order.  Every order costs at least the sum of each pair's cheaper
-    direction; an order that puts every pair its cheaper way meets that
-    bound.  Coupling from coupling_matrix always has one, since
+    Build time per member defaults to its size, and the makespan is their
+    exact_sum; the build order minimizes the summed coupling from earlier
+    members onto later ones.  Up to EXHAUSTIVE_LIMIT members it is exact
+    ("exhaustive" names the exact answer, not how it is found) and the
+    lexicographically first optimal order.  Every order costs at least the
+    sum of each pair's cheaper direction; an order that puts every pair its
+    cheaper way meets that bound, and a bitmask walk over the pairs finds
+    it.  Coupling from coupling_matrix always has one, since
     Cp(p,q)/Cp(q,p) = |D_p|/|D_q|: the members sorted by (owned count, id).
     Other tables whose preferences form a cycle fall back to a dynamic
     program over subsets in O(2^k * k).  Beyond the limit it is greedy.
@@ -200,7 +212,7 @@ def schedule_slice(graph, slc: Slice, times=None, coupling=None) -> ScheduleMode
     return ScheduleModel(
         per_node_time=per,
         order=order,
-        makespan=sum(per.values(), Fraction(0)),
+        makespan=exact_sum(per.values()),
         order_cost=Fraction(raw, denom),
         method=method,
     )

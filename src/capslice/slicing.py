@@ -32,7 +32,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .graph import FDGraph, NodeKind, Violation, bit_positions, graph_index, require_relevance
+from .graph import (
+    FDGraph,
+    NodeKind,
+    Violation,
+    bit_positions,
+    cohesion_memo,
+    graph_index,
+    require_relevance,
+)
 from .metrics import (
     PairCoupling,
     cohesion,
@@ -42,7 +50,7 @@ from .metrics import (
     owner_map,
     owner_orders,
 )
-from .rational import exact_sum, to_fraction
+from .rational import to_fraction
 
 
 class InvalidSliceError(ValueError):
@@ -352,7 +360,8 @@ def slice_objective(graph: FDGraph, slc: Slice, lam: Fraction = Fraction(1)) -> 
     """
     lam = to_fraction(lam)
     members = slc.members
-    per_node = {m: cohesion(graph, m) for m in members}
+    memo = cohesion_memo(graph)  # a miss, or a zero cohesion, asks cohesion
+    per_node = {m: memo.get(m) or cohesion(graph, m) for m in members}
     coupling = coupling_matrix(graph, members, slc.membership)
     lc = math.lcm(*(c.denominator for c in per_node.values()))
     a = sum([c.numerator * (lc // c.denominator) for c in per_node.values()])
@@ -391,19 +400,25 @@ class Ranking:
 
 def rank_slices(slices: list[Slice], metrics: list[SliceMetrics]) -> Ranking:
     """Order slices by aggregate value (ties by member tuple) and mark the
-    initial set: strictly above the mean, or everything when all tie."""
+    initial set: strictly above the mean, or everything when all tie.
+
+    The aggregates are compared as integers over the lcm L of their
+    denominators: with keys a_i = aggregate_i * L and n slices, the mean is
+    sum(a_i) / (L * n), and a slice is above it when a_i * n > sum(a_i).
+    """
     if len(slices) != len(metrics):
         raise ValueError("slices and metrics must align")
     if not slices:
         raise ValueError("nothing to rank")
     aggregates = [m.aggregate for m in metrics]
-    mean = exact_sum(aggregates) / len(aggregates)
-    first = aggregates[0]
-    all_equal = all(a == first for a in aggregates)
+    scale = math.lcm(*(a.denominator for a in aggregates))
+    keys = [a.numerator * (scale // a.denominator) for a in aggregates]
+    n, total = len(keys), sum(keys)
+    all_equal = min(keys) == max(keys)
     # a stable sort keeps equal aggregates in member order, reverse included
-    order = sorted(zip(slices, metrics), key=lambda sm: sm[0].members)
-    order.sort(key=lambda sm: sm[1].aggregate, reverse=True)
+    order = sorted(range(n), key=lambda i: slices[i].members)
+    order.sort(key=keys.__getitem__, reverse=True)
     entries = tuple(
-        RankedSlice(s, m, all_equal or m.aggregate > mean) for s, m in order
+        RankedSlice(slices[i], metrics[i], all_equal or keys[i] * n > total) for i in order
     )
-    return Ranking(entries, mean)
+    return Ranking(entries, Fraction(total, scale * n))

@@ -716,6 +716,41 @@ def schedule_bruteforce(members, coupling) -> tuple[tuple[str, ...], Fraction]:
     return tuple(members[i] for i in best_order), Fraction(best_cost, scale)
 
 
+def agreeing_order_reference(weight) -> list[int] | None:
+    """The first-no-dearer walk over a k x k int table, by direct comparison.
+
+    Each step places the first remaining member c with weight[c][r] <=
+    weight[r][c] for every remaining r; None when some step finds none.
+    """
+    remaining = list(range(len(weight)))
+    order = []
+    while remaining:
+        c = next(
+            (c for c in remaining if all(weight[c][r] <= weight[r][c] for r in remaining)),
+            None,
+        )
+        if c is None:
+            return None
+        order.append(c)
+        remaining.remove(c)
+    return order
+
+
+def rank_reference(rows) -> tuple[list[tuple[tuple[str, ...], bool]], Fraction]:
+    """Ranked (members, initial) entries of (members, aggregate) rows, and
+    the mean aggregate.
+
+    Rows sort by (-aggregate, members); an entry is initial when its
+    aggregate is strictly above the running-Fraction-sum mean, or when every
+    aggregate is equal.
+    """
+    aggregates = [a for _, a in rows]
+    mean = sum(aggregates, Fraction(0)) / len(aggregates)
+    all_equal = len(set(aggregates)) == 1
+    ranked = sorted(rows, key=lambda row: (-row[1], row[0]))
+    return [(members, all_equal or a > mean) for members, a in ranked], mean
+
+
 def pareto_bruteforce(points):
     """Nondominated rows of (f, tf, makespan) triples, maximizing f and tf
     and minimizing makespan; full quadratic scan."""

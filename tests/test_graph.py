@@ -789,6 +789,18 @@ def test_directive_weights_match_reference():
         [[0, 1, None, None], [1, 0, None, None], [None, None, 0, None], [None, None, None, 0]],
     )
 
+    # d1 and d2 share both parents and so one min row; their distance 2 is
+    # the only one, so it reaches the scale from the shared row, and each
+    # gets a row of its own
+    twins = graph(
+        ["m", "f1", "f2", "g", "d1", "d2", "d3"],
+        [("m", "f1"), ("m", "f2"), ("f1", "d1"), ("f1", "d2"), ("f2", "d1"), ("f2", "d2"),
+         ("f1", "g"), ("g", "d3")],
+    )
+    assert _check_weights(twins) == (6, [[0, 3, 2], [3, 0, 2], [2, 2, 0]])
+    rows = directive_weights(twins)[2]
+    assert rows[0] is not rows[1]
+
     # d1 has a function child, which validate refuses: d1 reaches d2 through
     # that child in 2 hops, through its parent only in 4
     below_directive = graph(

@@ -28,7 +28,7 @@ from capslice.optimizer import (
 )
 from capslice.slicing import Slice, SliceMetrics, enumerate_slices, make_slice
 from conftest import random_fd_graph, wide_graph
-from oracles import pareto_bruteforce, schedule_bruteforce
+from oracles import agreeing_order_reference, pareto_bruteforce, schedule_bruteforce
 
 S1 = ("n_1", "n_3", "n_7")
 S2 = ("n_2", "n_3", "n_5")
@@ -169,6 +169,21 @@ def test_exhaustive_order_both_branches_match_oracle():
             assert _exhaustive_order(list(reversed(members)), cost) == (order, oracle_cost)
             branches.append(_agreeing_order(_weights(members, cost)) is not None)
     assert any(branches) and not all(branches)
+
+
+def test_agreeing_order_matches_reference():
+    # values 0..4 tie often and make cycles: the mask walk gives the direct
+    # comparison walk's order, or its None, on every table, the diagonal
+    # included
+    rng = random.Random(3691)
+    outcomes = set()
+    for _ in range(2000):
+        k = rng.randint(0, EXHAUSTIVE_LIMIT)
+        weight = [[rng.randint(0, 4) for _ in range(k)] for _ in range(k)]
+        expected = agreeing_order_reference(weight)
+        assert _agreeing_order(weight) == expected, weight
+        outcomes.add(expected is None if k > 1 else k)
+    assert outcomes == {0, 1, True, False}
 
 
 def test_exhaustive_order_preference_cycle():

@@ -49,7 +49,7 @@ from capslice.metrics import (  # noqa: E402
     resolve_membership,
 )
 from capslice.cli import main  # noqa: E402
-from capslice.optimizer import schedule_slice  # noqa: E402
+from capslice.optimizer import EXHAUSTIVE_LIMIT, schedule_slice  # noqa: E402
 from capslice.rational import literal_reader, to_fraction  # noqa: E402
 from capslice.slicing import (  # noqa: E402
     Slice,
@@ -61,11 +61,16 @@ from capslice.slicing import (  # noqa: E402
 from conftest import random_fd_graph, relabeled  # noqa: E402
 from oracles import (  # noqa: E402
     below,
+    cohesion_recursive,
     cohesion_reference,
     deletion_reference,
+    double_sum_coupling,
     impact_by_coupling,
     is_valid_slice_reference,
     membership_bruteforce,
+    pareto_bruteforce,
+    rank_reference,
+    reachable_leaves,
     resolve_membership_reference,
     schedule_bruteforce,
     valid_slices_bruteforce,
@@ -276,6 +281,94 @@ def test_simulate_cells_match_impact_by_coupling(tmp_path, graph, data):
         code = main(argv)
     got = (code, json.loads(out.getvalue())["cells"] if code == 0 else out.getvalue(), err.getvalue())
     assert got == expected
+
+
+def _optimize_reference(graph, lam: Fraction) -> dict:
+    # `capslice optimize --format machine` under the default config, from
+    # the oracles alone: brute-force slices and memberships, recursive
+    # cohesion, double-sum coupling, the Fraction ranking, permutation
+    # orders and the quadratic Pareto scan
+    slices = valid_slices_bruteforce(graph)
+    if not slices:
+        return {"type": "optimization", "candidates": 0, "complete": True, "best": None}
+    scores = {}
+    for members in slices:
+        membership = membership_bruteforce(graph, members)[0]
+        owned = {m: [d for d, o in membership.items() if o == m] for m in members}
+        coupling = {
+            (p, q): double_sum_coupling(graph, owned[p], owned[q])
+            for p in members
+            for q in members
+            if p != q
+        }
+        mean_ch = sum((cohesion_recursive(graph, m) for m in members), Fraction(0)) / len(members)
+        mean_cp = sum(coupling.values(), Fraction(0)) / (len(coupling) or 1)
+        scores[members] = (mean_ch - lam * mean_cp, coupling)
+    ranked, _ = rank_reference([(m, f) for m, (f, _) in scores.items()])
+    initial = [m for m, flag in ranked if flag]
+    assume(all(len(m) <= EXHAUSTIVE_LIMIT for m in initial))
+    rows = []
+    for members in initial:
+        f, coupling = scores[members]
+        order, cost = schedule_bruteforce(members, coupling)
+        makespan = Fraction(sum(len(reachable_leaves(graph, m)) for m in members))
+        rows.append((f, Fraction(1), makespan, members, order, cost))
+
+    def norm(x, values):
+        lo, hi = min(values), max(values)
+        return Fraction(1, 2) if lo == hi else (x - lo) / (hi - lo)
+
+    fs = [r[0] for r in rows]
+    spans = [r[2] + r[5] for r in rows]
+    docs = []
+    for (f, tf, makespan, members, order, cost), span in zip(rows, spans):
+        z = Fraction(1, 2) * norm(f, fs) + Fraction(3, 10) * tf - Fraction(1, 5) * norm(span, spans)
+        doc = {
+            "members": list(members),
+            "f": float(f),
+            "tf": float(tf),
+            "makespan": float(makespan),
+            "order_cost": float(cost),
+            "order": list(order),
+            "schedule_method": "exhaustive",
+            "z": float(z),
+            "violated": [],
+        }
+        docs.append((-z, members, doc))
+    docs.sort(key=lambda row: row[:2])
+    return {
+        "type": "optimization",
+        "candidates": len(slices),
+        "initial": len(initial),
+        "complete": True,
+        "best": docs[0][2],
+        "feasible": [doc for _, _, doc in docs],
+        "pareto": sorted(list(p[3]) for p in pareto_bruteforce(rows)),
+        "infeasible": [],
+    }
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(graph=fd_graphs(), lam=st.sampled_from([None, "0", "1/2", "3"]))
+def test_optimize_matches_oracles(tmp_path, graph, lam):
+    # `capslice optimize` on files, against a reference that shares no
+    # scoring, ranking or scheduling code with the package
+    expected = _optimize_reference(graph, Fraction(1) if lam is None else to_fraction(lam))
+    graph_file, config_file = tmp_path / "graph.json", tmp_path / "config.json"
+    graph_file.write_text(serialize_graph(graph))
+    config_file.write_text("{}")
+    argv = ["optimize", str(graph_file), str(config_file), "--format", "machine"]
+    argv += ["--lambda", lam] if lam else []
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, json.loads(out.getvalue()), err.getvalue()) == (0, expected, "")
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -40,6 +40,7 @@ from oracles import (
     cohesion_recursive,
     double_sum_coupling,
     entry_routes,
+    rank_reference,
     valid_slices_bruteforce,
 )
 
@@ -765,6 +766,37 @@ def test_rank_all_equal_all_initial():
     ranking = rank_slices([s for s, _ in rows], [m for _, m in rows])
     assert [e.slice.members for e in ranking.entries] == [("a",), ("b",)]
     assert all(e.initial for e in ranking.entries)
+
+
+def test_rank_matches_fraction_reference():
+    # integer keys over the lcm of the denominators give the Fraction
+    # order, flags and mean: negatives, zeros, runs of equal values, values
+    # on the mean, one slice, all equal, and denominators up to 10**6
+    rng = random.Random(8117)
+    tables = [
+        [Fraction(0)],
+        [Fraction(-3, 7)] * 4,
+        [Fraction(2, 999_983)] * 2,
+        [Fraction(1, 3), Fraction(0), Fraction(-1, 3), Fraction(0)],  # on the mean
+    ]
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        pool = [
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            for _ in range(rng.randint(1, 4))
+        ]
+        pool += [Fraction(0), Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 10**6]))]
+        tables.append([rng.choice(pool) for _ in range(n)])
+    for aggregates in tables:
+        members = [(f"s{i:02d}",) for i in range(len(aggregates))]
+        rng.shuffle(members)
+        rows = [_fake(m, a) for m, a in zip(members, aggregates)]
+        ranking = rank_slices([s for s, _ in rows], [m for _, m in rows])
+        expected, mean = rank_reference(list(zip(members, aggregates)))
+        assert [(e.slice.members, e.initial) for e in ranking.entries] == expected
+        assert ranking.mean_aggregate == mean
+        by_members = dict(rows)
+        assert all(e.metrics is by_members[e.slice] for e in ranking.entries)
 
 
 def test_rank_errors():
