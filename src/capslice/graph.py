@@ -108,9 +108,10 @@ class FDGraph:
     """Immutable decomposition graph with cached structural queries.
 
     Built by build_graph / parse_graph from checked outside input, or by
-    change simulation from a checked graph's edited parts.  An edge kind of
-    None is inferred here from node degrees, the one place kinds are inferred;
-    only the kinds stated in the input can contradict the degrees.
+    change simulation from a checked graph's edited parts.  Only the edge
+    kinds stated in the input are kept; an edge kind of None is inferred
+    from node degrees where a kind is read, in edge_kind, the one place
+    kinds are inferred, so only a stated kind can contradict the degrees.
     """
 
     def __init__(
@@ -130,17 +131,7 @@ class FDGraph:
         for u, v in keys:
             children[u].append(v)
             parents[v].append(u)
-        kinds: dict[tuple[str, str], EdgeKind] = {}
-        stated = []
-        for e in keys:
-            kind = edge_kinds[e]
-            if kind is None:
-                kind = _expected_kind(len(children[e[0]]), len(parents[e[1]]))
-            else:
-                stated.append(e)
-            kinds[e] = kind
-        self._edge_kinds = kinds
-        self._stated = tuple(stated)
+        self._stated = {e: edge_kinds[e] for e in keys if edge_kinds[e] is not None}
         self._children = {i: tuple(c) for i, c in children.items()}
         self._parents = {i: tuple(p) for i, p in parents.items()}
         # the undirected neighbour table every distance walk reads
@@ -198,13 +189,15 @@ class FDGraph:
         return self._parents[node_id]
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
-        return [(u, v, kind) for (u, v), kind in self._edge_kinds.items()]
+        return [(u, v, self.edge_kind(u, v)) for u in self._node_ids for v in self._children[u]]
 
     def edge_kind(self, parent: str, child: str) -> EdgeKind:
-        try:
-            return self._edge_kinds[(parent, child)]
-        except KeyError:
-            raise GraphError(f"no edge {parent!r} -> {child!r}") from None
+        kind = self._stated.get((parent, child))
+        if kind is not None:
+            return kind
+        if child not in self._children.get(parent, ()):
+            raise GraphError(f"no edge {parent!r} -> {child!r}")
+        return _expected_kind(len(self._children[parent]), len(self._parents[child]))
 
     def relevance(self, directive: str, parent: str) -> Fraction:
         try:
@@ -219,14 +212,14 @@ class FDGraph:
             return NotImplemented
         return (
             self._nodes == other._nodes
-            and self._edge_kinds == other._edge_kinds
+            and self.edges() == other.edges()
             and self._relevance == other._relevance
         )
 
     __hash__ = None  # structural equality, not hashable
 
     def __repr__(self) -> str:
-        return f"<FDGraph nodes={self.n_nodes} edges={len(self._edge_kinds)}>"
+        return f"<FDGraph nodes={self.n_nodes} edges={sum(map(len, self._children.values()))}>"
 
 
 class GraphIndex(NamedTuple):
@@ -417,7 +410,8 @@ def parts(
 ) -> tuple[dict[str, Node], set[tuple[str, str]], dict[tuple[str, str], Fraction]]:
     """Fresh, unordered copies of the graph's nodes, edge keys and relevance,
     for change simulation to edit into a new graph."""
-    return dict(graph._nodes), set(graph._edge_kinds), dict(graph._relevance)
+    edges = {(u, v) for u, kids in graph._children.items() for v in kids}
+    return dict(graph._nodes), edges, dict(graph._relevance)
 
 
 def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
@@ -658,10 +652,9 @@ def validate(graph: FDGraph) -> ValidationReport:
                     Violation("UNREACHABLE", nid, "node is not reachable from the mission")
                 )
 
-    # an inferred kind was derived from these same degrees, so only a stated
+    # an unstated kind is inferred from these same degrees, so only a stated
     # kind can contradict them
-    for u, v in graph._stated:
-        kind = graph._edge_kinds[(u, v)]
+    for (u, v), kind in graph._stated.items():
         expected = _expected_kind(len(children[u]), len(parents[v]))
         if kind is not expected:
             violations.append(
@@ -687,7 +680,7 @@ def validate(graph: FDGraph) -> ValidationReport:
         # found in any order, reported in (directive, parent) order
         found: dict[tuple[str, str], Violation] = {}
         for (d, p), value in relevance.items():
-            if (p, d) not in graph._edge_kinds or nodes[d].kind is not NodeKind.DIRECTIVE:
+            if d not in children.get(p, ()) or nodes[d].kind is not NodeKind.DIRECTIVE:
                 found[(d, p)] = Violation(
                     "RELEVANCE_EXTRA",
                     f"{p}->{d}",
@@ -825,9 +818,9 @@ def build_graph(nodes: Iterable, edges: Iterable) -> FDGraph:
     nodes: Node instances or (id, kind[, label]) tuples; a kind is a NodeKind
     or its name in any case, in a Node as in a tuple.
     edges: (parent, child[, kind[, relevance]]) tuples; kind None means
-    "infer from degrees", which FDGraph does, and relevance is required only
-    on directive edges (enforced later by validate, so partially annotated
-    graphs can still be inspected).  Entries are checked as parse_graph
+    "infer from degrees", which FDGraph.edge_kind does, and relevance is
+    required only on directive edges (enforced later by validate, so
+    partially annotated graphs can still be inspected).  Entries are checked as parse_graph
     checks a document's, and one of another form is a GraphParseError
     naming it.
     """

@@ -37,7 +37,6 @@ from .graph import (
     NodeKind,
     Violation,
     bit_positions,
-    cohesion_memo,
     graph_index,
     require_relevance,
 )
@@ -360,8 +359,7 @@ def slice_objective(graph: FDGraph, slc: Slice, lam: Fraction = Fraction(1)) -> 
     """
     lam = to_fraction(lam)
     members = slc.members
-    memo = cohesion_memo(graph)  # a miss, or a zero cohesion, asks cohesion
-    per_node = {m: memo.get(m) or cohesion(graph, m) for m in members}
+    per_node = {m: cohesion(graph, m) for m in members}
     coupling = coupling_matrix(graph, members, slc.membership)
     lc = math.lcm(*(c.denominator for c in per_node.values()))
     a = sum([c.numerator * (lc // c.denominator) for c in per_node.values()])
@@ -415,9 +413,7 @@ def rank_slices(slices: list[Slice], metrics: list[SliceMetrics]) -> Ranking:
     keys = [a.numerator * (scale // a.denominator) for a in aggregates]
     n, total = len(keys), sum(keys)
     all_equal = min(keys) == max(keys)
-    # a stable sort keeps equal aggregates in member order, reverse included
-    order = sorted(range(n), key=lambda i: slices[i].members)
-    order.sort(key=keys.__getitem__, reverse=True)
+    order = sorted(range(n), key=lambda i: (-keys[i], slices[i].members))
     entries = tuple(
         RankedSlice(slices[i], metrics[i], all_equal or keys[i] * n > total) for i in order
     )

@@ -15,7 +15,7 @@ from conftest import RELEVANCE_PALETTE
 
 
 @st.composite
-def fd_graphs(draw, max_functions=10, max_directives=12, valid=True):
+def fd_graphs(draw, max_functions=10, max_directives=12, valid=True, back_from=None):
     """A valid graph: functions hang under the mission or an earlier
     function, every directive has a function parent, and extra edges go
     from a function to a later function or to a directive.
@@ -23,7 +23,10 @@ def fd_graphs(draw, max_functions=10, max_directives=12, valid=True):
     With valid=False the graph may then lose up to three drawn edges, gain
     up to two functions without children, gain one back edge from a node to
     one of its ancestors, which closes a cycle, and lose one relevance; each
-    is drawn, so validate may accept the graph or refuse it."""
+    is drawn, so validate may accept the graph or refuse it.  The back edge
+    starts at a function or a directive.  With back_from="function" it is
+    always drawn, from a function, a node every cohesion walk above it
+    enters; the rest is drawn as before."""
     n_fun = draw(st.integers(1, max_functions))
     n_dir = draw(st.integers(2, max_directives))
     funs = [f"f{i:02d}" for i in range(n_fun)]
@@ -54,8 +57,13 @@ def fd_graphs(draw, max_functions=10, max_directives=12, valid=True):
             f = f"f{n_fun + i:02d}"
             edges.add((draw(st.sampled_from(["m"] + funs)), f))
             funs.append(f)
-        if draw(st.booleans()):
+        if back_from == "function":
+            u = draw(st.sampled_from(funs))
+        elif draw(st.booleans()):
             u = draw(st.sampled_from(funs + dirs))
+        else:
+            u = None
+        if u is not None:
             up, stack = set(), [u]
             while stack:
                 x = stack.pop()

@@ -8,8 +8,10 @@ the run deterministic: derandomized, no example database, no deadline.
 
 import json
 import random
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +36,9 @@ from capslice.changesim import (  # noqa: E402
     compare_slices,
 )
 from capslice.graph import (  # noqa: E402
+    EdgeKind,
     GraphError,
+    build_graph,
     find_cycle,
     parse_graph,
     parts,
@@ -71,8 +75,10 @@ from oracles import (  # noqa: E402
     pareto_bruteforce,
     rank_reference,
     reachable_leaves,
+    reparsed,
     resolve_membership_reference,
     schedule_bruteforce,
+    slice_doc_reference,
     valid_slices_bruteforce,
     validate_reference,
 )
@@ -283,16 +289,12 @@ def test_simulate_cells_match_impact_by_coupling(tmp_path, graph, data):
     assert got == expected
 
 
-def _optimize_reference(graph, lam: Fraction) -> dict:
-    # `capslice optimize --format machine` under the default config, from
-    # the oracles alone: brute-force slices and memberships, recursive
-    # cohesion, double-sum coupling, the Fraction ranking, permutation
-    # orders and the quadratic Pareto scan
-    slices = valid_slices_bruteforce(graph)
-    if not slices:
-        return {"type": "optimization", "candidates": 0, "complete": True, "best": None}
+def _scores_reference(graph, lam: Fraction) -> dict:
+    # each brute-force slice's membership and SliceMetrics-shaped values,
+    # from brute-force memberships, recursive cohesion and double-sum
+    # coupling; coupling pairs come in sorted (p, q) order
     scores = {}
-    for members in slices:
+    for members in valid_slices_bruteforce(graph):
         membership = membership_bruteforce(graph, members)[0]
         owned = {m: [d for d, o in membership.items() if o == m] for m in members}
         coupling = {
@@ -301,15 +303,90 @@ def _optimize_reference(graph, lam: Fraction) -> dict:
             for q in members
             if p != q
         }
-        mean_ch = sum((cohesion_recursive(graph, m) for m in members), Fraction(0)) / len(members)
+        per_node = {m: cohesion_recursive(graph, m) for m in members}
+        mean_ch = sum(per_node.values(), Fraction(0)) / len(members)
         mean_cp = sum(coupling.values(), Fraction(0)) / (len(coupling) or 1)
-        scores[members] = (mean_ch - lam * mean_cp, coupling)
-    ranked, _ = rank_reference([(m, f) for m, (f, _) in scores.items()])
+        scores[members] = membership, SimpleNamespace(
+            per_node_cohesion=per_node,
+            coupling=coupling,
+            mean_cohesion=mean_ch,
+            mean_coupling=mean_cp,
+            aggregate=mean_ch - lam * mean_cp,
+        )
+    return scores
+
+
+def _line(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _slices_reference(graph, lam: Fraction, initial_only: bool) -> str:
+    # `capslice slices --format machine` from the oracles alone: the slices
+    # in lexicographic member order, or the initial ones in ranked order,
+    # then the summary from the Fraction ranking
+    scores = _scores_reference(graph, lam)
+    if not scores:
+        return _line({"type": "summary", "count": 0, "complete": True})
+    ranked, mean = rank_reference([(m, metrics.aggregate) for m, (_, metrics) in scores.items()])
+    initial = [m for m, flag in ranked if flag]
+    lines = [
+        _line(slice_doc_reference(Slice(m, scores[m][0]), scores[m][1]))
+        for m in (initial if initial_only else scores)
+    ]
+    summary = {
+        "type": "summary",
+        "count": len(scores),
+        "complete": True,
+        "mean_f": float(mean),
+        "ranking": [list(m) for m, _ in ranked],
+        "initial": [list(m) for m in initial],
+    }
+    return "".join(lines) + _line(summary)
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    graph=fd_graphs(),
+    lam=st.sampled_from([None, "0", "1/2", "3"]),
+    initial_only=st.booleans(),
+)
+def test_slices_matches_oracles(tmp_path, graph, lam, initial_only):
+    # `capslice slices` on a file, against a reference that shares no
+    # scoring, ranking or writing code with the package
+    expected = _slices_reference(
+        graph, Fraction(1) if lam is None else to_fraction(lam), initial_only
+    )
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(serialize_graph(graph))
+    argv = ["slices", str(graph_file), "--format", "machine"]
+    argv += ["--lambda", lam] if lam else []
+    argv += ["--initial-only"] if initial_only else []
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+
+
+def _optimize_reference(graph, lam: Fraction) -> dict:
+    # `capslice optimize --format machine` under the default config, from
+    # the oracles alone: the scoring reference above, the Fraction ranking,
+    # permutation orders and the quadratic Pareto scan
+    scores = _scores_reference(graph, lam)
+    if not scores:
+        return {"type": "optimization", "candidates": 0, "complete": True, "best": None}
+    ranked, _ = rank_reference([(m, metrics.aggregate) for m, (_, metrics) in scores.items()])
     initial = [m for m, flag in ranked if flag]
     assume(all(len(m) <= EXHAUSTIVE_LIMIT for m in initial))
     rows = []
     for members in initial:
-        f, coupling = scores[members]
+        metrics = scores[members][1]
+        f, coupling = metrics.aggregate, metrics.coupling
         order, cost = schedule_bruteforce(members, coupling)
         makespan = Fraction(sum(len(reachable_leaves(graph, m)) for m in members))
         rows.append((f, Fraction(1), makespan, members, order, cost))
@@ -338,7 +415,7 @@ def _optimize_reference(graph, lam: Fraction) -> dict:
     docs.sort(key=lambda row: row[:2])
     return {
         "type": "optimization",
-        "candidates": len(slices),
+        "candidates": len(scores),
         "initial": len(initial),
         "complete": True,
         "best": docs[0][2],
@@ -405,6 +482,42 @@ def test_validate_matches_reference_on_invalid_graphs(graph):
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(graph=fd_graphs(valid=False), data=st.data())
+def test_edge_kinds_match_reference(graph, data):
+    # the drawn graph built again from its edges in a drawn order, a drawn
+    # kind stated on a drawn subset of them; an unstated kind follows from
+    # the edge counts: one child makes a refinement, else two parents an
+    # intersection, else a decomposition
+    keys = data.draw(st.permutations(sorted(parts(graph)[1])))
+    stated = data.draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(EdgeKind)))
+    relevance = parts(graph)[2]
+    specs = [(u, v, stated.get((u, v)), relevance.get((v, u))) for u, v in keys]
+    g = build_graph([graph.node(n) for n in graph.node_ids], specs)
+    out, into = Counter(u for u, _ in keys), Counter(v for _, v in keys)
+
+    def by_degrees(u, v):
+        if out[u] == 1:
+            return EdgeKind.REFINEMENT
+        return EdgeKind.INTERSECTION if into[v] >= 2 else EdgeKind.DECOMPOSITION
+
+    expected = {e: stated[e] if e in stated else by_degrees(*e) for e in sorted(keys)}
+    assert g.edges() == [(u, v, kind) for (u, v), kind in expected.items()]
+    for (u, v), kind in expected.items():
+        assert g.edge_kind(u, v) is kind
+    ids = st.sampled_from(g.node_ids)
+    u, v = data.draw(st.tuples(ids, ids).filter(lambda e: e not in expected))
+    for parent, child in ((u, v), ("zz", v)):
+        assert _result(g.edge_kind, parent, child) == (
+            GraphError,
+            f"no edge {parent!r} -> {child!r}",
+        )
+    assert parts(g)[1] == set(expected)
+    assert validate(g) == validate_reference(g)  # EDGE_KIND in (parent, child) order
+    agree = all(kind is by_degrees(*e) for e, kind in stated.items())
+    assert (g == reparsed(g)) == agree
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False), data=st.data())
 def test_membership_matches_reference_on_invalid_graphs(graph, data):
     # any nodes, functions or not, on graphs with cycles, childless
     # functions, dropped edges and a missing relevance
@@ -448,6 +561,18 @@ def test_cohesion_matches_reference_in_any_order(graph, data):
     # cycles, childless functions and a missing relevance make some nodes
     # fail; both memos keep what earlier calls finished, so the order the
     # nodes are asked in can decide which error a later call meets
+    order = data.draw(st.permutations(graph.mission_ids + graph.function_ids))
+    memo: dict = {}
+    for n in order:
+        assert _result(cohesion, graph, n) == _result(cohesion_reference, graph, n, memo), n
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False, back_from="function"), data=st.data())
+def test_cohesion_matches_reference_on_cycles(graph, data):
+    # as above, but every graph gains a back edge from a function, which
+    # the walk from any node above it enters: about a quarter of the
+    # outcomes are cycle errors, against about one in twenty above
     order = data.draw(st.permutations(graph.mission_ids + graph.function_ids))
     memo: dict = {}
     for n in order:
