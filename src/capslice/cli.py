@@ -138,20 +138,16 @@ def _slice_writer(graph: FDGraph):
     """A function that prints one slice of graph as a machine line.
 
     The line is the bytes _emit gives for the slice document, written
-    directly.  What repeats across the graph's slices is encoded once per
-    writer, as json encodes it (encode_basestring_ascii, float repr): each
-    member's id and "id":cohesion, each "directive":"owner", and each
-    "p->q":coupling of a pair and value (coupling is never negative, so
-    equal floats print alike).  Every object is sorted by its raw key, as
-    sort_keys does.  The fragments hold one graph's values, so each
-    cmd_slices call makes its own writer.
+    directly, with strings encoded as json encodes them
+    (encode_basestring_ascii) and floats as their repr.  Each member's
+    "id":cohesion and each "p->q":coupling of a pair and value (coupling is
+    never negative, so equal floats print alike) is encoded once per writer.
+    Every object is sorted by its raw key, as sort_keys does.  The fragments
+    hold one graph's values, so each cmd_slices call makes its own writer.
     """
     encode = json.encoder.encode_basestring_ascii
-    ids = Memo(encode)
-    cohesions = Memo(lambda m: f"{ids[m]}:{float(cohesion(graph, m))!r}")
-    owners = Memo(lambda item: f"{encode(item[0])}:{ids[item[1]]}")
-    pair_keys = Memo(lambda pair: f"{pair[0]}->{pair[1]}")
-    couplings = Memo(lambda item: f"{encode(pair_keys[item[0]])}:{item[1]!r}")
+    cohesions = Memo(lambda m: f"{encode(m)}:{float(cohesion(graph, m))!r}")
+    couplings = Memo(lambda item: f"{encode('->'.join(item[0]))}:{item[1]!r}")
     # Unless one function id is a prefix of another, "p->q" keys sort as
     # their (p, q) pairs and never coincide.  Sorted ids put such a pair
     # next to each other.
@@ -166,7 +162,7 @@ def _slice_writer(graph: FDGraph):
         if prefixed:
             # ("a", "b->c") and ("a->b", "c") share the key "a->b->c"; like a
             # dict of the pairs in (p, q) order, the later pair keeps it
-            keyed = dict(zip(map(pair_keys.__getitem__, units), pairs))
+            keyed = dict(zip(map("->".join, units), pairs))
             pairs = map(keyed.__getitem__, sorted(keyed))
         print(
             _SLICE_LINE
@@ -176,8 +172,8 @@ def _slice_writer(graph: FDGraph):
                 float(metrics.aggregate),
                 float(metrics.mean_cohesion),
                 float(metrics.mean_coupling),
-                ",".join(map(ids.__getitem__, slc.members)),
-                ",".join(map(owners.__getitem__, sorted(slc.membership.items()))),
+                ",".join(map(encode, slc.members)),
+                ",".join(f"{encode(d)}:{encode(o)}" for d, o in sorted(slc.membership.items())),
             )
         )
 

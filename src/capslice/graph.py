@@ -357,10 +357,6 @@ def _build_index(graph: FDGraph) -> GraphIndex:
                 if reach < low[-1]:
                     low[-1] = reach
                 continue
-            if not held or num[held[-1][0]] < first:  # v is its component
-                below[v] = down
-                entry[v] = through
-                continue
             component = [v]
             while held and num[held[-1][0]] > first:
                 u, more_down, more_through = held.pop()

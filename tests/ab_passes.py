@@ -13,8 +13,10 @@ differs between the trees, or a timed pass gives other output than that
 first pass, the script names the op and exits 1.  Then the rounds alternate
 whole passes, the parent first in even rounds and the change first in odd
 ones, and one JSON line per workload gives both medians in ms, the change
-in %, how many rounds the change was faster in and the parent's
-interquartile range.  Run from the repository root, with the stdlib only:
+in %, how many rounds the change was faster in, and each side's minimum and
+interquartile range.  The win count is the verdict: on a shared machine the
+medians of two trees can move by several percent between sittings while it
+holds.  Run from the repository root, with the stdlib only:
 
     python tests/ab_passes.py PARENT_SRC CHANGE_SRC [--workload W] [--seed 1] [--rounds 30]
 
@@ -84,8 +86,7 @@ def compare(workload: str, seed: int, ops: list[dict], mains: dict, rounds: int)
                 raise SystemExit(f"{workload} {differs}: the {side} tree's output changed")
             times[side].append(ms)
     parent, change = (statistics.median(times[side]) for side in SIDES)
-    q1, _, q3 = statistics.quantiles(times["parent"], n=4, method="inclusive")
-    return {
+    row = {
         "workload": workload,
         "seed": seed,
         "ops": len(ops),
@@ -94,8 +95,12 @@ def compare(workload: str, seed: int, ops: list[dict], mains: dict, rounds: int)
         "change_ms": round(change, 3),
         "change_pct": round((change - parent) / parent * 100.0, 2),
         "change_wins": sum(c < p for p, c in zip(times["parent"], times["change"])),
-        "parent_iqr_ms": round(q3 - q1, 3),
     }
+    for side in SIDES:
+        q1, _, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
+        row[f"{side}_min_ms"] = round(min(times[side]), 3)
+        row[f"{side}_iqr_ms"] = round(q3 - q1, 3)
+    return row
 
 
 def main(argv: list[str]) -> int:
@@ -106,7 +111,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=30)
     args = parser.parse_args(argv)
-    if args.rounds < 2:  # the parent's quartiles need two passes
+    if args.rounds < 2:  # each side's quartiles need two passes
         parser.error("--rounds must be at least 2")
 
     with tempfile.TemporaryDirectory() as tmp:

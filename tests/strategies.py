@@ -26,7 +26,8 @@ def fd_graphs(draw, max_functions=10, max_directives=12, valid=True, back_from=N
     is drawn, so validate may accept the graph or refuse it.  The back edge
     starts at a function or a directive.  With back_from="function" it is
     always drawn, from a function, a node every cohesion walk above it
-    enters; the rest is drawn as before."""
+    enters, and with back_from="directive" always from a directive, where
+    every cohesion walk stops; the rest is drawn as before."""
     n_fun = draw(st.integers(1, max_functions))
     n_dir = draw(st.integers(2, max_directives))
     funs = [f"f{i:02d}" for i in range(n_fun)]
@@ -59,6 +60,8 @@ def fd_graphs(draw, max_functions=10, max_directives=12, valid=True, back_from=N
             funs.append(f)
         if back_from == "function":
             u = draw(st.sampled_from(funs))
+        elif back_from == "directive":
+            u = draw(st.sampled_from(dirs))
         elif draw(st.booleans()):
             u = draw(st.sampled_from(funs + dirs))
         else:

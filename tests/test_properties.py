@@ -38,6 +38,7 @@ from capslice.changesim import (  # noqa: E402
 from capslice.graph import (  # noqa: E402
     EdgeKind,
     GraphError,
+    NodeKind,
     build_graph,
     find_cycle,
     parse_graph,
@@ -51,6 +52,7 @@ from capslice.metrics import (  # noqa: E402
     cohesion,
     coupling_matrix,
     resolve_membership,
+    size_of,
 )
 from capslice.cli import main  # noqa: E402
 from capslice.optimizer import EXHAUSTIVE_LIMIT, schedule_slice  # noqa: E402
@@ -577,3 +579,47 @@ def test_cohesion_matches_reference_on_cycles(graph, data):
     memo: dict = {}
     for n in order:
         assert _result(cohesion, graph, n) == _result(cohesion_reference, graph, n, memo), n
+
+
+# f reaches e only through its directive d: size_of(f) is 2, the cohesion
+# walk from f meets d alone
+_EDGE_OUT_OF_DIRECTIVE = build_graph(
+    [("m", "mission"), ("f", "function"), ("g", "function"), ("d", "directive"),
+     ("e", "directive")],
+    [("m", "f"), ("m", "g"), ("f", "d", None, Fraction(1, 2)), ("d", "e", None, Fraction(1)),
+     ("g", "e", None, Fraction(1))],
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs(valid=False, back_from="directive"))
+@example(graph=_EDGE_OUT_OF_DIRECTIVE)
+def test_size_of_and_cohesion_agree_except_below_a_directive(graph):
+    # Cohesion weighs each child by its size_of (a directive child weighs
+    # 1), so wherever it is defined it is the size_of-weighted mean of the
+    # children's terms.  They part where an edge leaves a directive, which
+    # only a graph validate refuses has (the open FOUND in CHANGES.md on an
+    # edge out of a directive): size_of counts every directive below a
+    # node, as the graph index does, while the cohesion walk stops at a
+    # directive, so a child's weight can count directives whose relevances
+    # the walk never reads.  This pins that as it is today: on the example
+    # above, cohesion(m) is 2/3 with size_of weights and would be 3/4 with
+    # the walk's counts.
+    for n in graph.mission_ids + graph.function_ids:
+        full = {x for x in below(graph, n) if graph.node(x).kind is NodeKind.DIRECTIVE}
+        walked = reachable_leaves(graph, n)
+        assert size_of(graph, n) == len(full), n
+        assert walked <= full, n
+        if not any(graph.children(d) for d in full):
+            assert walked == full, n
+        try:
+            value = cohesion(graph, n)
+        except GraphError:
+            continue
+        terms = [
+            (1, graph.relevance(c, n))
+            if graph.node(c).kind is NodeKind.DIRECTIVE
+            else (size_of(graph, c), cohesion(graph, c))
+            for c in graph.children(n)
+        ]
+        assert value == sum(w * t for w, t in terms) / sum(w for w, _ in terms), n

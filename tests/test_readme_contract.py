@@ -1,7 +1,8 @@
 """The README's contracts checked against the code: its Violation codes
 table names exactly the codes the package emits, each subcommand takes
 exactly the flags the README gives it, each documented exit code is
-returned, and each module.name it cites exists."""
+returned, each module.name it cites exists, and its table of library
+calls on an invalid graph names real functions and real codes."""
 
 import argparse
 import ast
@@ -137,3 +138,30 @@ def test_every_named_function_exists():
         if not hasattr(importlib.import_module(f"capslice.{module}"), name)
     ]
     assert missing == [], f"names the README cites that the package lacks: {missing}"
+
+
+def test_invalid_graph_table_names_real_functions_and_codes():
+    text = (ROOT / "README.md").read_text()
+    table = _section(text, "| function | tolerates | raises otherwise |\n")
+    rows = re.findall(r"^\| `([a-z_]+)\.(\w+)` \|(.*)$", table, flags=re.MULTILINE)
+    named = [f"{module}.{name}" for module, name, _ in rows]
+    assert len(table.splitlines()) == len(rows) + 1, "a row names no module.function"
+    assert sorted(named) == sorted(
+        [
+            "graph.validate",
+            "metrics.cohesion",
+            "metrics.size_of",
+            "metrics.coupling_matrix",
+            "slicing.enumerate_slices",
+            "slicing.is_valid_slice",
+            "metrics.resolve_membership",
+            "optimizer.schedule_slice",
+            "changesim.compare_slices",
+            "optimizer.export_capabilities",
+        ]
+    ), named
+    for module, name, _ in rows:
+        assert callable(getattr(importlib.import_module(f"capslice.{module}"), name, None)), name
+    codes = set(_documented_codes())
+    cited = {code for _, _, cells in rows for code in re.findall(r"`([A-Z_]{4,})`", cells)}
+    assert cited and cited <= codes, cited - codes
