@@ -452,7 +452,9 @@ def compare_slices(
     """Impact matrix of every scenario against every slice.
 
     Each slice must be a valid slice of graph, as make_slice and the
-    enumeration give them.
+    enumeration give them.  A slice whose membership leaves a directive of
+    graph without an owner raises UncoveredDirectiveError naming them, before
+    its first cell.
     """
     slices = tuple(slices)
     scenarios = tuple(scenarios)
@@ -460,12 +462,15 @@ def compare_slices(
         raise ValueError("need at least one slice to compare")
     thr = _check_threshold(threshold)
     recheck = not validate(graph).ok
+    directives = frozenset(graph.directive_ids)
     # Each scenario is applied once, on the first slice's row: cells are
     # measured in (slice, scenario) order, so the first error is the one a
     # cell-by-cell run would raise.
     applied: dict[int, tuple] = {}
     rows = []
     for s in slices:
+        if not s.membership.keys() >= directives:
+            raise UncoveredDirectiveError(directives.difference(s.membership))
         owned = Counter(s.membership.values())
         row = []
         for j, sc in enumerate(scenarios):

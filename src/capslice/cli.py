@@ -123,8 +123,14 @@ def _machine(args) -> bool:
     return not sys.stdout.isatty()
 
 
+# Every document _emit gets is a fresh tree of dicts and lists built by its
+# handler, so it holds no cycle and the encoder skips json's circular walk;
+# the bytes are those json.dumps gives with the same keys and separators.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(_ENCODER.encode(doc))
 
 
 # a slice document as _emit writes it: keys sorted, compact separators
@@ -552,11 +558,13 @@ class _Once(argparse.Action):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process and never mutated after: parse_args fills a fresh
-    # Namespace from immutable defaults (None or False) on every call, and the
-    # handlers look library names up as module globals when they run.
-    # Each flag goes only on the subcommands whose handler reads it.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # The full parser and its subparsers' choices (each subcommand's own
+    # parser, by name).  Built once per process and never mutated after:
+    # parse_args fills a fresh Namespace from immutable defaults (None or
+    # False) on every call, and the handlers look library names up as module
+    # globals when they run.  Each flag goes only on the subcommands whose
+    # handler reads it.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
         "--format",
@@ -644,19 +652,51 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slice", action=_Once, default=None, help="slice to export")
     p.set_defaults(handler=cmd_export)
 
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full command line parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace _build_parser().parse_args(argv) gives, exiting as it does.
+
+    A line whose first word names a subcommand goes straight to the parser
+    the full parser would hand the rest of it to, and command is set as the
+    full parser sets it.  Every other line, and one that subparser leaves
+    arguments of, goes through the full parser, for its usage and error text
+    and exit codes.
+    """
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit code.
 
-    Safe to call repeatedly in one process: the parser is built on the first
-    call and shared, unchanged, by every later one, so no call sees another's
-    arguments.  A shell invocation runs main once and gains nothing from this.
+    argv is read once, as a list.  A line whose first word names a
+    subcommand is parsed by that subcommand's own parser; any other line,
+    and one that parser leaves arguments of, by the full parser, which gives
+    the usage, errors and exit codes (_parse_args).  Machine documents are
+    encoded by one shared encoder without json's circular-reference walk:
+    each is a fresh tree its handler builds (_emit).
+
+    Safe to call repeatedly in one process: the parsers are built on the
+    first call and shared, unchanged, by every later one, so no call sees
+    another's arguments.  A shell invocation runs main once and gains nothing
+    from this.
     """
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 

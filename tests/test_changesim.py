@@ -45,7 +45,7 @@ from capslice.metrics import (
     cohesion_map,
     resolve_membership,
 )
-from capslice.slicing import Slice, enumerate_slices, make_slice
+from capslice.slicing import Slice, SliceSearch, enumerate_slices, make_slice
 from conftest import RELEVANCE_PALETTE, random_fd_graph, random_scenario
 from oracles import (
     _cascade_childless,
@@ -787,6 +787,33 @@ def test_compare_slices_first_error_is_row_major(fig2, s1, s2):
         compare_slices(fig2, [s1, s2], [uncoverable, ghost])
     with pytest.raises(UncoveredDirectiveError, match=f"^{message}$"):
         compare_slices(fig2, [s2, s1], [uncoverable, ghost])
+
+
+def test_compare_slices_refuses_a_membership_that_leaves_directives_unowned(fig2):
+    # a membership missing d_1 (and d_10) once raised a bare KeyError on a
+    # cell that reached d_1 and measured every other cell without complaint
+    first = next(iter(SliceSearch(fig2)))
+    seeding = scenario("modify_directive", "d_1", {"label": "x"})
+    elsewhere = scenario("modify_directive", "d_10", {"label": "x"})
+    assert compare_slices(fig2, [first], [seeding, elsewhere]).totals[0] > 0
+    for dropped in (["d_1"], ["d_10", "d_1"]):
+        membership = {d: m for d, m in first.membership.items() if d not in dropped}
+        broken = Slice(first.members, membership)
+        message = f"^directives not covered by any member: {', '.join(sorted(dropped))}$"
+        for scenarios in ([seeding], [elsewhere], []):
+            with pytest.raises(UncoveredDirectiveError, match=message) as err:
+                compare_slices(fig2, [broken], scenarios)
+            assert err.value.directives == tuple(sorted(dropped))
+        # the first slice's row is measured first, as cell by cell
+        with pytest.raises(ChangeError, match="^unknown directive 'ghost'$"):
+            compare_slices(fig2, [first, broken], [scenario("delete_directive", "ghost")])
+        with pytest.raises(UncoveredDirectiveError, match=message):
+            compare_slices(fig2, [broken, first], [scenario("delete_directive", "ghost")])
+    # keys beyond the graph's directives leave every directive owned
+    extra = Slice(first.members, {**first.membership, "zz": first.members[0]})
+    assert compare_slices(fig2, [extra], [seeding, elsewhere]) == compare_slices(
+        fig2, [first], [seeding, elsewhere]
+    )
 
 
 def _every_edit(rng, g):

@@ -1,10 +1,13 @@
+import io
 import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import capslice.cli as cli_module
 from capslice.cli import CONFIG_ENV, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, main
 from capslice.changesim import compare_slices, parse_scenarios
 from capslice.fixtures import fig2_path, fig2_text
@@ -12,6 +15,7 @@ from capslice.graph import build_graph, serialize_graph
 from capslice.slicing import SliceSearch, make_slice, rank_slices, slice_objective
 from conftest import awkward_ids, random_fd_graph, relabeled
 from oracles import slice_doc_reference
+from test_golden_cli import FORMATS as GOLDEN_FORMATS, _inputs as golden_inputs
 
 FIG = str(fig2_path())
 
@@ -1073,6 +1077,118 @@ def test_main_repeated_calls_agree(tmp_path, capsys, monkeypatch):
     assert len(docs[7][0]["matrix"]) == 2 and len(docs[8][0]["matrix"]) == 1
     assert first[9][1] == "" and "--slice may be given only once" in first[9][2]
     assert first[-1][1].startswith("usage: capslice")
+
+
+# -- parsing and encoding -----------------------------------------------------------
+
+
+def _parsed(parse, argv):
+    """(vars of the namespace or None, SystemExit code or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            names, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            names, code = None, exc.code
+    return names, code, out.getvalue(), err.getvalue()
+
+
+def test_parse_args_agrees_with_the_full_parser(tmp_path, monkeypatch):
+    # a line whose first word is a subcommand skips the full parser unless its
+    # subparser leaves arguments; the result, or the exit and its text, is the
+    # full parser's either way
+    full = _build_parser().parse_args
+    reached = []
+    monkeypatch.setattr(
+        _build_parser(), "parse_args", lambda argv: reached.append(argv) or full(argv)
+    )
+    golden = [
+        [str(a) for a in argv] + ["--format", fmt]
+        for _, cases in golden_inputs(tmp_path)
+        for argv in cases.values()
+        for fmt in GOLDEN_FORMATS
+    ]
+    commands = ("validate", "metrics", "slices", "optimize", "simulate", "export")
+    falling_back = [
+        ["slices", FIG, "--jobs", "2"],  # unknown flag after a subcommand
+        ["validate", FIG, "extra"],
+        ["optimize", FIG, "cfg.json", "extra"],
+        ["validate", FIG, "--lambda", "1"],  # a flag validate does not read
+        ["simulate", FIG, "s.json", "--slice", S1, "--", "--slice"],
+    ]
+    at_top = [
+        ["--format", "machine", "validate", FIG],  # a flag before the subcommand
+        ["-h"],
+        ["--help"],
+        ["frobnicate", FIG],
+        [],
+    ]
+    direct = [
+        *([c, flag] for c in commands for flag in ("-h", "--help")),
+        ["simulate", FIG, "s.json"],  # without --slice
+        ["metrics", FIG, "--slice", S1, "--slice", S2],
+        ["validate", "--", FIG],
+        ["optimize", FIG, "--", "cfg.json"],
+        ["validate", FIG, "--form", "machine"],
+        ["export", FIG, "--lambda", "x"],
+    ]
+    for argv in golden + falling_back + at_top + direct:
+        reached.clear()
+        got = _parsed(cli_module._parse_args, argv)
+        assert got == _parsed(full, argv), argv
+        assert reached == ([argv] if argv in falling_back + at_top else []), argv
+    exits = [_parsed(cli_module._parse_args, argv)[1] for argv in falling_back + at_top + direct]
+    assert exits == [2] * 5 + [2, 0, 0, 2, 2] + [0] * 12 + [2, 2, None, None, None, 2]
+    assert len(golden) > 500
+
+
+def _dumps_line(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_emit_prints_json_dumps(tmp_path, capsys, monkeypatch):
+    # the shared encoder skips the circular-reference walk; the bytes stay
+    # those of json.dumps
+    emit, emitted = cli_module._emit, []
+
+    def spy(doc):
+        text = io.StringIO()
+        with redirect_stdout(text):
+            emit(doc)
+        emitted.append((doc, text.getvalue()))
+
+    monkeypatch.setattr(cli_module, "_emit", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tf_min": 0.5, "tf": {"n_5": 0.25}}))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIOS))
+    for argv in [
+        ["validate", FIG],
+        ["metrics", FIG, "--slice", S1, "--pairs", "n_1,n_3"],
+        ["slices", FIG],
+        ["optimize", FIG, str(cfg)],
+        ["simulate", FIG, str(scen), "--slice", S1, "--slice", S2],
+        ["export", FIG, "--slice", S1],
+        ["export", FIG, "--manifest", "--slice", S1],
+    ]:
+        assert run(capsys, *argv, "--format", "machine")[0] == EXIT_OK
+    kinds = [doc.get("type", "manifest") for doc, _ in emitted]
+    assert kinds == [
+        "validation", "metrics", "summary", "optimization", "comparison", "dot", "manifest"
+    ]
+    for doc, text in emitted:
+        assert text == _dumps_line(doc)
+    monkeypatch.undo()
+    doc = {
+        "é": ["Ω", "\U0001d11e", "\"\\\n\t", ""],
+        "big": 2**80,
+        "small": 1e-07,
+        "neg": -0.0,
+        "empty": [{}, [], [[]], {"": {}}],
+        "nested": {"b": [1, {"a": [None, True, False]}], "a": 1.5},
+    }
+    cli_module._emit(doc)
+    assert capsys.readouterr().out == _dumps_line(doc)
 
 
 # -- determinism ------------------------------------------------------------------
