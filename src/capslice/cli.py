@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import importlib
 import json
 import os
 import sys
@@ -56,43 +55,23 @@ CONFIG_ENV = "CAPSLICE_CONFIG"
 
 # optimizer and changesim are imported only by the subcommands that call
 # them (optimize and export --manifest, simulate), so validate, metrics and
-# slices start without them.  Their names stay attributes of this module, as
-# callers that patch them expect (the benchmark's tracer wraps cli.optimize
-# and cli.compare_slices): __getattr__ binds a module's names on first
-# access, and a handler binds only the names still missing, so a patched
-# name stays patched.
-_DEFERRED = {
-    "optimizer": (
-        "ConfigError",
-        "OptimizationConfig",
-        "export_capabilities",
-        "optimize",
-        "validate_manifest",
-    ),
-    "changesim": (
-        "DEFAULT_THRESHOLD",
-        "ChangeError",
-        "ScenarioParseError",
-        "compare_slices",
-        "parse_scenarios",
-    ),
-}
-_DEFERRED_FROM = {name: module for module, names in _DEFERRED.items() for name in names}
+# slices start without them.  The two library calls the handlers make into
+# them go through these module functions, which a caller may patch (the
+# benchmark's tracer wraps cli.optimize and cli.compare_slices).
 
 
-def _bind(module: str) -> None:
-    """Import a deferred module and bind each of its names not yet bound."""
-    source = importlib.import_module(f".{module}", __package__)
-    for name in _DEFERRED[module]:
-        globals().setdefault(name, getattr(source, name))
+def optimize(*args, **kwargs):
+    """optimizer.optimize, imported when called."""
+    from .optimizer import optimize
+
+    return optimize(*args, **kwargs)
 
 
-def __getattr__(name: str):
-    module = _DEFERRED_FROM.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(module)
-    return globals()[name]
+def compare_slices(*args, **kwargs):
+    """changesim.compare_slices, imported when called."""
+    from .changesim import compare_slices
+
+    return compare_slices(*args, **kwargs)
 
 
 class _Failure(Exception):
@@ -190,8 +169,9 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise _usage(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # a decode error has none
+        raise _usage(f"cannot read {path}: {reason}") from exc
 
 
 def _violation_doc(v) -> dict:
@@ -378,7 +358,8 @@ def cmd_slices(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    _bind("optimizer")
+    from .optimizer import OptimizationConfig
+
     graph = _load_graph(args.graph)
     config_path = args.config or os.environ.get(CONFIG_ENV)
     config = OptimizationConfig.load(config_path) if config_path else OptimizationConfig()
@@ -459,7 +440,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _bind("changesim")
+    from .changesim import DEFAULT_THRESHOLD, ChangeError, parse_scenarios
+
     graph = _load_graph(args.graph)
     scenarios = parse_scenarios(_read_file(args.scenarios))
     slices = [make_slice(graph, _split_ids(spec)) for spec in args.slice]
@@ -523,7 +505,8 @@ def cmd_export(args) -> int:
     if args.manifest:
         if not args.slice:
             raise _usage("--manifest needs a --slice to export")
-        _bind("optimizer")
+        from .optimizer import export_capabilities, validate_manifest
+
         slc = make_slice(graph, _split_ids(args.slice))
         doc = export_capabilities(graph, slc, lam=lam)
         validate_manifest(doc)
@@ -655,13 +638,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full command line parser, built once per process."""
-    return _parsers()[0]
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace _build_parser().parse_args(argv) gives, exiting as it does.
+    """The namespace _parsers()[0].parse_args(argv) gives, exiting as it does.
 
     A line whose first word names a subcommand goes straight to the parser
     the full parser would hand the rest of it to, and command is set as the

@@ -297,8 +297,9 @@ class OptimizationConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc  # a decode error has none
+            raise ConfigError(f"cannot read {path}: {reason}") from exc
         doc = load_exact_json(text, "config", ConfigError)
         if not isinstance(doc, Mapping):
             raise ConfigError("config must be a JSON object")

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import capslice.cli as cli_module
-from capslice.cli import CONFIG_ENV, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _build_parser, main
+from capslice.cli import CONFIG_ENV, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _parsers, main
 from capslice.changesim import compare_slices, parse_scenarios
 from capslice.fixtures import fig2_path, fig2_text
 from capslice.graph import build_graph, serialize_graph
@@ -324,6 +324,27 @@ def test_missing_file_is_usage(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert rc == EXIT_USAGE
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("role", ["graph", "scenarios", "config"])
+def test_undecodable_file_is_usage_naming_it(tmp_path, capsys, role):
+    # a file that is not UTF-8 is a read failure like a missing one, whichever
+    # input it is
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff{}")
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(SCENARIOS))
+    argv = {
+        "graph": ["validate", str(bad)],
+        "scenarios": ["simulate", FIG, str(bad), "--slice", S1],
+        "config": ["optimize", FIG, str(bad)],
+    }[role]
+    rc, out, err = run(capsys, *argv, "--format", "machine")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 0:"
+        " invalid start byte\n"
+    )
 
 
 def test_bad_subcommand_and_help(capsys):
@@ -1034,7 +1055,7 @@ def test_single_slice_flag_given_twice(capsys, command):
 def test_main_repeated_calls_agree(tmp_path, capsys, monkeypatch):
     # the parser is built once per process and shared by every call, so no
     # call may see a flag, a default or an environment value of an earlier one
-    assert _build_parser() is _build_parser()
+    assert _parsers() is _parsers()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tf_min": 0.5, "tf": {"n_5": 0.25}, "f_min": 0.52}))
     scen = tmp_path / "scen.json"
@@ -1097,11 +1118,10 @@ def test_parse_args_agrees_with_the_full_parser(tmp_path, monkeypatch):
     # a line whose first word is a subcommand skips the full parser unless its
     # subparser leaves arguments; the result, or the exit and its text, is the
     # full parser's either way
-    full = _build_parser().parse_args
+    parser = _parsers()[0]
+    full = parser.parse_args
     reached = []
-    monkeypatch.setattr(
-        _build_parser(), "parse_args", lambda argv: reached.append(argv) or full(argv)
-    )
+    monkeypatch.setattr(parser, "parse_args", lambda argv: reached.append(argv) or full(argv))
     golden = [
         [str(a) for a in argv] + ["--format", fmt]
         for _, cases in golden_inputs(tmp_path)

@@ -5,8 +5,11 @@
 for simulate.  Which modules a run loads is read off sys.modules in a fresh
 interpreter, one per case, since this process has loaded them all.  The
 names stay reachable: every public name of the package resolves on first
-access, and every name the CLI takes from the two modules stays an attribute
-of `capslice.cli` that a caller may patch, as the benchmark's tracer does.
+access.  The CLI reaches the two modules' library calls through two module
+functions, `cli.optimize` and `cli.compare_slices`, which import their
+module when called and which a caller may patch, as the benchmark's tracer
+does; each handler imports the other names it needs from the two modules
+itself.
 """
 
 import importlib
@@ -59,7 +62,8 @@ PACKAGE_NAMES = {
     ),
 }
 
-# the names the CLI imported from the two modules when it loaded them eagerly
+# the names the CLI imported from the two modules when it loaded them eagerly;
+# of these it keeps only optimize and compare_slices
 CLI_NAMES = {
     "optimizer": (
         "ConfigError", "OptimizationConfig", "export_capabilities", "optimize",
@@ -184,12 +188,41 @@ def test_an_unknown_name_is_an_attribute_error_naming_it():
         cli.nonesuch
 
 
-def test_cli_resolves_each_deferred_name_to_its_module():
-    for module, group in CLI_NAMES.items():
-        source = importlib.import_module(f"capslice.{module}")
-        for name in group:
-            assert cli.__getattr__(name) is getattr(source, name), name
-            assert getattr(cli, name) is getattr(source, name), name
+def test_cli_reaches_optimize_and_compare_slices_through_two_functions():
+    # looking either name up loads neither module; each returns what its
+    # library function returns on the same arguments, positional or named;
+    # no other name the CLI once took from the two modules is a cli attribute
+    others = sorted(
+        name for group in CLI_NAMES.values() for name in group
+        if name not in ("optimize", "compare_slices")
+    )
+    got = fresh(
+        f"import capslice.cli as cli\n"
+        f"found = [hasattr(cli, 'optimize'), hasattr(cli, 'compare_slices')]\n"
+        f"found.append([name for name in {others!r} if hasattr(cli, name)])\n"
+        f"found.append(loaded())\n"
+        f"from fractions import Fraction\n"
+        f"from capslice import changesim, optimizer\n"
+        f"from capslice.graph import parse_graph\n"
+        f"from capslice.slicing import make_slice\n"
+        f"g = parse_graph(open({FIG!r}).read())\n"
+        f"slices = [make_slice(g, s.split(',')) for s in ({S1!r}, 'n_2,n_3,n_5')]\n"
+        f"config = optimizer.OptimizationConfig(lam=Fraction(1, 2))\n"
+        f"result = cli.optimize(g, slices, config=config)\n"
+        f"found.append(result == optimizer.optimize(g, slices, config))\n"
+        f"found.append(list(result.best.slice.members))\n"
+        f"scenarios = changesim.parse_scenarios({json.dumps(SCENARIOS)!r})\n"
+        f"quarter = Fraction(1, 4)\n"
+        f"comparison = cli.compare_slices(g, slices, scenarios, threshold=quarter)\n"
+        f"found.append(comparison == changesim.compare_slices(g, slices, scenarios, quarter))\n"
+        f"found.append(list(comparison.totals))\n"
+        f"print(json.dumps(found))\n"
+    )
+    assert len(others) == 8
+    has_optimize, has_compare, listed, before, same_result, best, same_comparison, totals = got
+    assert has_optimize and has_compare and listed == [] and before == []
+    assert same_result and best
+    assert same_comparison and len(totals) == 2 and any(totals)
 
 
 # -- the benchmark's tracer ------------------------------------------------------
@@ -229,8 +262,8 @@ print(json.dumps({{"has": has, "patched": patched, "plain": plain, "restored": r
 
 
 def test_tracer_wraps_optimize_and_compare_slices(scenario_file, monkeypatch):
-    # patched before any handler has run: the handler binds the names it
-    # lacks and keeps the wrappers
+    # patched before any handler has run: each handler calls the wrapper,
+    # which calls the library function
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
     argvs = [
         ["optimize", FIG, "--format", "machine"],
@@ -247,7 +280,8 @@ def test_tracer_wraps_optimize_and_compare_slices(scenario_file, monkeypatch):
 
 
 def test_a_patched_name_survives_its_handler(scenario_file, monkeypatch):
-    # the same in this process, where the handlers may already have run
+    # the same in this process, where the handlers have already imported
+    # the two modules
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
     argv = ["simulate", FIG, scenario_file, "--slice", S1, "--format", "machine"]
     original = cli.compare_slices

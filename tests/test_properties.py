@@ -482,6 +482,35 @@ def test_validate_matches_reference_on_invalid_graphs(graph):
     assert validate(graph) == validate_reference(graph)
 
 
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(graph=fd_graphs(valid=False))
+def test_validate_command_matches_reference(tmp_path, graph):
+    # `capslice validate` on the graph's file, against the reference report
+    # of the graph the parser reads back from it
+    report = validate_reference(reparsed(graph))
+    doc = {
+        "type": "validation",
+        "ok": not report.violations,
+        "violations": [
+            {"code": v.code, "subject": v.subject, "message": v.message}
+            for v in report.violations
+        ],
+    }
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(serialize_graph(graph))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", str(graph_file), "--format", "machine"])
+    expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (code, out.getvalue(), err.getvalue()) == (1 if report.violations else 0, expected, "")
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(graph=fd_graphs(valid=False), data=st.data())
 def test_edge_kinds_match_reference(graph, data):

@@ -81,8 +81,9 @@ def _documented_flags() -> dict[str, set[str]]:
 
 
 def _parser_flags() -> dict[str, set[str]]:
-    parser = cli._build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (subparsers,) = [
+        a for a in cli._parsers()[0]._actions if isinstance(a, argparse._SubParsersAction)
+    ]
     return {
         command: {
             flag
