@@ -9,16 +9,19 @@ before the edit (that is where the rework happens); additions are measured
 on the changed graph, where the new directive exists.
 
 apply_change always returns a fresh graph re-validated from scratch.
-compare_slices builds no changed graph to measure a scenario: each seed's
-distances come from one walk of the base graph's neighbour table with the
-nodes an addition touches re-hung, and each slice's membership on the
-changed graph is derived from the slice's own (_apply gives the
-conditions).  That is exact whenever the edit leaves a valid graph, which
-every accepted edit of a valid base does.  compare_slices reads its base
-graph's validation report, which graph.validate computes once per graph and
-caches on it; on an invalid base it builds each edit once, only to refuse
-one that leaves the graph invalid.  Each seed's hop row is walked once
-per scenario and shared by every cell, which scans it in directive id order.
+compare_slices builds no changed graph to measure a scenario: a seed's
+directives within a cell's reach come from a walk of the base graph's
+neighbour table with the nodes an addition touches re-hung, and each
+slice's membership on the changed graph is derived from the slice's own
+(_apply gives the conditions).  That is exact whenever the edit leaves a
+valid graph, which every accepted edit of a valid base does.
+compare_slices reads its base graph's validation report, which
+graph.validate computes once per graph and caches on it; on an invalid base
+it builds each edit once, only to refuse one that leaves the graph invalid.
+A walk stops at the cell's reach, and each (seed, reach) is walked once per
+scenario and shared by every cell that needs it.  A valid base is one
+connected component; only on an invalid one does each seed also walk its
+whole component, to find a directive it is not connected to.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .graph import (
     Violation,
     ancestors,
     coerce_relevance,
-    hop_rows,
+    directives_within,
     parts,
     validate,
 )
@@ -182,7 +185,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
     built.  owners(slc) is a slice's membership on the graph its cells are
     measured on.  rehung maps each node whose neighbours the edit changes,
     the new node among them, to its neighbours on the changed graph, for
-    graph.hop_rows; it is empty where cells are measured on graph.
+    graph.directives_within; it is empty where cells are measured on graph.
     edit() returns the changed graph's (nodes, edges, relevance) for
     _rebuild.
 
@@ -398,28 +401,44 @@ def impact_set(
 
 
 def _impact(
-    slc: Slice, scenario: ChangeScenario, applied, thr: Fraction, owned: Counter
+    graph: FDGraph,
+    slc: Slice,
+    scenario: ChangeScenario,
+    applied,
+    thr: Fraction,
+    owned: Counter,
+    recheck: bool,
 ) -> ImpactReport:
-    # applied is (seed, on_changed, owners, ids, rows, far) with rows[s]
-    # seed s's hop count to each directive of ids, far where s does not
-    # reach it, shared by every slice the scenario is measured on; owned
-    # counts the directives each member owns in slc.membership
-    seed, on_changed, owners, ids, rows, far = applied
+    # applied is (seed, owners, rehung, within, far): within memoises
+    # directives_within(graph, s, r, rehung) by (s, r) for every slice the
+    # scenario is measured on, and far is the node count of the graph the
+    # cells are measured on; owned counts the directives each member owns
+    # in slc.membership; recheck is set on an invalid base
+    seed, owners, rehung, within, far = applied
     membership = owners(slc)
     if membership is not slc.membership:
         owned = Counter(membership.values())
 
     # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
     # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers.
-    # far marks a directive s does not reach, so the cut stays below it.
+    # No distance reaches far, so a reach cut to far - 1 walks as far.
     affected = set(seed)
     for s in sorted(seed):
-        reach = min(thr.denominator // (owned[membership[s]] * thr.numerator), far - 1)
-        for d, h in zip(ids, rows[s]):
-            if h <= reach:
-                affected.add(d)
-            elif h == far and d not in affected:
-                raise GraphError(f"{d!r} and {s!r} are not connected")
+        if recheck:
+            # a valid base is one component; an invalid one may leave a
+            # directive out of s's, whose coupling onto s is undefined
+            key = (s, far - 1)
+            component = within.get(key)
+            if component is None:
+                component = within[key] = directives_within(graph, s, far - 1, rehung)
+            for d in graph.directive_ids:
+                if d not in component and d not in affected:
+                    raise GraphError(f"{d!r} and {s!r} are not connected")
+        key = (s, min(thr.denominator // (owned[membership[s]] * thr.numerator), far - 1))
+        found = within.get(key)
+        if found is None:
+            found = within[key] = directives_within(graph, s, key[1], rehung)
+        affected |= found
     capabilities = frozenset(map(membership.__getitem__, affected))
     # positional: keyword arguments cost a frozen dataclass as much again
     return ImpactReport(
@@ -430,7 +449,7 @@ def _impact(
         capabilities,
         len(affected) + len(capabilities),
         thr,
-        "changed" if on_changed else "base",
+        "changed" if rehung else "base",
     )
 
 
@@ -478,9 +497,9 @@ def compare_slices(
                 seed, owners, rehung, edit = _apply(graph, sc)
                 if recheck:
                     _rebuild(*edit())  # only to refuse an edit that leaves it invalid
-                hops, far = hop_rows(graph, seed, rehung)
-                applied[j] = (seed, bool(rehung), owners, graph.directive_ids, hops, far)
-            row.append(_impact(s, sc, applied[j], thr, owned))
+                far = graph.n_nodes + sum(not graph.has_node(n) for n in rehung)
+                applied[j] = (seed, owners, rehung, {}, far)
+            row.append(_impact(graph, s, sc, applied[j], thr, owned, recheck))
         rows.append(tuple(row))
     reports = tuple(rows)
     totals = tuple(sum(r.impact_count for r in row) for row in reports)

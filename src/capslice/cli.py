@@ -37,7 +37,7 @@ from .metrics import (
     resolve_membership,
     size_of,
 )
-from .rational import Memo, fixed, to_fraction
+from .rational import LiteralValueError, Memo, fixed, to_fraction
 from .slicing import (
     EnumerationCapError,
     InvalidSliceError,
@@ -92,7 +92,9 @@ def _domain(message: str) -> _Failure:
 def _fraction_arg(text: str) -> Fraction:
     try:
         return to_fraction(text)
-    except (ValueError, TypeError) as exc:
+    except LiteralValueError as exc:  # a number, but not one to_fraction takes
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 

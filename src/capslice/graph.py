@@ -141,6 +141,7 @@ class FDGraph:
         for i in self._node_ids:
             by_kind[self._nodes[i].kind].append(i)
         self._ids_by_kind = {k: tuple(ids) for k, ids in by_kind.items()}
+        self._directive_set = frozenset(by_kind[NodeKind.DIRECTIVE])
 
         # lazy caches
         self._index: GraphIndex | None = None
@@ -421,13 +422,14 @@ def leaves_of(graph: FDGraph, node_id: str) -> frozenset[str]:
     return frozenset(map(graph.directive_ids.__getitem__, bit_positions(mask)))
 
 
-def _levels(adjacent: Mapping[str, tuple[str, ...]], u: str) -> dict[str, int]:
-    # breadth-first, one level at a time: every node of a level has its
-    # level's hop count, so no count is read back per visit
+def _levels(adjacent: Mapping[str, tuple[str, ...]], u: str, reach: int) -> dict[str, int]:
+    # breadth-first, one level at a time, for at most reach levels: every
+    # node of a level has its level's hop count, so no count is read back
+    # per visit
     dist = {u: 0}
     level = [u]
     hops = 0
-    while level:
+    while level and hops < reach:
         hops += 1
         reached = []
         for x in level:
@@ -447,26 +449,37 @@ def distances_from(graph: FDGraph, u: str) -> dict[str, int]:
     call returns a fresh dict.
     """
     graph.node(u)
-    return _levels(graph._adjacent, u)
+    return _levels(graph._adjacent, u, graph.n_nodes)
 
 
-def hop_rows(
-    graph: FDGraph, sources: Iterable[str], rehung: Mapping[str, tuple[str, ...]]
-) -> tuple[dict[str, list[int]], int]:
-    """Undirected hop count from each source to each directive, on graph's
-    neighbour table with the entries in rehung put in place: (rows, far).
+def hop_rows(graph: FDGraph, sources: Iterable[str]) -> tuple[dict[str, list[int]], int]:
+    """Undirected hop count from each source to each directive: (rows, far).
+
+    Rows are in directive id order, and a directive a source does not reach
+    reads far, the graph's node count.  One walk of the graph's neighbour
+    table per source; nothing is cached.
+    """
+    adjacent = graph._adjacent
+    ids = graph.directive_ids
+    far = graph.n_nodes
+    return {s: list(map(_levels(adjacent, s, far).get, ids, repeat(far))) for s in sources}, far
+
+
+def directives_within(
+    graph: FDGraph, source: str, reach: int, rehung: Mapping[str, tuple[str, ...]]
+) -> frozenset[str]:
+    """The graph's directives at most reach undirected hops from source, on
+    graph's neighbour table with the entries in rehung put in place.
 
     When rehung maps every node whose neighbours an edit changes, a new
-    node among them, to its neighbours on the changed graph, the rows are
-    that graph's hop counts.  Rows are in graph's directive id order, and a
-    directive a source does not reach reads far, the table's node count.
-    One walk per source; no graph is built and nothing is cached.  With
-    rehung empty the walks read graph's own table.
+    node among them, to its neighbours on the changed graph, the hops are
+    that graph's; a node rehung adds is walked but not returned.  One walk,
+    level by level, that stops after reach levels, or sooner when a level
+    reaches nothing new; nothing is cached.  With rehung empty the walk
+    reads graph's own table.
     """
     adjacent = {**graph._adjacent, **rehung} if rehung else graph._adjacent
-    ids = graph.directive_ids
-    far = len(adjacent)
-    return {s: list(map(_levels(adjacent, s).get, ids, repeat(far))) for s in sources}, far
+    return graph._directive_set.intersection(_levels(adjacent, source, reach))
 
 
 def directive_weights(
@@ -500,7 +513,7 @@ def directive_weights(
         groups: dict[tuple[str, ...], list[int]] = {}
         for i, d in enumerate(ids):
             groups.setdefault(adjacent[d], []).append(i)
-        hops, far = hop_rows(graph, {n for near in groups for n in near}, {})
+        hops, far = hop_rows(graph, {n for near in groups for n in near})
         present: set[int] = set()
         shared = []
         for near, group in groups.items():

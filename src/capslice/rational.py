@@ -61,6 +61,11 @@ def brief(value) -> str:
     return _BRIEF.repr(value)
 
 
+class LiteralValueError(ValueError):
+    """A well-formed numeric literal whose value to_fraction refuses: a
+    decimal exponent beyond MAX_EXPONENT, or a zero denominator."""
+
+
 def _bounded_exponent(text: str) -> str:
     _, marker, exponent = text.lower().partition("e")
     try:
@@ -68,7 +73,7 @@ def _bounded_exponent(text: str) -> str:
     except ValueError:
         return text  # not a plain exponent; Fraction reports what is wrong
     if too_large:
-        raise ValueError(f"decimal exponent of {brief(text)} exceeds {MAX_EXPONENT}")
+        raise LiteralValueError(f"decimal exponent of {brief(text)} exceeds {MAX_EXPONENT}")
     return text
 
 
@@ -77,7 +82,8 @@ def to_fraction(value) -> Fraction:
 
     Floats are read through their shortest decimal representation, so a
     literal 0.3 coming from a file means exactly 3/10.  A decimal exponent
-    beyond MAX_EXPONENT, and a zero denominator ("1/0"), are ValueErrors.
+    beyond MAX_EXPONENT, and a zero denominator ("1/0"), are
+    LiteralValueErrors; other text Fraction cannot read is a ValueError.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a numeric value")
@@ -91,7 +97,7 @@ def to_fraction(value) -> Fraction:
         try:
             return Fraction(_bounded_exponent(str(value)))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {brief(value)}") from None
+            raise LiteralValueError(f"zero denominator in {brief(value)}") from None
     raise TypeError(f"cannot interpret {brief(value)} as a rational number")
 
 

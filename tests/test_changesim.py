@@ -31,7 +31,7 @@ from capslice.graph import (
     NodeKind,
     ValidationReport,
     build_graph,
-    hop_rows,
+    directives_within,
     parse_graph,
     parts,
     serialize_graph,
@@ -845,11 +845,11 @@ def _neighbours(g, nid):
     return set(g.children(nid) + g.parents(nid))
 
 
-def _bfs_row(g, source, ids):
-    # the oracle's hop count on g from source to each of ids, in that
-    # order; a directive the source does not reach reads g's node count
+def _within_reference(g, source):
+    # by the oracle, the directives of g at most r hops from source, for
+    # each r up to g's node count
     dist = bfs_distances(g, source)
-    return [dist.get(d, g.n_nodes) for d in ids]
+    return [{d for d in g.directive_ids if dist.get(d, r + 1) <= r} for r in range(g.n_nodes + 1)]
 
 
 def test_shortcuts_on_a_valid_base_are_exact():
@@ -857,9 +857,10 @@ def test_shortcuts_on_a_valid_base_are_exact():
     # what apply_change refuses, so a valid base needs no rebuild; it names
     # the directives the edit changes; each node it re-hangs has its
     # neighbours on the graph apply_change builds, and no other node's
-    # neighbours change, so hop_rows gives that graph's rows (the base
-    # graph's own where nothing is re-hung); and the membership it derives
-    # there is resolve_membership's, errors included
+    # neighbours change, so a walk on the re-hung view is the walk on that
+    # graph (the base graph's own where nothing is re-hung) at every radius;
+    # and the membership it derives there is resolve_membership's, errors
+    # included
     rng = random.Random(2121)
     seen = dict.fromkeys(["refused", "applied", "rows", "derived", "uncovered"], 0)
     for seed in range(100):
@@ -880,12 +881,10 @@ def test_shortcuts_on_a_valid_base_are_exact():
             assert seed_set == edited_directives(g, changed, sc), sc
             assert bool(rehung) == sc.kind.value.startswith("add_"), sc
             seen["applied"] += 1
-            rows, far = hop_rows(g, seed_set, rehung)
-            assert set(rows) == seed_set
             if not rehung:
                 for s in seed_set:
-                    assert rows[s] == _bfs_row(g, s, g.directive_ids), (sc, s)
-                assert far == g.n_nodes
+                    for r, expected in enumerate(_within_reference(g, s)):
+                        assert directives_within(g, s, r, {}) == expected, (sc, s, r)
                 continue
             assert set(changed.node_ids) == set(g.node_ids) | set(rehung), sc
             for nid in changed.node_ids:
@@ -894,9 +893,11 @@ def test_shortcuts_on_a_valid_base_are_exact():
                     assert set(rehung[nid]) == _neighbours(changed, nid), (sc, nid)
                 else:
                     assert _neighbours(g, nid) == _neighbours(changed, nid), (sc, nid)
-            assert far == changed.n_nodes
+            own = frozenset(g.directive_ids)
             for s in seed_set:
-                assert rows[s] == _bfs_row(changed, s, g.directive_ids), (sc, s)
+                for r in range(changed.n_nodes + 1):
+                    walked = directives_within(g, s, r, rehung)
+                    assert walked == own & directives_within(changed, s, r, {}), (sc, s, r)
                 seen["rows"] += 1
             for slc in chosen:
                 got = _owned(owners, slc)
@@ -1095,24 +1096,81 @@ def test_deletion_cascade_matches_the_oracle_on_hand_built_bases():
         assert set(edit()[0]) == set(nodes) - removed, sc
 
 
-def test_impact_not_connected_error():
-    # a validated edit never leaves a directive out of reach, so hand the
-    # kernel a base graph with a second component directly.  At 1/100 the
-    # reach (100 // 2 = 50) lies beyond the far mark (6 nodes), so a cut
-    # that counted far as a distance would take z in instead of raising.
+def _two_components():
+    # an invalid base: o and its directive z hang under no mission
     g = build_graph(
         [("m", "mission"), ("f", "function"), ("a", "directive"), ("b", "directive"),
          ("o", "function"), ("z", "directive")],
         [("m", "f"), ("f", "a", None, 1), ("f", "b", None, 1), ("o", "z", None, 1)],
     )
-    slc = Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
+    return g, Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
+
+
+def test_impact_not_connected_error():
+    # a validated edit never leaves a directive out of reach, so hand the
+    # kernel a base graph with a second component directly.  a's component
+    # walk, at one less than the 6 nodes, finds a and b only, so z raises
+    # before any reach is walked: at 1/8 the reach is 8 // 2 = 4, and at
+    # 1/100 it is 100 // 2 = 50, which lies beyond the far mark.
+    g, slc = _two_components()
     sc = scenario("modify_directive", "a", {"label": "x"})
-    rows, far = hop_rows(g, ["a"], {})
-    assert far == 6
-    applied = (frozenset({"a"}), False, _kept, g.directive_ids, rows, far)
     for thr in (Fraction(1, 8), Fraction(1, 100)):
+        applied = (frozenset({"a"}), _kept, {}, {}, g.n_nodes)
         with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
-            _impact(slc, sc, applied, thr, Counter(slc.membership.values()))
+            _impact(g, slc, sc, applied, thr, Counter(slc.membership.values()), True)
+        assert applied[3] == {("a", 5): {"a", "b"}}
+
+
+def test_walks_stop_at_the_reach_a_cell_needs(fig2, monkeypatch):
+    # each walk's radius is at most the largest reach a cell of its scenario
+    # needs, and no (seed, radius) is walked twice in a scenario; a valid
+    # base is one component, so no seed walks its whole component there
+    calls = []
+
+    def recording(graph, source, reach, rehung):
+        calls.append((source, reach))
+        return walk(graph, source, reach, rehung)
+
+    walk = changesim_module.directives_within
+    monkeypatch.setattr(changesim_module, "directives_within", recording)
+    thr = DEFAULT_THRESHOLD
+    enumerated = enumerate_slices(fig2).slices
+    measured = 0
+    for sc in _every_edit(random.Random(4242), fig2):
+        try:
+            changed = apply_change(fig2, sc)
+        except ChangeError:
+            continue
+        on = changed if sc.kind.value.startswith("add_") else fig2
+        slices, needed = [], 0
+        for slc in enumerated:
+            try:
+                membership = resolve_membership(on, slc.members)
+            except MembershipError:
+                continue
+            slices.append(slc)
+            owned = Counter(membership.values())
+            for s in edited_directives(fig2, changed, sc):
+                reach = thr.denominator // (owned[membership[s]] * thr.numerator)
+                needed = max(needed, min(reach, on.n_nodes - 1))
+        if not slices:  # an added directive no slice covers
+            continue
+        calls.clear()
+        compare_slices(fig2, slices, [sc], thr)
+        assert len(set(calls)) == len(calls), sc
+        assert max((r for _, r in calls), default=0) <= needed < on.n_nodes - 1, sc
+        measured += bool(calls)
+    assert measured >= 40
+
+    # on the two-component base, both deletions of z leave a valid graph,
+    # and z's component walk, one less than the node count, is the one walk
+    # before a, outside that component, raises
+    g, slc = _two_components()
+    for sc in (scenario("delete_directive", "z"), scenario("delete_function_subtree", "o")):
+        calls.clear()
+        with pytest.raises(GraphError, match="^'a' and 'z' are not connected$"):
+            compare_slices(g, [slc], [sc], thr)
+        assert calls == [("z", g.n_nodes - 1)], sc
 
 
 def test_add_directive_under_nested_members_is_a_sharing_error():

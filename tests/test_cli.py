@@ -178,6 +178,32 @@ def test_malformed_number_flag_is_usage(capsys):
     assert err.splitlines()[-1].endswith("error: argument --lambda: not a number: '1e'")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["slices", FIG, "--lambda", "1e5000"],
+            "--lambda: decimal exponent of '1e5000' exceeds 4300",
+        ),
+        (
+            ["simulate", FIG, "FILE", "--slice", S1, "--threshold", "1e-5000"],
+            "--threshold: decimal exponent of '1e-5000' exceeds 4300",
+        ),
+        (["slices", FIG, "--lambda", "1/0"], "--lambda: zero denominator in '1/0'"),
+    ],
+    ids=["lambda-exponent", "threshold-exponent", "lambda-zero-denominator"],
+)
+def test_refused_number_flag_names_the_reason(tmp_path, capsys, argv, message):
+    # a well-formed literal that to_fraction refuses says why, as it does
+    # in a config file; only text that is no number is "not a number"
+    path = tmp_path / "scenarios.json"
+    path.write_text(SCENARIO)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    rc, out, err = run(capsys, *argv, "--format", "machine")
+    assert rc == EXIT_USAGE and out == ""
+    assert err.splitlines()[-1].endswith(f"error: argument {message}")
+
+
 HUGE_LAMBDA = '{"lambda": 1e400}'
 HUGE_TIME = '{"times": {"n_1": 1e400}}'
 

@@ -735,7 +735,7 @@ def test_queries_match_oracles_on_random_graphs():
             assert undirected_distance(g, u, v) == undirected_distance(g, v, u)
             assert distances_from(g, u) == bfs_distances(g, u)
         for n in g.node_ids:
-            assert hop_rows(g, [n], {}) == ({n: _hops_reference(g, n)}, g.n_nodes), n
+            assert hop_rows(g, [n]) == ({n: _hops_reference(g, n)}, g.n_nodes), n
 
 
 def _hops_reference(g, u):
@@ -781,7 +781,7 @@ def test_directive_weights_match_reference():
         ["m", "f", "g", "d1", "d2", "d3", "d4"],
         [("m", "f"), ("f", "d1"), ("f", "d2"), ("g", "d3")],
     )
-    rows, far = hop_rows(apart, apart.node_ids, {})
+    rows, far = hop_rows(apart, apart.node_ids)
     assert rows == {n: _hops_reference(apart, n) for n in apart.node_ids}
     assert (rows["g"], far) == ([7, 7, 1, 7], 7)
     assert _check_weights(apart) == (
@@ -817,9 +817,9 @@ def test_directive_weights_search_once_per_neighbour(monkeypatch):
     searches = []
     search = graph_module._levels
 
-    def counted(adjacent, u):
+    def counted(adjacent, u, reach):
         searches.append(u)
-        return search(adjacent, u)
+        return search(adjacent, u, reach)
 
     monkeypatch.setattr(graph_module, "_levels", counted)
     rng = random.Random(1818)
