@@ -39,9 +39,9 @@ from .graph import (
     Node,
     NodeKind,
     Violation,
-    ancestors,
     coerce_relevance,
     directives_within,
+    graph_index,
     parts,
     validate,
 )
@@ -299,12 +299,16 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
             raise ChangeError("a new directive needs a relevance")
         value = _relevance(rel, target, new_id)
         seed = frozenset((new_id,))
-        above = ancestors(graph, target) | {target}
+        index = graph_index(graph)
+        below, target_bit = index.below, index.bit[target]
         rehung[target] = (*graph.children(target), *graph.parents(target), new_id)
         rehung[new_id] = (target,)
 
         def owners(slc: Slice) -> Mapping[str, str]:
-            covering = sorted(above.intersection(slc.members))
+            # a hand-built slice may name a node graph lacks, which covers nothing
+            covering = [
+                m for m in sorted(slc.members) if m == target or below.get(m, 0) & target_bit
+            ]
             if not covering:
                 raise UncoveredDirectiveError((new_id,))
             if len(covering) > 1:
@@ -400,59 +404,6 @@ def impact_set(
     return compare_slices(graph, (slc,), (scenario,), threshold).reports[0][0]
 
 
-def _impact(
-    graph: FDGraph,
-    slc: Slice,
-    scenario: ChangeScenario,
-    applied,
-    thr: Fraction,
-    owned: Counter,
-    recheck: bool,
-) -> ImpactReport:
-    # applied is (seed, owners, rehung, within, far): within memoises
-    # directives_within(graph, s, r, rehung) by (s, r) for every slice the
-    # scenario is measured on, and far is the node count of the graph the
-    # cells are measured on; owned counts the directives each member owns
-    # in slc.membership; recheck is set on an invalid base
-    seed, owners, rehung, within, far = applied
-    membership = owners(slc)
-    if membership is not slc.membership:
-        owned = Counter(membership.values())
-
-    # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
-    # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers.
-    # No distance reaches far, so a reach cut to far - 1 walks as far.
-    affected = set(seed)
-    for s in sorted(seed):
-        if recheck:
-            # a valid base is one component; an invalid one may leave a
-            # directive out of s's, whose coupling onto s is undefined
-            key = (s, far - 1)
-            component = within.get(key)
-            if component is None:
-                component = within[key] = directives_within(graph, s, far - 1, rehung)
-            for d in graph.directive_ids:
-                if d not in component and d not in affected:
-                    raise GraphError(f"{d!r} and {s!r} are not connected")
-        key = (s, min(thr.denominator // (owned[membership[s]] * thr.numerator), far - 1))
-        found = within.get(key)
-        if found is None:
-            found = within[key] = directives_within(graph, s, key[1], rehung)
-        affected |= found
-    capabilities = frozenset(map(membership.__getitem__, affected))
-    # positional: keyword arguments cost a frozen dataclass as much again
-    return ImpactReport(
-        scenario,
-        slc.members,
-        seed,
-        frozenset(affected),
-        capabilities,
-        len(affected) + len(capabilities),
-        thr,
-        "changed" if rehung else "base",
-    )
-
-
 @dataclass(frozen=True)
 class Comparison:
     slices: tuple[Slice, ...]
@@ -484,13 +435,16 @@ def compare_slices(
     directives = frozenset(graph.directive_ids)
     # Each scenario is applied once, on the first slice's row: cells are
     # measured in (slice, scenario) order, so the first error is the one a
-    # cell-by-cell run would raise.
+    # cell-by-cell run would raise.  applied holds (seed, owners, rehung,
+    # within, far) per scenario: within memoises directives_within(graph,
+    # s, r, rehung) by (s, r) for every slice the scenario is measured on,
+    # and far is the node count of the graph the cells are measured on.
     applied: dict[int, tuple] = {}
     rows = []
-    for s in slices:
-        if not s.membership.keys() >= directives:
-            raise UncoveredDirectiveError(directives.difference(s.membership))
-        owned = Counter(s.membership.values())
+    for slc in slices:
+        if not slc.membership.keys() >= directives:
+            raise UncoveredDirectiveError(directives.difference(slc.membership))
+        kept = Counter(slc.membership.values())
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:
@@ -499,7 +453,46 @@ def compare_slices(
                     _rebuild(*edit())  # only to refuse an edit that leaves it invalid
                 far = graph.n_nodes + sum(not graph.has_node(n) for n in rehung)
                 applied[j] = (seed, owners, rehung, {}, far)
-            row.append(_impact(graph, s, sc, applied[j], thr, owned, recheck))
+            seed, owners, rehung, within, far = applied[j]
+            membership = owners(slc)
+            # owned counts the directives each member owns
+            owned = kept if membership is slc.membership else Counter(membership.values())
+
+            # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so
+            # with thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on
+            # integers.  No distance reaches far, so a reach cut to far - 1
+            # walks as far.
+            affected = set(seed)
+            for s in sorted(seed):
+                if recheck:
+                    # a valid base is one component; an invalid one may leave
+                    # a directive out of s's, whose coupling onto s is undefined
+                    key = (s, far - 1)
+                    component = within.get(key)
+                    if component is None:
+                        component = within[key] = directives_within(graph, s, far - 1, rehung)
+                    for d in graph.directive_ids:
+                        if d not in component and d not in affected:
+                            raise GraphError(f"{d!r} and {s!r} are not connected")
+                key = (s, min(thr.denominator // (owned[membership[s]] * thr.numerator), far - 1))
+                found = within.get(key)
+                if found is None:
+                    found = within[key] = directives_within(graph, s, key[1], rehung)
+                affected |= found
+            capabilities = frozenset(map(membership.__getitem__, affected))
+            # positional: keyword arguments cost a frozen dataclass as much again
+            row.append(
+                ImpactReport(
+                    sc,
+                    slc.members,
+                    seed,
+                    frozenset(affected),
+                    capabilities,
+                    len(affected) + len(capabilities),
+                    thr,
+                    "changed" if rehung else "base",
+                )
+            )
         rows.append(tuple(row))
     reports = tuple(rows)
     totals = tuple(sum(r.impact_count for r in row) for row in reports)

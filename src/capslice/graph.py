@@ -137,11 +137,12 @@ class FDGraph:
         # the undirected neighbour table every distance walk reads
         self._adjacent = {i: self._children[i] + self._parents[i] for i in self._nodes}
         self._node_ids = tuple(sorted(self._nodes))
-        by_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
-        for i in self._node_ids:
-            by_kind[self._nodes[i].kind].append(i)
-        self._ids_by_kind = {k: tuple(ids) for k, ids in by_kind.items()}
-        self._directive_set = frozenset(by_kind[NodeKind.DIRECTIVE])
+        kinds = [self._nodes[i].kind for i in self._node_ids]
+        self._mission_ids, self._function_ids, self._directive_ids = (
+            tuple(i for i, k in zip(self._node_ids, kinds) if k is kind)
+            for kind in (NodeKind.MISSION, NodeKind.FUNCTION, NodeKind.DIRECTIVE)
+        )
+        self._directive_set = frozenset(self._directive_ids)
 
         # lazy caches
         self._index: GraphIndex | None = None
@@ -162,15 +163,15 @@ class FDGraph:
 
     @property
     def mission_ids(self) -> tuple[str, ...]:
-        return self._ids_by_kind[NodeKind.MISSION]
+        return self._mission_ids
 
     @property
     def function_ids(self) -> tuple[str, ...]:
-        return self._ids_by_kind[NodeKind.FUNCTION]
+        return self._function_ids
 
     @property
     def directive_ids(self) -> tuple[str, ...]:
-        return self._ids_by_kind[NodeKind.DIRECTIVE]
+        return self._directive_ids
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -182,12 +183,16 @@ class FDGraph:
             raise UnknownNodeError(node_id) from None
 
     def children(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return self._children[node_id]
+        try:
+            return self._children[node_id]
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
 
     def parents(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return self._parents[node_id]
+        try:
+            return self._parents[node_id]
+        except KeyError:
+            raise UnknownNodeError(node_id) from None
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         return [(u, v, self.edge_kind(u, v)) for u in self._node_ids for v in self._children[u]]
@@ -452,19 +457,6 @@ def distances_from(graph: FDGraph, u: str) -> dict[str, int]:
     return _levels(graph._adjacent, u, graph.n_nodes)
 
 
-def hop_rows(graph: FDGraph, sources: Iterable[str]) -> tuple[dict[str, list[int]], int]:
-    """Undirected hop count from each source to each directive: (rows, far).
-
-    Rows are in directive id order, and a directive a source does not reach
-    reads far, the graph's node count.  One walk of the graph's neighbour
-    table per source; nothing is cached.
-    """
-    adjacent = graph._adjacent
-    ids = graph.directive_ids
-    far = graph.n_nodes
-    return {s: list(map(_levels(adjacent, s, far).get, ids, repeat(far))) for s in sources}, far
-
-
 def directives_within(
     graph: FDGraph, source: str, reach: int, rehung: Mapping[str, tuple[str, ...]]
 ) -> frozenset[str]:
@@ -496,11 +488,14 @@ def directive_weights(
     Built once per graph on the identity dist(d, x) = 1 + min(dist(n, x)
     for n a neighbour of d), which holds for every x != d in an unweighted
     graph: each directive's row is the element-wise min of its neighbours'
-    hop rows (its parents, and its children on a graph validate refuses),
-    taken from one hop_rows call, so the searches run once per distinct
-    neighbour, not per directive.  Directives with the same neighbours
-    share one min row and one mapping to weights; each gets a copy with its
-    own 0.  The neighbours lie in d's component, so a target is reached
+    hop rows (its parents, and its children on a graph validate refuses).
+    A hop row holds one neighbour's hop count to each directive in id
+    order, and the graph's node count, which no hop count reaches, for a
+    directive it does not reach.  One search walks each distinct
+    neighbour's row, so the searches run once per distinct neighbour, not
+    per directive, and the hop rows go once the table is built.  Directives
+    with the same neighbours share one min row and one mapping to weights;
+    each gets a copy with its own 0.  The neighbours lie in d's component, so a target is reached
     from all of them or from none; one without neighbours reaches nothing.
     A directive's own entry (out to a neighbour and back) is no distance,
     but in a group of two or more it equals the distance between two of
@@ -513,7 +508,11 @@ def directive_weights(
         groups: dict[tuple[str, ...], list[int]] = {}
         for i, d in enumerate(ids):
             groups.setdefault(adjacent[d], []).append(i)
-        hops, far = hop_rows(graph, {n for near in groups for n in near})
+        far = graph.n_nodes
+        hops = {
+            n: list(map(_levels(adjacent, n, far).get, ids, repeat(far)))
+            for n in {n for near in groups for n in near}
+        }
         present: set[int] = set()
         shared = []
         for near, group in groups.items():

@@ -1,4 +1,4 @@
-"""Time whole benchmark passes of two source trees in one process, alternating.
+"""Time benchmark passes of two source trees in one process, op by op.
 
 Each tree's capslice package is copied under its own name, capslice_parent
 and capslice_change, and both are imported here, so the two sides share one
@@ -9,14 +9,20 @@ once through the tree's cli.main, stdout and stderr captured, as
 bench/worker.py does.
 
 One untimed pass per tree comes first.  If any op's exit code or stdout
-differs between the trees, or a timed pass gives other output than that
-first pass, the script names the op and exits 1.  Then the rounds alternate
-whole passes, the parent first in even rounds and the change first in odd
-ones, and one JSON line per workload gives both medians in ms, the change
-in %, how many rounds the change was faster in, and each side's minimum and
-interquartile range.  The win count is the verdict: on a shared machine the
-medians of two trees can move by several percent between sittings while it
-holds.  Run from the repository root, with the stdlib only:
+differs between the trees, or a timed run gives other output than that
+first pass, the script names the op and exits 1.  Then each round runs
+every op on both trees, op by op, the parent first in even rounds and the
+change first in odd ones; a side's pass time in a round is the sum of its
+op times.  One JSON line per workload gives both medians of the pass time
+in ms, the change in %, how many rounds the change was faster in, and each
+side's minimum and interquartile range.  It also gives each side's per-op
+minimum, the sum over ops of each op's fastest round (parent_opmin_ms,
+change_opmin_ms), the change in it in % (opmin_change_pct) and how many
+ops were fastest on the change (opmin_change_wins).  A pass swings with
+whatever else the machine runs, while an op's fastest round rarely does,
+so same-tree controls read far closer to zero on the per-op minima than on
+the medians: read the per-op minima first, and the win counts with them.
+Run from the repository root, with the stdlib only:
 
     python tests/ab_passes.py PARENT_SRC CHANGE_SRC [--workload W] [--seed 1] [--rounds 30]
 
@@ -33,6 +39,7 @@ import argparse
 import gc
 import importlib
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -55,16 +62,13 @@ def load_tree(src: str | Path, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def run_pass(main, ops: list[dict]) -> tuple[float, list[tuple[int | None, str]]]:
-    """Wall ms of one pass over ops, and each op's exit code and stdout."""
-    results = []
+def run_op(main, op: dict) -> tuple[float, tuple[int | None, str]]:
+    """Wall ms of one op, and its exit code and stdout."""
+    out, err = StringIO(), StringIO()
     start = time.perf_counter()
-    for op in ops:
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(op["argv"])
-        results.append((code, out.getvalue()))
-    return (time.perf_counter() - start) * 1000.0, results
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(op["argv"])
+    return (time.perf_counter() - start) * 1000.0, (code, out.getvalue())
 
 
 def first_difference(ops: list[dict], a: list, b: list) -> str | None:
@@ -72,19 +76,26 @@ def first_difference(ops: list[dict], a: list, b: list) -> str | None:
 
 
 def compare(workload: str, seed: int, ops: list[dict], mains: dict, rounds: int) -> dict:
-    reference = {side: run_pass(mains[side], ops)[1] for side in SIDES}
+    reference = {side: [run_op(mains[side], op)[1] for op in ops] for side in SIDES}
     differs = first_difference(ops, reference["parent"], reference["change"])
     if differs:
         raise SystemExit(f"{workload} {differs}: exit code or stdout differs between the trees")
+    # each round's pass time per side, the sum of its ops' times, and each
+    # op's fastest round per side
     times: dict[str, list[float]] = {side: [] for side in SIDES}
+    fastest = {side: [math.inf] * len(ops) for side in SIDES}
     for r in range(rounds):
-        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-            gc.collect()  # no pass pays for the garbage of the one before
-            ms, results = run_pass(mains[side], ops)
-            differs = first_difference(ops, reference[side], results)
-            if differs:
-                raise SystemExit(f"{workload} {differs}: the {side} tree's output changed")
-            times[side].append(ms)
+        total = dict.fromkeys(SIDES, 0.0)
+        gc.collect()  # no round pays for the garbage of the one before
+        for k, op in enumerate(ops):
+            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                ms, result = run_op(mains[side], op)
+                if result != reference[side][k]:
+                    raise SystemExit(f"{workload} {op['id']}: the {side} tree's output changed")
+                total[side] += ms
+                fastest[side][k] = min(fastest[side][k], ms)
+        for side in SIDES:
+            times[side].append(total[side])
     parent, change = (statistics.median(times[side]) for side in SIDES)
     row = {
         "workload": workload,
@@ -100,6 +111,11 @@ def compare(workload: str, seed: int, ops: list[dict], mains: dict, rounds: int)
         q1, _, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
         row[f"{side}_min_ms"] = round(min(times[side]), 3)
         row[f"{side}_iqr_ms"] = round(q3 - q1, 3)
+    parent, change = (sum(fastest[side]) for side in SIDES)
+    row["parent_opmin_ms"] = round(parent, 3)
+    row["change_opmin_ms"] = round(change, 3)
+    row["opmin_change_pct"] = round((change - parent) / parent * 100.0, 2)
+    row["opmin_change_wins"] = sum(c < p for p, c in zip(fastest["parent"], fastest["change"]))
     return row
 
 

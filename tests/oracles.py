@@ -27,6 +27,7 @@ from capslice.graph import (
     Violation,
     build_graph,
     find_cycle,
+    impact_category,
     parts,
 )
 from capslice.metrics import (
@@ -714,6 +715,95 @@ def schedule_bruteforce(members, coupling) -> tuple[tuple[str, ...], Fraction]:
             best_order = perm
             best_cost = cost
     return tuple(members[i] for i in best_order), Fraction(best_cost, scale)
+
+
+def objective_reference(graph, members, lam) -> dict:
+    """The slice objective of a valid slice, exactly: its membership from
+    is_valid_slice_reference and each member's owned directives, each
+    member's cohesion from cohesion_recursive, each ordered pair's coupling
+    from double_sum_coupling over the owned directives, both means (coupling
+    0 for a lone member) and the aggregate, mean cohesion - lam * mean
+    coupling."""
+    members = sorted(set(members))
+    membership = is_valid_slice_reference(graph, members).membership
+    owned = {m: sorted(d for d, o in membership.items() if o == m) for m in members}
+    cohesion = {m: cohesion_recursive(graph, m) for m in members}
+    coupling = {
+        (p, q): double_sum_coupling(graph, owned[p], owned[q])
+        for p in members
+        for q in members
+        if p != q
+    }
+    mean_cohesion = sum(cohesion.values(), Fraction(0)) / len(members)
+    mean_coupling = sum(coupling.values(), Fraction(0)) / (len(coupling) or 1)
+    return {
+        "membership": membership,
+        "owned": owned,
+        "cohesion": cohesion,
+        "coupling": coupling,
+        "mean_cohesion": mean_cohesion,
+        "mean_coupling": mean_coupling,
+        "aggregate": mean_cohesion - Fraction(lam) * mean_coupling,
+    }
+
+
+def manifest_reference(graph, members, lam) -> dict:
+    """The `export --manifest` document of a valid slice of at most 8
+    members, as plain dicts.
+
+    The objective from objective_reference; each owned directive's
+    relevance and via_parent from entry_routes and best_entry, its category
+    from impact_category; each member's build time its reachable_leaves
+    count; order and order_cost from schedule_bruteforce.  No technical
+    feasibility is given, so every member's is 1.
+    """
+    members = sorted(set(members))
+    objective = objective_reference(graph, members, lam)
+    owned, cohesion, coupling = objective["owned"], objective["cohesion"], objective["coupling"]
+    order, order_cost = schedule_bruteforce(members, coupling)
+    times = {m: len(reachable_leaves(graph, m)) for m in members}
+    capabilities = []
+    for m in members:
+        routes = entry_routes(graph, m)
+        directives = []
+        for d in owned[m]:
+            relevance, via = best_entry(graph, d, routes[d])
+            directives.append(
+                {
+                    "id": d,
+                    "label": graph.node(d).label,
+                    "relevance": float(relevance),
+                    "category": impact_category(relevance),
+                    "via_parent": via,
+                }
+            )
+        capabilities.append(
+            {
+                "id": m,
+                "label": graph.node(m).label,
+                "cohesion": float(cohesion[m]),
+                "tf": 1.0,
+                "build_time": float(times[m]),
+                "position": order.index(m),
+                "directives": directives,
+                "coupling_out": {q: float(coupling[(m, q)]) for q in members if q != m},
+                "coupling_in": {q: float(coupling[(q, m)]) for q in members if q != m},
+            }
+        )
+    return {
+        "kind": "capability-manifest",
+        "members": members,
+        "aggregate": float(objective["aggregate"]),
+        "mean_cohesion": float(objective["mean_cohesion"]),
+        "mean_coupling": float(objective["mean_coupling"]),
+        "lambda": float(lam),
+        "order": list(order),
+        "makespan": float(sum(times.values())),
+        "order_cost": float(order_cost),
+        "schedule_method": "exhaustive",
+        "directive_count": len(objective["membership"]),
+        "capabilities": capabilities,
+    }
 
 
 def agreeing_order_reference(weight) -> list[int] | None:

@@ -12,8 +12,6 @@ from capslice.changesim import (
     ScenarioKind,
     ScenarioParseError,
     _apply,
-    _impact,
-    _kept,
     apply_change,
     compare_slices,
     impact_set,
@@ -1106,21 +1104,6 @@ def _two_components():
     return g, Slice(("f", "o"), {"a": "f", "b": "f", "z": "o"})
 
 
-def test_impact_not_connected_error():
-    # a validated edit never leaves a directive out of reach, so hand the
-    # kernel a base graph with a second component directly.  a's component
-    # walk, at one less than the 6 nodes, finds a and b only, so z raises
-    # before any reach is walked: at 1/8 the reach is 8 // 2 = 4, and at
-    # 1/100 it is 100 // 2 = 50, which lies beyond the far mark.
-    g, slc = _two_components()
-    sc = scenario("modify_directive", "a", {"label": "x"})
-    for thr in (Fraction(1, 8), Fraction(1, 100)):
-        applied = (frozenset({"a"}), _kept, {}, {}, g.n_nodes)
-        with pytest.raises(GraphError, match="^'z' and 'a' are not connected$"):
-            _impact(g, slc, sc, applied, thr, Counter(slc.membership.values()), True)
-        assert applied[3] == {("a", 5): {"a", "b"}}
-
-
 def test_walks_stop_at_the_reach_a_cell_needs(fig2, monkeypatch):
     # each walk's radius is at most the largest reach a cell of its scenario
     # needs, and no (seed, radius) is walked twice in a scenario; a valid
@@ -1163,14 +1146,16 @@ def test_walks_stop_at_the_reach_a_cell_needs(fig2, monkeypatch):
     assert measured >= 40
 
     # on the two-component base, both deletions of z leave a valid graph,
-    # and z's component walk, one less than the node count, is the one walk
-    # before a, outside that component, raises
+    # and z's component walk, one less than the 6 nodes, is the one walk
+    # before a, outside that component, raises: at 1/8 the reach would be
+    # 8 // 1 = 8, and at 1/100 it would be 100, both beyond the far mark
     g, slc = _two_components()
     for sc in (scenario("delete_directive", "z"), scenario("delete_function_subtree", "o")):
-        calls.clear()
-        with pytest.raises(GraphError, match="^'a' and 'z' are not connected$"):
-            compare_slices(g, [slc], [sc], thr)
-        assert calls == [("z", g.n_nodes - 1)], sc
+        for thr in (Fraction(1, 8), Fraction(1, 100)):
+            calls.clear()
+            with pytest.raises(GraphError, match="^'a' and 'z' are not connected$"):
+                compare_slices(g, [slc], [sc], thr)
+            assert calls == [("z", g.n_nodes - 1)], (sc, thr)
 
 
 def test_add_directive_under_nested_members_is_a_sharing_error():
@@ -1187,6 +1172,21 @@ def test_add_directive_under_nested_members_is_a_sharing_error():
     sc = scenario("add_directive", "g", {"id": "n", "relevance": 1})
     with pytest.raises(UnresolvableSharingError, match="^members f and g both reach n through parent g$"):
         compare_slices(g, [slc], [sc])
+
+
+def test_add_directive_passes_over_a_member_the_graph_lacks():
+    # a hand-built Slice naming a node the graph lacks breaks compare_slices'
+    # precondition; that member covers no added leaf and owns nothing
+    g = build_graph(
+        [("m", "mission"), ("f", "function"), ("g", "function"), ("a", "directive"),
+         ("b", "directive")],
+        [("m", "f"), ("m", "g"), ("f", "a", None, 1), ("g", "b", None, 1)],
+    )
+    slc = Slice(("f", "g", "zz"), {"a": "f", "b": "g"})
+    sc = scenario("add_directive", "f", {"id": "n", "relevance": 1})
+    report = impact_set(g, slc, sc)
+    assert report.affected_directives == {"a", "b", "n"}
+    assert report.affected_capabilities == {"f", "g"}
 
 
 def test_compare_slices_checks_threshold_once(fig2, s1):

@@ -26,7 +26,6 @@ from capslice.graph import (
     distances_from,
     export_dot,
     find_cycle,
-    hop_rows,
     impact_category,
     leaves_of,
     parse_graph,
@@ -714,6 +713,9 @@ def test_distance_between_components():
 def test_unknown_node_raises(fig2):
     with pytest.raises(UnknownNodeError):
         fig2.node("nope")
+    for accessor in (fig2.children, fig2.parents):
+        with pytest.raises(UnknownNodeError, match="^unknown node id: 'nope'$"):
+            accessor("nope")
     with pytest.raises(UnknownNodeError):
         leaves_of(fig2, "nope")
     with pytest.raises(UnknownNodeError):
@@ -735,11 +737,7 @@ def test_queries_match_oracles_on_random_graphs():
             assert undirected_distance(g, u, v) == undirected_distance(g, v, u)
             assert distances_from(g, u) == bfs_distances(g, u)
         for n in g.node_ids:
-            assert hop_rows(g, [n]) == ({n: _hops_reference(g, n)}, g.n_nodes), n
-
-
-def _hops_reference(g, u):
-    return [bfs_distances(g, u).get(d, g.n_nodes) for d in g.directive_ids]
+            assert distances_from(g, n) == bfs_distances(g, n), n
 
 
 def _weights_reference(g):
@@ -781,9 +779,6 @@ def test_directive_weights_match_reference():
         ["m", "f", "g", "d1", "d2", "d3", "d4"],
         [("m", "f"), ("f", "d1"), ("f", "d2"), ("g", "d3")],
     )
-    rows, far = hop_rows(apart, apart.node_ids)
-    assert rows == {n: _hops_reference(apart, n) for n in apart.node_ids}
-    assert (rows["g"], far) == ([7, 7, 1, 7], 7)
     assert _check_weights(apart) == (
         2,
         [[0, 1, None, None], [1, 0, None, None], [None, None, 0, None], [None, None, None, 0]],

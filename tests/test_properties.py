@@ -8,6 +8,7 @@ the run deterministic: derandomized, no example database, no deadline.
 
 import json
 import random
+import re
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -57,7 +58,7 @@ from capslice.metrics import (  # noqa: E402
 )
 from capslice.cli import main  # noqa: E402
 from capslice.optimizer import EXHAUSTIVE_LIMIT, schedule_slice  # noqa: E402
-from capslice.rational import literal_reader, to_fraction  # noqa: E402
+from capslice.rational import fixed, literal_reader, to_fraction  # noqa: E402
 from capslice.slicing import (  # noqa: E402
     Slice,
     SliceSearch,
@@ -75,7 +76,9 @@ from oracles import (  # noqa: E402
     double_sum_coupling,
     impact_by_coupling,
     is_valid_slice_reference,
+    manifest_reference,
     membership_bruteforce,
+    objective_reference,
     pareto_bruteforce,
     rank_reference,
     reachable_leaves,
@@ -686,26 +689,12 @@ def test_metrics_command_matches_oracles(tmp_path, graph, data):
     # cannot resolve, and a listed member that owns nothing, are exit 1
     graph_file = tmp_path / "graph.json"
     graph_file.write_text(serialize_graph(graph))
-    nodes = [
-        {
-            "id": n,
-            "size": len(reachable_leaves(graph, n)),
-            "cohesion": float(cohesion_recursive(graph, n)),
-            "refinement": sum(u == n for u, _, _ in graph.edges()) == 1,
-        }
-        for n in graph.function_ids
-    ]
+    nodes = _metrics_nodes(graph)
 
     def run(*extra):
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["metrics", str(graph_file), "--format", "machine", *extra])
-        return code, out.getvalue(), err.getvalue()
+        return _machine_run("metrics", graph_file, *extra)
 
-    def printed(doc):
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-    assert run() == (0, printed({"type": "metrics", "nodes": nodes}), "")
+    assert run() == (0, _printed({"type": "metrics", "nodes": nodes}), "")
     funs = graph.function_ids
     if len(funs) < 2:
         return
@@ -737,5 +726,138 @@ def test_metrics_command_matches_oracles(tmp_path, graph, data):
                     if p != q:
                         value = double_sum_coupling(graph, owned[p], owned[q])
                         pairs.append({"from": p, "to": q, "coupling": float(value)})
-            expected = (0, printed({"type": "metrics", "nodes": nodes, "pairs": pairs}), "")
+            expected = (0, _printed({"type": "metrics", "nodes": nodes, "pairs": pairs}), "")
     assert run("--pairs", ",".join(members)) == expected
+
+
+def _machine_run(command, graph_file, *extra):
+    # one in-process CLI run in machine format: (exit code, stdout, stderr)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(graph_file), "--format", "machine", *extra])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _printed(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _metrics_nodes(graph) -> list[dict]:
+    # the "nodes" of a metrics document: each function's size, cohesion and
+    # refinement flag
+    return [
+        {
+            "id": n,
+            "size": len(reachable_leaves(graph, n)),
+            "cohesion": float(cohesion_recursive(graph, n)),
+            "refinement": sum(u == n for u, _, _ in graph.edges()) == 1,
+        }
+        for n in graph.function_ids
+    ]
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(graph=fd_graphs(), data=st.data())
+def test_metrics_slice_command_matches_oracles(tmp_path, graph, data):
+    # `capslice metrics --slice` with a drawn valid slice, without --pairs
+    # and with a drawn subset of its members: the pairs' coupling is taken
+    # over the slice's own membership, not resolved among the pairs; a
+    # --pairs id outside the slice is a usage error
+    slices = valid_slices_bruteforce(graph)
+    if not slices:
+        return
+    members = list(data.draw(st.sampled_from(slices)))
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(serialize_graph(graph))
+    doc = {"type": "metrics", "nodes": _metrics_nodes(graph), "slice": members}
+
+    def run(*extra):
+        return _machine_run("metrics", graph_file, "--slice", ",".join(members), *extra)
+
+    assert run() == (0, _printed(doc), "")
+    if len(members) >= 2:
+        coupling = objective_reference(graph, members, 1)["coupling"]
+        pairs = data.draw(st.lists(st.sampled_from(members), min_size=2, unique=True))
+        doc["pairs"] = [
+            {"from": p, "to": q, "coupling": float(coupling[(p, q)])}
+            for p in sorted(pairs)
+            for q in sorted(pairs)
+            if p != q
+        ]
+        assert run("--pairs", ",".join(pairs)) == (0, _printed(doc), "")
+    outside = [f for f in graph.function_ids if f not in members]
+    if outside:
+        extra = data.draw(st.sampled_from(outside))
+        message = f"error: --pairs ids outside the slice: {extra}\n"
+        assert run("--pairs", f"{members[0]},{extra}") == (2, "", message)
+
+
+# the --lambda flags drawn: none (the default, 1), 0, 1/2 and 3
+_LAMBDAS = [(), ("--lambda", "0"), ("--lambda", "1/2"), ("--lambda", "3")]
+
+
+def _lambda_value(flags) -> Fraction:
+    return to_fraction(flags[1]) if flags else Fraction(1)
+
+
+def _small_slice(graph, data):
+    # a drawn valid slice of at most 8 members, so the build order is the
+    # exhaustive one, or None on a graph without one
+    slices = [s for s in valid_slices_bruteforce(graph) if len(s) <= 8]
+    return list(data.draw(st.sampled_from(slices))) if slices else None
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(graph=fd_graphs(), data=st.data())
+def test_export_manifest_matches_reference(tmp_path, graph, data):
+    # the whole `capslice export --manifest` document of a drawn valid
+    # slice, at a drawn --lambda, against oracles.manifest_reference
+    members = _small_slice(graph, data)
+    if members is None:
+        return
+    lam = data.draw(st.sampled_from(_LAMBDAS))
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(serialize_graph(graph))
+    expected = manifest_reference(graph, members, _lambda_value(lam))
+    run = _machine_run("export", graph_file, "--manifest", "--slice", ",".join(members), *lam)
+    assert run == (0, _printed(expected), "")
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(graph=fd_graphs(), data=st.data())
+def test_export_dot_annotations_match_references(tmp_path, graph, data):
+    # `capslice export --slice` (DOT): each member's xlabel carries its
+    # cohesion and the graph label the aggregate, mean cohesion - lambda *
+    # mean coupling, each through fixed(); no other node has an xlabel
+    members = _small_slice(graph, data)
+    if members is None:
+        return
+    lam = data.draw(st.sampled_from(_LAMBDAS))
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(serialize_graph(graph))
+    code, out, err = _machine_run("export", graph_file, "--slice", ",".join(members), *lam)
+    assert (code, err) == (0, "")
+    text = json.loads(out)["text"]
+    objective = objective_reference(graph, members, _lambda_value(lam))
+    aggregate = fixed(objective["aggregate"])
+    assert re.findall(r'^  label="f = (.*)";$', text, flags=re.MULTILINE) == [aggregate]
+    labels = dict(re.findall(r'^  "(.*)" \[.*, xlabel="Ch=(.*)"\];$', text, flags=re.MULTILINE))
+    assert labels == {m: fixed(c) for m, c in objective["cohesion"].items()}
