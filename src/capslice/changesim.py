@@ -27,7 +27,7 @@ whole component, to find a directive it is not connected to.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -38,6 +38,7 @@ from .graph import (
     GraphParseError,
     Node,
     NodeKind,
+    UnknownNodeError,
     Violation,
     coerce_relevance,
     directives_within,
@@ -188,6 +189,11 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
     graph.directives_within; it is empty where cells are measured on graph.
     edit() returns the changed graph's (nodes, edges, relevance) for
     _rebuild.
+
+    owners(slc) is either slc.membership itself or, for add_directive
+    alone, a copy that adds the seed, the new leaf, to one member; no other
+    directive changes owner.  So a member owns as many directives as under
+    slc.membership, plus one for the seed's owner in a derived membership.
 
     owners and rehung are exact whenever the changed graph is valid, whether
     graph is or not.  On a valid graph every edit _apply accepts leaves a
@@ -370,7 +376,7 @@ def apply_change(graph: FDGraph, scenario: ChangeScenario) -> FDGraph:
 # -- impact ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImpactReport:
     scenario: ChangeScenario
     members: tuple[str, ...]
@@ -380,6 +386,35 @@ class ImpactReport:
     impact_count: int
     threshold: Fraction
     evaluated_on: str  # "base" or "changed"
+
+
+# Each field's slot descriptor, in field order; unpacking fails on import if a
+# field is added or dropped without _report following.
+(
+    _set_scenario,
+    _set_members,
+    _set_seed,
+    _set_directives,
+    _set_capabilities,
+    _set_count,
+    _set_threshold,
+    _set_on,
+) = (ImpactReport.__dict__[f.name].__set__ for f in fields(ImpactReport))
+
+
+def _report(scenario, members, seed, directives, capabilities, count, threshold, on):
+    """The report ImpactReport(...) builds, filled through the slot
+    descriptors: the frozen __init__ pays an object.__setattr__ per field."""
+    report = object.__new__(ImpactReport)
+    _set_scenario(report, scenario)
+    _set_members(report, members)
+    _set_seed(report, seed)
+    _set_directives(report, directives)
+    _set_capabilities(report, capabilities)
+    _set_count(report, count)
+    _set_threshold(report, threshold)
+    _set_on(report, on)
+    return report
 
 
 def _check_threshold(threshold) -> Fraction:
@@ -422,75 +457,81 @@ def compare_slices(
     """Impact matrix of every scenario against every slice.
 
     Each slice must be a valid slice of graph, as make_slice and the
-    enumeration give them.  A slice whose membership leaves a directive of
-    graph without an owner raises UncoveredDirectiveError naming them, before
-    its first cell.
+    enumeration give them.  Before a slice's first cell, a member graph
+    lacks raises UnknownNodeError for the first such member in id order, and
+    a membership that leaves a directive of graph without an owner raises
+    UncoveredDirectiveError naming them.
     """
     slices = tuple(slices)
     scenarios = tuple(scenarios)
     if not slices:
         raise ValueError("need at least one slice to compare")
     thr = _check_threshold(threshold)
+    # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so with
+    # thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on integers.
+    p, q = thr.numerator, thr.denominator
     recheck = not validate(graph).ok
     directives = frozenset(graph.directive_ids)
     # Each scenario is applied once, on the first slice's row: cells are
     # measured in (slice, scenario) order, so the first error is the one a
-    # cell-by-cell run would raise.  applied holds (seed, owners, rehung,
-    # within, far) per scenario: within memoises directives_within(graph,
-    # s, r, rehung) by (s, r) for every slice the scenario is measured on,
-    # and far is the node count of the graph the cells are measured on.
+    # cell-by-cell run would raise.  applied holds (seed, seeds, on, owners,
+    # rehung, within, longest) per scenario: seeds is seed in id order, on
+    # the graph the cells are measured on ("changed" or "base"), within
+    # memoises directives_within(graph, s, r, rehung) by (s, r) for every
+    # slice the scenario is measured on, and longest is one less than that
+    # graph's node count, which no distance on it exceeds.
     applied: dict[int, tuple] = {}
     rows = []
     for slc in slices:
+        unknown = [m for m in slc.members if not graph.has_node(m)]
+        if unknown:
+            raise UnknownNodeError(min(unknown))
         if not slc.membership.keys() >= directives:
             raise UncoveredDirectiveError(directives.difference(slc.membership))
+        # kept counts the directives each member owns in the slice's own
+        # membership; a derived one adds the seed to one member (_apply)
         kept = Counter(slc.membership.values())
+        members = slc.members
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:
                 seed, owners, rehung, edit = _apply(graph, sc)
                 if recheck:
                     _rebuild(*edit())  # only to refuse an edit that leaves it invalid
-                far = graph.n_nodes + sum(not graph.has_node(n) for n in rehung)
-                applied[j] = (seed, owners, rehung, {}, far)
-            seed, owners, rehung, within, far = applied[j]
+                longest = graph.n_nodes - 1 + sum(not graph.has_node(n) for n in rehung)
+                on = "changed" if rehung else "base"
+                applied[j] = (seed, sorted(seed), on, owners, rehung, {}, longest)
+            seed, seeds, on, owners, rehung, within, longest = applied[j]
             membership = owners(slc)
-            # owned counts the directives each member owns
-            owned = kept if membership is slc.membership else Counter(membership.values())
-
-            # Cp(d, s) = 1 / (|O| * dist(s, d)) with O the owner set of s, so
-            # with thr = p/q the test Cp >= thr is dist <= q // (|O| * p), on
-            # integers.  No distance reaches far, so a reach cut to far - 1
-            # walks as far.
-            affected = set(seed)
-            for s in sorted(seed):
+            derived = membership is not slc.membership
+            affected = seed
+            for s in seeds:
                 if recheck:
                     # a valid base is one component; an invalid one may leave
                     # a directive out of s's, whose coupling onto s is undefined
-                    key = (s, far - 1)
+                    key = (s, longest)
                     component = within.get(key)
                     if component is None:
-                        component = within[key] = directives_within(graph, s, far - 1, rehung)
+                        component = within[key] = directives_within(graph, s, longest, rehung)
                     for d in graph.directive_ids:
                         if d not in component and d not in affected:
                             raise GraphError(f"{d!r} and {s!r} are not connected")
-                key = (s, min(thr.denominator // (owned[membership[s]] * thr.numerator), far - 1))
+                key = (s, min(q // ((kept[membership[s]] + derived) * p), longest))
                 found = within.get(key)
                 if found is None:
                     found = within[key] = directives_within(graph, s, key[1], rehung)
                 affected |= found
             capabilities = frozenset(map(membership.__getitem__, affected))
-            # positional: keyword arguments cost a frozen dataclass as much again
             row.append(
-                ImpactReport(
+                _report(
                     sc,
-                    slc.members,
+                    members,
                     seed,
-                    frozenset(affected),
+                    affected,
                     capabilities,
                     len(affected) + len(capabilities),
                     thr,
-                    "changed" if rehung else "base",
+                    on,
                 )
             )
         rows.append(tuple(row))

@@ -154,6 +154,8 @@ def entry_conflicts(
     for e in entry:
         clash |= used & e
         used |= e
+    if not clash:  # no two members share an entry edge
+        return []
     conflicts = []
     for d, routes in index.routes.items():
         if not clash & routes:

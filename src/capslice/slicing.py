@@ -199,7 +199,7 @@ def make_slice(graph: FDGraph, members: Iterable[str]) -> Slice:
     check = is_valid_slice(graph, members)
     if not check.ok:
         raise InvalidSliceError(check.violations)
-    return Slice(tuple(members), dict(check.membership))
+    return Slice(tuple(members), check.membership)  # the check's own dict, held by nothing else
 
 
 class SliceSearch:

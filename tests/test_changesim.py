@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +12,7 @@ from capslice.changesim import (
     DEFAULT_THRESHOLD,
     ChangeError,
     ChangeScenario,
+    ImpactReport,
     ScenarioKind,
     ScenarioParseError,
     _apply,
@@ -27,6 +31,7 @@ from capslice.graph import (
     GraphError,
     Node,
     NodeKind,
+    UnknownNodeError,
     ValidationReport,
     build_graph,
     directives_within,
@@ -1174,19 +1179,77 @@ def test_add_directive_under_nested_members_is_a_sharing_error():
         compare_slices(g, [slc], [sc])
 
 
-def test_add_directive_passes_over_a_member_the_graph_lacks():
+def test_compare_slices_refuses_a_member_the_graph_lacks():
     # a hand-built Slice naming a node the graph lacks breaks compare_slices'
-    # precondition; that member covers no added leaf and owns nothing
+    # precondition; it is refused before the slice's first cell, naming the
+    # first such member in id order, whatever the scenario
     g = build_graph(
         [("m", "mission"), ("f", "function"), ("g", "function"), ("a", "directive"),
          ("b", "directive")],
         [("m", "f"), ("m", "g"), ("f", "a", None, 1), ("g", "b", None, 1)],
     )
-    slc = Slice(("f", "g", "zz"), {"a": "f", "b": "g"})
-    sc = scenario("add_directive", "f", {"id": "n", "relevance": 1})
-    report = impact_set(g, slc, sc)
-    assert report.affected_directives == {"a", "b", "n"}
-    assert report.affected_capabilities == {"f", "g"}
+    good = Slice(("f", "g"), {"a": "f", "b": "g"})
+    bad = Slice(("zz", "f", "g", "yy"), {"a": "f", "b": "g"})
+    for sc in (
+        scenario("add_directive", "f", {"id": "n", "relevance": 1}),
+        scenario("delete_directive", "a"),
+    ):
+        with pytest.raises(UnknownNodeError, match="^unknown node id: 'yy'$"):
+            compare_slices(g, [good, bad], [sc])
+    # a slice is refused before its row applies a scenario, and with none
+    for scenarios in ([scenario("delete_directive", "zz")], []):
+        with pytest.raises(UnknownNodeError, match="^unknown node id: 'yy'$"):
+            compare_slices(g, [bad], scenarios)
+    with pytest.raises(ChangeError, match="^unknown directive 'zz'$"):
+        compare_slices(g, [good, bad], [scenario("delete_directive", "zz")])
+
+
+def test_impact_reports_keep_the_dataclass_contract(fig2, s1, s2):
+    # compare_slices fills its reports through the slot descriptors; each is
+    # the report the keyword constructor builds, as the oracle builds it
+    scenarios = [
+        scenario("modify_directive", "d_9", {"relevance": 0.7}),
+        scenario("delete_function_subtree", "n_7"),
+        scenario("add_directive", "n_3", {"id": "d_new", "relevance": 0.5}),
+        scenario("add_function", "n_7", {"id": "n_10", "children": ["d_8", "d_9"]}),
+    ]
+    comparison = compare_slices(fig2, [s1, s2], scenarios)
+    names = (
+        "scenario", "members", "seed", "affected_directives", "affected_capabilities",
+        "impact_count", "threshold", "evaluated_on",
+    )
+    assert tuple(f.name for f in dataclasses.fields(ImpactReport)) == names
+    for slc, row in zip((s1, s2), comparison.reports):
+        for sc, report in zip(scenarios, row):
+            assert type(report) is ImpactReport
+            built = ImpactReport(**{name: getattr(report, name) for name in names})
+            assert report == built == impact_by_coupling(fig2, slc, sc, DEFAULT_THRESHOLD)
+            if sc.payload is None:
+                assert hash(report) == hash(built)
+            else:  # a payload dict leaves the scenario, and so the report, unhashable
+                for r in (report, built):
+                    with pytest.raises(TypeError, match="unhashable"):
+                        hash(r)
+            assert repr(report) == repr(built)
+            assert repr(report).startswith(f"ImpactReport(scenario={sc!r}, members=")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.impact_count = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del report.seed
+            # slotted: no __dict__, so no vars() and no room for another name,
+            # which a frozen slotted dataclass refuses with TypeError on
+            # CPython 3.10 to 3.13
+            assert not hasattr(report, "__dict__")
+            with pytest.raises(TypeError):
+                vars(report)
+            with pytest.raises((AttributeError, TypeError)):
+                report.extra = 1
+            assert dataclasses.replace(report) == report
+            assert dataclasses.replace(report, impact_count=0) != report
+            assert copy.copy(report) == report
+            assert copy.deepcopy(report) == report
+            assert pickle.loads(pickle.dumps(report)) == report
+    assert {r.evaluated_on for row in comparison.reports for r in row} == {"base", "changed"}
 
 
 def test_compare_slices_checks_threshold_once(fig2, s1):
