@@ -46,7 +46,7 @@ from .graph import (
     parts,
     validate,
 )
-from .metrics import UncoveredDirectiveError, UnresolvableSharingError
+from .metrics import MembershipError, UncoveredDirectiveError, UnresolvableSharingError
 from .rational import brief, load_exact_json, to_fraction
 from .slicing import Slice
 
@@ -458,9 +458,11 @@ def compare_slices(
 
     Each slice must be a valid slice of graph, as make_slice and the
     enumeration give them.  Before a slice's first cell, a member graph
-    lacks raises UnknownNodeError for the first such member in id order, and
-    a membership that leaves a directive of graph without an owner raises
-    UncoveredDirectiveError naming them.
+    lacks raises UnknownNodeError for the first such member in id order, a
+    membership that leaves a directive of graph without an owner raises
+    UncoveredDirectiveError naming them, and one that hands a directive to
+    an owner outside the slice's members raises MembershipError naming the
+    first such directive in id order and its owner.
     """
     slices = tuple(slices)
     scenarios = tuple(scenarios)
@@ -492,6 +494,9 @@ def compare_slices(
         # membership; a derived one adds the seed to one member (_apply)
         kept = Counter(slc.membership.values())
         members = slc.members
+        if not kept.keys() <= set(members):
+            d = min(d for d, o in slc.membership.items() if o not in members)
+            raise MembershipError(f"{d} is owned by {slc.membership[d]}, which is not a member")
         row = []
         for j, sc in enumerate(scenarios):
             if j not in applied:

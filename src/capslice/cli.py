@@ -127,13 +127,17 @@ def _slice_writer(graph: FDGraph):
     The line is the bytes _emit gives for the slice document, written
     directly, with strings encoded as json encodes them
     (encode_basestring_ascii) and floats as their repr.  Each member's
-    "id":cohesion and each "p->q":coupling of a pair and value (coupling is
-    never negative, so equal floats print alike) is encoded once per writer.
-    Every object is sorted by its raw key, as sort_keys does.  The fragments
-    hold one graph's values, so each cmd_slices call makes its own writer.
+    "id":cohesion, each "d":"o" owner and each "p->q":coupling of a pair and
+    value (coupling is never negative, so equal floats print alike) is
+    encoded once per writer.  Every object is sorted by its raw key, as
+    sort_keys does: the slices come from a SliceSearch, whose members,
+    memberships and per_node_cohesion keys already run in id order, so
+    only coupling keys may need a re-sort.  The fragments hold one graph's
+    values, so each cmd_slices call makes its own writer.
     """
     encode = json.encoder.encode_basestring_ascii
     cohesions = Memo(lambda m: f"{encode(m)}:{float(cohesion(graph, m))!r}")
+    owners = Memo(lambda item: f"{encode(item[0])}:{encode(item[1])}")
     couplings = Memo(lambda item: f"{encode('->'.join(item[0]))}:{item[1]!r}")
     # Unless one function id is a prefix of another, "p->q" keys sort as
     # their (p, q) pairs and never coincide.  Sorted ids put such a pair
@@ -151,16 +155,18 @@ def _slice_writer(graph: FDGraph):
             # dict of the pairs in (p, q) order, the later pair keeps it
             keyed = dict(zip(map("->".join, units), pairs))
             pairs = map(keyed.__getitem__, sorted(keyed))
+        # each Fraction by the int division its float() makes
+        f, ch, cp = metrics.aggregate, metrics.mean_cohesion, metrics.mean_coupling
         print(
             _SLICE_LINE
             % (
-                ",".join(map(cohesions.__getitem__, sorted(metrics.per_node_cohesion))),
+                ",".join(map(cohesions.__getitem__, metrics.per_node_cohesion)),
                 ",".join(map(couplings.__getitem__, pairs)),
-                float(metrics.aggregate),
-                float(metrics.mean_cohesion),
-                float(metrics.mean_coupling),
+                f.numerator / f.denominator,
+                ch.numerator / ch.denominator,
+                cp.numerator / cp.denominator,
                 ",".join(map(encode, slc.members)),
-                ",".join(f"{encode(d)}:{encode(o)}" for d, o in sorted(slc.membership.items())),
+                ",".join(map(owners.__getitem__, slc.membership.items())),
             )
         )
 

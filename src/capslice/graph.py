@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .rational import brief, fixed, literal_reader, to_fraction
@@ -474,6 +473,29 @@ def directives_within(
     return graph._directive_set.intersection(_levels(adjacent, source, reach))
 
 
+def _hops(table: list[list[int]], sources: list[int]) -> list[int | None]:
+    # directive_weights' walk: breadth-first from every source at once, one
+    # level at a time, over a table of node positions; each node's entry is
+    # its hop count from the nearest source, None where no source reaches
+    # it.  The short impact walks stay on _levels, whose dict walk measured
+    # faster there than a port onto this table.
+    dist: list[int | None] = [None] * len(table)
+    for s in sources:
+        dist[s] = 0
+    level = sources
+    hops = 0
+    while level:
+        hops += 1
+        reached = []
+        for x in level:
+            for y in table[x]:
+                if dist[y] is None:
+                    dist[y] = hops
+                    reached.append(y)
+        level = reached
+    return dist
+
+
 def directive_weights(
     graph: FDGraph,
 ) -> tuple[int, Mapping[str, int], list[list[int | None]]]:
@@ -487,51 +509,46 @@ def directive_weights(
 
     Built once per graph on the identity dist(d, x) = 1 + min(dist(n, x)
     for n a neighbour of d), which holds for every x != d in an unweighted
-    graph: each directive's row is the element-wise min of its neighbours'
-    hop rows (its parents, and its children on a graph validate refuses).
-    A hop row holds one neighbour's hop count to each directive in id
-    order, and the graph's node count, which no hop count reaches, for a
-    directive it does not reach.  One search walks each distinct
-    neighbour's row, so the searches run once per distinct neighbour, not
-    per directive, and the hop rows go once the table is built.  Directives
-    with the same neighbours share one min row and one mapping to weights;
-    each gets a copy with its own 0.  The neighbours lie in d's component, so a target is reached
-    from all of them or from none; one without neighbours reaches nothing.
-    A directive's own entry (out to a neighbour and back) is no distance,
-    but in a group of two or more it equals the distance between two of
-    the group's directives, so the whole shared row counts towards the
-    scale; a lone directive's own entry stays out of it.
+    graph (d's neighbours are its parents, and its children on a graph
+    validate refuses).  Directives with the same neighbours form a group,
+    and one level walk starting from all of the group's neighbours at once
+    gives that min for every node: the walk runs on an integer neighbour
+    table numbered in the index's node order, directives first, so the
+    group's hop row is the walk's first len(ids) entries.  The walks run
+    once per distinct neighbour tuple, not per directive; each directive of
+    a group gets a copy of the group's weights with its own 0.  The
+    neighbours lie in d's component, so a target is reached from all of
+    them or from none; a directive without neighbours reaches nothing.  A
+    directive's own entry (out to a neighbour and back) is no distance, but
+    in a group of two or more it equals the distance between two of the
+    group's directives, so the whole shared row counts towards the scale;
+    a lone directive's own entry stays out of it.
     """
     if graph._weights is None:
         ids = graph.directive_ids
         adjacent = graph._adjacent
+        order = ids + graph.function_ids + graph.mission_ids
+        position = {n: k for k, n in enumerate(order)}
+        table = [[position[y] for y in adjacent[x]] for x in order]
         groups: dict[tuple[str, ...], list[int]] = {}
         for i, d in enumerate(ids):
             groups.setdefault(adjacent[d], []).append(i)
-        far = graph.n_nodes
-        hops = {
-            n: list(map(_levels(adjacent, n, far).get, ids, repeat(far)))
-            for n in {n for near in groups for n in near}
-        }
-        present: set[int] = set()
+        present: set[int | None] = set()
         shared = []
         for near, group in groups.items():
-            if len(near) > 1:
-                row = list(map(min, *(hops[n] for n in near)))
-            else:  # read only: neighbours share a hop row
-                row = hops[near[0]] if near else [far] * len(ids)
+            row = _hops(table, [position[n] for n in near])[: len(ids)]
             if len(group) > 1:
                 present.update(row)
             else:
                 i = group[0]
                 present.update(row[:i], row[i + 1 :])
             shared.append((row, group))
-        present.discard(far)
+        present.discard(None)
         scale = math.lcm(*(h + 1 for h in present))
         # one int object per distance, shared by every row; a hop count from
-        # the nearest neighbour is one less than the distance, and a lone
-        # directive's own entry, missing from the mapping, reads None until
-        # its 0 is set
+        # the nearest neighbour is one less than the distance, an unreached
+        # directive reads None, and so does a lone directive's own entry,
+        # missing from the mapping, until its 0 is set
         weight = {h: scale // (h + 1) for h in present}
         rows: list = [None] * len(ids)
         for row, group in shared:

@@ -96,19 +96,25 @@ def _cohesion_eval(graph: FDGraph, start: str, memo: dict[str, Fraction]) -> Fra
             if pending:
                 stack.extend(pending)
                 continue
-        # each child's contribution as an integer over the lcm of their
-        # denominators, finished as one Fraction
-        terms = []
+        # in one loop, each child's weighted contribution as an integer over
+        # the lcm of the denominators so far, the sum rescaled when a new
+        # denominator widens it; finished as one Fraction
+        num = den = 0
+        scale = 1
         for c in graph.children(n):
             if bit[c] & leaves:
-                terms.append((1, graph.relevance(c, n)))
+                w, v = 1, graph.relevance(c, n)
             else:
-                terms.append(((below[c] & leaves).bit_count(), memo[c]))
-        den = sum(w for w, _ in terms)
+                w, v = (below[c] & leaves).bit_count(), memo[c]
+            q = v.denominator
+            if scale % q:
+                widen = q // math.gcd(scale, q)
+                num *= widen
+                scale *= widen
+            num += w * v.numerator * (scale // q)
+            den += w
         if den == 0:
             raise GraphError(f"{n!r} has no children, cohesion undefined")
-        scale = math.lcm(*(v.denominator for _, v in terms))
-        num = sum(w * v.numerator * (scale // v.denominator) for w, v in terms)
         memo[n] = Fraction(num, den * scale)
         stack.pop()
     return memo[start]
@@ -342,22 +348,26 @@ def coupling_matrix(
     for m, d_m in zip(members, sets):
         if not d_m:
             raise ValueError(f"capability {m!r} resolves to an empty directive set")
+    c = math.lcm(*map(len, sets))
+    f = [c // len(d_m) for d_m in sets]
     k = len(members)
-    sums = [[0] * k for _ in range(k)]  # S of each pair, both ways round
+    # upper[i][j - i - 1] holds L * S * f_p * f_q of the pair i < j
+    upper = []
     for i in range(k - 1):
         d_p = sets[i]
         col = weight_column_sums(graph, tuple(d_p))
+        f_p = f[i]
+        row = []
         for j in range(i + 1, k):
             try:  # L * S; a None sum marks a pair that is not connected
-                sums[i][j] = sums[j][i] = sum(map(col.__getitem__, sets[j]))
+                row.append(sum(map(col.__getitem__, sets[j])) * f_p * f[j])
             except TypeError:  # raise for the first such pair in id order
                 a, b = min((a, b) for a in d_p for b in sets[j] if rows[a][b] is None)
                 ids = graph.directive_ids
                 raise GraphError(f"{ids[a]!r} and {ids[b]!r} are not connected") from None
-    c = math.lcm(*map(len, sets))
-    f = [c // len(d_m) for d_m in sets]
+        upper.append(row)
     units = {
-        (p, q): sums[i][j] * f[i] * f[j] * f[j]
+        (p, q): (upper[i][j - i - 1] if i < j else upper[j][i - j - 1]) * f[j]
         for i, p in enumerate(members)
         for j, q in enumerate(members)
         if i != j

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -76,13 +76,24 @@ class Slice:
         return owned_directives(self.membership, member)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceMetrics:
     per_node_cohesion: Mapping[str, Fraction]
     coupling: PairCoupling
     mean_cohesion: Fraction
     mean_coupling: Fraction
     aggregate: Fraction
+
+
+# Each field's slot descriptor, in field order; unpacking fails on import if a
+# field is added or dropped without slice_objective following.
+(
+    _set_per_node_cohesion,
+    _set_coupling,
+    _set_mean_cohesion,
+    _set_mean_coupling,
+    _set_aggregate,
+) = (SliceMetrics.__dict__[f.name].__set__ for f in fields(SliceMetrics))
 
 
 @dataclass(frozen=True)
@@ -368,8 +379,15 @@ def slice_objective(graph: FDGraph, slc: Slice, lam: Fraction = Fraction(1)) -> 
     # a lone member has no pairs, and its empty PairCoupling has scale 1
     v = coupling.scale * (len(members) * (len(members) - 1) or 1)
     l, w = lam.numerator, lam.denominator
-    aggregate = Fraction(a * v * w - l * units * b, b * v * w)
-    return SliceMetrics(per_node, coupling, Fraction(a, b), Fraction(units, v), aggregate)
+    # filled through the slot descriptors: the frozen __init__ pays an
+    # object.__setattr__ per field
+    metrics = object.__new__(SliceMetrics)
+    _set_per_node_cohesion(metrics, per_node)
+    _set_coupling(metrics, coupling)
+    _set_mean_cohesion(metrics, Fraction(a, b))
+    _set_mean_coupling(metrics, Fraction(units, v))
+    _set_aggregate(metrics, Fraction(a * v * w - l * units * b, b * v * w))
+    return metrics
 
 
 def score_slices(

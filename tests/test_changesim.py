@@ -1204,6 +1204,41 @@ def test_compare_slices_refuses_a_member_the_graph_lacks():
         compare_slices(g, [good, bad], [scenario("delete_directive", "zz")])
 
 
+def test_compare_slices_refuses_an_owner_outside_the_members():
+    # a hand-built membership may hand a directive to a node that is not one
+    # of the slice's members, a graph node or not; it is refused before the
+    # slice's first cell, naming the first such directive and its owner,
+    # instead of reporting the owner as an affected capability
+    g = build_graph(
+        [("m", "mission"), ("f", "function"), ("g", "function"), ("a", "directive"),
+         ("b", "directive")],
+        [("m", "f"), ("m", "g"), ("f", "a", None, 1), ("g", "b", None, 1)],
+    )
+    good = Slice(("f", "g"), {"a": "f", "b": "g"})
+    probe = Slice(("f", "g"), {"a": "f", "b": "zz"})
+    for sc in (scenario("delete_directive", "b"), scenario("delete_directive", "a")):
+        with pytest.raises(MembershipError, match="^b is owned by zz, which is not a member$"):
+            impact_set(g, probe, sc)
+    # owners that are graph nodes: another function, the mission, a directive
+    for membership, first, owner in (
+        ({"a": "g", "b": "g"}, "a", "g"),
+        ({"a": "f", "b": "m"}, "b", "m"),
+        ({"a": "b", "b": "a"}, "a", "b"),
+    ):
+        bad = Slice(("f",), membership)
+        with pytest.raises(
+            MembershipError, match=f"^{first} is owned by {owner}, which is not a member$"
+        ):
+            compare_slices(g, [good, bad], [scenario("delete_directive", "a")])
+        # before the row applies a scenario, and with none
+        with pytest.raises(MembershipError):
+            compare_slices(g, [bad], [scenario("delete_directive", "zz")])
+        with pytest.raises(MembershipError):
+            compare_slices(g, [bad], [])
+    report = impact_set(g, good, scenario("delete_directive", "b"))
+    assert report.affected_capabilities == {"f", "g"}
+
+
 def test_impact_reports_keep_the_dataclass_contract(fig2, s1, s2):
     # compare_slices fills its reports through the slot descriptors; each is
     # the report the keyword constructor builds, as the oracle builds it

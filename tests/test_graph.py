@@ -806,26 +806,28 @@ def test_directive_weights_match_reference():
     assert _check_weights(below_directive) == (4, [[0, 2, 2], [2, 0, 1], [2, 1, 0]])
 
 
-def test_directive_weights_search_once_per_neighbour(monkeypatch):
+def test_directive_weights_walk_once_per_neighbour_tuple(monkeypatch):
     # a fresh fig2: the shared fixture's tables may be built already
     fig2 = load_fig2()
-    searches = []
-    search = graph_module._levels
+    walks = []
+    walk = graph_module._hops
 
-    def counted(adjacent, u, reach):
-        searches.append(u)
-        return search(adjacent, u, reach)
+    def counted(table, sources):
+        walks.append(tuple(sources))
+        return walk(table, sources)
 
-    monkeypatch.setattr(graph_module, "_levels", counted)
+    monkeypatch.setattr(graph_module, "_hops", counted)
     rng = random.Random(1818)
     for g in [fig2] + [random_fd_graph(rng) for _ in range(10)]:
-        searches.clear()
+        walks.clear()
         directive_weights(g)
-        near = {n for d in g.directive_ids for n in g.parents(d) + g.children(d)}
-        assert sorted(searches) == sorted(near)
-        searches.clear()
+        # the walk's table numbers the nodes in the index's order
+        order = g.directive_ids + g.function_ids + g.mission_ids
+        near = {g.children(d) + g.parents(d) for d in g.directive_ids}
+        assert sorted(tuple(order[k] for k in w) for w in walks) == sorted(near)
+        walks.clear()
         directive_weights(g)
-        assert searches == []
+        assert walks == []
 
 
 def test_leaf_ancestor_duality():

@@ -190,6 +190,18 @@ def test_search_stats_count_the_bruteforce_slices(graph):
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graph=fd_graphs())
+def test_search_slices_iterate_in_id_order(graph):
+    # the CLI's slice writer joins members, owners and cohesions as they
+    # iterate, so each must already run in id order, the order sort_keys
+    # gives their JSON objects
+    for slc in SliceSearch(graph):
+        assert list(slc.members) == sorted(slc.members)
+        assert list(slc.membership) == sorted(slc.membership) == list(graph.directive_ids)
+        assert list(slice_objective(graph, slc).per_node_cohesion) == list(slc.members)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(graph=fd_graphs(), data=st.data())
 def test_membership_and_ancestor_pairs_match_oracles(graph, data):
     # any set of functions, valid slice or not: resolution without the

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -727,6 +730,49 @@ def test_objective_matches_fraction_formulas(fig2, lam):
             assert m.aggregate == mean_ch - lam * mean_cp
             checked += len(members) > 1
     assert checked >= 100
+
+
+def test_slice_metrics_keep_the_dataclass_contract(fig2):
+    # slice_objective fills its metrics through the slot descriptors; each
+    # equals the metrics the positional constructor builds
+    names = ("per_node_cohesion", "coupling", "mean_cohesion", "mean_coupling", "aggregate")
+    assert tuple(f.name for f in dataclasses.fields(SliceMetrics)) == names
+    slices = [make_slice(fig2, members) for members in FIG2_SLICES]
+    slices.append(enumerate_slices(fig2, max_slices=1).slices[0])
+    for slc in slices:
+        for lam in (Fraction(1), Fraction(3, 7)):
+            metrics = slice_objective(fig2, slc, lam)
+            assert type(metrics) is SliceMetrics
+            built = SliceMetrics(*(getattr(metrics, name) for name in names))
+            assert metrics == built
+            assert metrics != dataclasses.replace(metrics, aggregate=metrics.aggregate + 1)
+            # the cohesion dict leaves the metrics unhashable
+            for m in (metrics, built):
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(m)
+            assert repr(metrics) == repr(built)
+            assert repr(metrics).startswith(
+                f"SliceMetrics(per_node_cohesion={metrics.per_node_cohesion!r}, coupling="
+            )
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                metrics.aggregate = Fraction(0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del metrics.coupling
+            # slotted: no __dict__, so no vars() and no room for another name,
+            # which a frozen slotted dataclass refuses with TypeError on
+            # CPython 3.10 to 3.13
+            assert not hasattr(metrics, "__dict__")
+            with pytest.raises(TypeError):
+                vars(metrics)
+            with pytest.raises((AttributeError, TypeError)):
+                metrics.extra = 1
+            assert dataclasses.replace(metrics) == metrics
+            assert copy.copy(metrics) == metrics
+            assert copy.deepcopy(metrics) == metrics
+            # PairCoupling has slots and no __getstate__, so, as before the
+            # metrics had slots, they pickle from protocol 2 on
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(metrics, protocol)) == metrics
 
 
 # -- ranking ------------------------------------------------------------------
