@@ -81,6 +81,9 @@ class ScenarioParseError(ValueError):
     """Malformed scenario file."""
 
 
+_SCENARIO_KINDS = {k.value: k for k in ScenarioKind}
+
+
 def parse_scenarios(text: str) -> list[ChangeScenario]:
     """Parse a JSON list of {kind, target, payload?} records."""
     doc = load_exact_json(text, "scenario", ScenarioParseError)
@@ -93,8 +96,8 @@ def parse_scenarios(text: str) -> list[ChangeScenario]:
                 f"scenario entry {i} must carry kind and target: {brief(item)}"
             )
         try:
-            kind = ScenarioKind(item["kind"])
-        except ValueError:
+            kind = _SCENARIO_KINDS[item["kind"]]
+        except (KeyError, TypeError):  # an unknown or an unhashable kind
             raise ScenarioParseError(
                 f"scenario entry {i}: unknown scenario kind {brief(item['kind'])}"
             ) from None
@@ -311,10 +314,7 @@ def _apply(graph: FDGraph, scenario: ChangeScenario):
         rehung[new_id] = (target,)
 
         def owners(slc: Slice) -> Mapping[str, str]:
-            # a hand-built slice may name a node graph lacks, which covers nothing
-            covering = [
-                m for m in sorted(slc.members) if m == target or below.get(m, 0) & target_bit
-            ]
+            covering = [m for m in sorted(slc.members) if m == target or below[m] & target_bit]
             if not covering:
                 raise UncoveredDirectiveError((new_id,))
             if len(covering) > 1:

@@ -173,6 +173,59 @@ def _slice_writer(graph: FDGraph):
     return write
 
 
+# a comparison document and one of its cells as _emit writes them: keys
+# sorted, compact separators
+_COMPARISON_LINE = (
+    '{"cells":[%s],"matrix":[%s],"scenarios":[%s],"slices":[%s],"threshold":%r,'
+    '"totals":[%s],"type":"comparison","winners":[%s]}'
+)
+_CELL = '{"capabilities":[%s],"count":%d,"directives":[%s],"evaluated_on":%s}'
+
+
+def _write_comparison(comparison, threshold) -> None:
+    """Print a comparison as a machine line.
+
+    The line is the bytes _emit gives for the comparison document, written
+    directly as _slice_writer writes a slice: keys in sorted order, strings
+    encoded as json encodes them (encode_basestring_ascii), ints as their
+    repr and the threshold as its float's.  Each distinct set of ids is
+    sorted and encoded once per document.
+    """
+    encode = json.encoder.encode_basestring_ascii
+    ids = Memo(lambda s: ",".join(map(encode, sorted(s))))
+    on = Memo(encode)  # "base" or "changed"
+
+    def lists(rows) -> str:
+        # each row, an iterable of written items, as a JSON list
+        return ",".join("[%s]" % ",".join(row) for row in rows)
+
+    reports = comparison.reports
+    cells = [
+        [
+            _CELL % (ids[r.affected_capabilities], r.impact_count, ids[r.affected_directives],
+                     on[r.evaluated_on])
+            for r in row
+        ]
+        for row in reports
+    ]
+    scenarios = (
+        '{"kind":%s,"target":%s}' % (encode(sc.kind.value), encode(sc.target))
+        for sc in comparison.scenarios
+    )
+    print(
+        _COMPARISON_LINE
+        % (
+            lists(cells),
+            lists([str(r.impact_count) for r in row] for row in reports),
+            ",".join(scenarios),
+            lists(map(encode, s.members) for s in comparison.slices),
+            float(to_fraction(threshold)),
+            ",".join(map(str, comparison.totals)),
+            lists(map(str, w) for w in comparison.winners),
+        )
+    )
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -461,34 +514,7 @@ def cmd_simulate(args) -> int:
 
     machine = _machine(args)
     if machine:
-        _emit(
-            {
-                "type": "comparison",
-                "threshold": float(to_fraction(threshold)),
-                "slices": [list(s.members) for s in comparison.slices],
-                "scenarios": [
-                    {"kind": sc.kind.value, "target": sc.target}
-                    for sc in comparison.scenarios
-                ],
-                "matrix": [
-                    [r.impact_count for r in row] for row in comparison.reports
-                ],
-                "cells": [
-                    [
-                        {
-                            "directives": sorted(r.affected_directives),
-                            "capabilities": sorted(r.affected_capabilities),
-                            "count": r.impact_count,
-                            "evaluated_on": r.evaluated_on,
-                        }
-                        for r in row
-                    ]
-                    for row in comparison.reports
-                ],
-                "totals": list(comparison.totals),
-                "winners": [list(w) for w in comparison.winners],
-            }
-        )
+        _write_comparison(comparison, threshold)
     else:
         names = [",".join(s.members) for s in comparison.slices]
         for i, row in enumerate(comparison.reports):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -74,11 +74,19 @@ class UnknownNodeError(GraphError):
         self.node_id = node_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     kind: NodeKind
     label: str = ""
+
+
+# Each field's slot descriptor, in field order, for _checked_graph to fill a
+# Node without the frozen __init__'s object.__setattr__ per field; unpacking
+# fails on import if a field is added or dropped.
+_set_node_id, _set_node_kind, _set_node_label = (
+    Node.__dict__[f.name].__set__ for f in fields(Node)
+)
 
 
 @dataclass(frozen=True)
@@ -125,22 +133,44 @@ class FDGraph:
         # the one sort: (parent, child) order puts every child list, every
         # parent list and every ordered view of the edges in id order
         keys = sorted(edge_kinds)
-        children: dict[str, list[str]] = {i: [] for i in self._nodes}
-        parents: dict[str, list[str]] = {i: [] for i in self._nodes}
+        ids = sorted(self._nodes)
+        children: dict[str, list[str]] = {i: [] for i in ids}
+        parents: dict[str, list[str]] = {i: [] for i in ids}
         for u, v in keys:
             children[u].append(v)
             parents[v].append(u)
-        self._stated = {e: edge_kinds[e] for e in keys if edge_kinds[e] is not None}
-        self._children = {i: tuple(c) for i, c in children.items()}
-        self._parents = {i: tuple(p) for i, p in parents.items()}
-        # the undirected neighbour table every distance walk reads
-        self._adjacent = {i: self._children[i] + self._parents[i] for i in self._nodes}
-        self._node_ids = tuple(sorted(self._nodes))
-        kinds = [self._nodes[i].kind for i in self._node_ids]
-        self._mission_ids, self._function_ids, self._directive_ids = (
-            tuple(i for i, k in zip(self._node_ids, kinds) if k is kind)
-            for kind in (NodeKind.MISSION, NodeKind.FUNCTION, NodeKind.DIRECTIVE)
+        # EdgeKind members are truthy, so any() finds a stated kind
+        self._stated = (
+            {e: edge_kinds[e] for e in keys if edge_kinds[e] is not None}
+            if any(edge_kinds.values())
+            else {}
         )
+        # one pass over the ids fills the child, parent and undirected
+        # neighbour tables (the one every distance walk reads) and splits
+        # the ids by kind, each part in id order
+        self._children = kids = {}
+        self._parents = ups = {}
+        self._adjacent = adjacent = {}
+        missions, functions, directives = [], [], []
+        # members in locals: an Enum's hash, and a member read off its class,
+        # each cost a Python-level call
+        directive, function = NodeKind.DIRECTIVE, NodeKind.FUNCTION
+        nodes = self._nodes
+        for i in ids:
+            c = kids[i] = tuple(children[i])
+            p = ups[i] = tuple(parents[i])
+            adjacent[i] = c + p
+            kind = nodes[i].kind
+            if kind is directive:
+                directives.append(i)
+            elif kind is function:
+                functions.append(i)
+            else:
+                missions.append(i)
+        self._node_ids = tuple(ids)
+        self._mission_ids = tuple(missions)
+        self._function_ids = tuple(functions)
+        self._directive_ids = tuple(directives)
         self._directive_set = frozenset(self._directive_ids)
 
         # lazy caches
@@ -638,44 +668,46 @@ def validate(graph: FDGraph) -> ValidationReport:
             Violation("CYCLE", " -> ".join(cycle), "decomposition must be acyclic")
         )
 
+    function, mission = NodeKind.FUNCTION, NodeKind.MISSION  # read once, not per node
     for nid in graph.node_ids:
         kind = nodes[nid].kind
-        indeg = len(parents[nid])
-        outdeg = len(children[nid])
-        if kind is NodeKind.MISSION:
-            if indeg > 0:
-                violations.append(
-                    Violation("NODE_DEGREE", nid, "mission node cannot have parents")
-                )
-            if outdeg == 0:
-                violations.append(
-                    Violation("NODE_DEGREE", nid, "mission node has no children")
-                )
-        elif kind is NodeKind.FUNCTION:
-            if indeg == 0:
+        if kind is function:
+            if parents[nid] and children[nid]:  # most nodes: one test
+                continue
+            if not parents[nid]:
                 violations.append(
                     Violation("NODE_DEGREE", nid, "function node has no parents")
                 )
-            if outdeg == 0:
+            if not children[nid]:
                 violations.append(
                     Violation("NODE_DEGREE", nid, "function node has no children")
                 )
-        else:
-            if outdeg > 0:
+        elif kind is mission:
+            if parents[nid]:
                 violations.append(
-                    Violation("NODE_DEGREE", nid, "directive node cannot have children")
+                    Violation("NODE_DEGREE", nid, "mission node cannot have parents")
                 )
+            if not children[nid]:
+                violations.append(
+                    Violation("NODE_DEGREE", nid, "mission node has no children")
+                )
+        elif children[nid]:
+            violations.append(
+                Violation("NODE_DEGREE", nid, "directive node cannot have children")
+            )
 
     if missions and not cycle:
         bit, below = index.bit, index.below
         reachable = 0
         for m in missions:
             reachable |= bit[m] | below[m]
-        for nid in graph.node_ids:
-            if not reachable & bit[nid]:
-                violations.append(
-                    Violation("UNREACHABLE", nid, "node is not reachable from the mission")
-                )
+        # every node holds one bit, so a reach of them all misses none
+        if reachable.bit_count() != len(nodes):
+            for nid in graph.node_ids:
+                if not reachable & bit[nid]:
+                    violations.append(
+                        Violation("UNREACHABLE", nid, "node is not reachable from the mission")
+                    )
 
     # an unstated kind is inferred from these same degrees, so only a stated
     # kind can contradict them
@@ -769,7 +801,8 @@ def _checked_graph(nodes: list, edges: list) -> FDGraph:
     for i, item in enumerate(nodes):
         nid, kind, label = item["id"], item["kind"], item.get("label", "")
         if isinstance(kind, str):
-            kind = _NODE_KINDS.get(kind.lower(), kind)
+            # the name as given, then case-folded
+            kind = _NODE_KINDS.get(kind) or _NODE_KINDS.get(kind.lower(), kind)
         if not isinstance(kind, NodeKind):
             raise GraphParseError(f"node entry {i}: unknown node kind {brief(kind)}")
         if not nid or not isinstance(nid, str):
@@ -780,36 +813,49 @@ def _checked_graph(nodes: list, edges: list) -> FDGraph:
             raise GraphParseError(f"node entry {i}: duplicate node id {brief(nid)}")
         if not isinstance(label, str):
             raise GraphParseError(f"node entry {i}: label must be a string, got {brief(label)}")
-        node_map[nid] = Node(nid, kind, label)
+        node_map[nid] = node = object.__new__(Node)
+        _set_node_id(node, nid)
+        _set_node_kind(node, kind)
+        _set_node_label(node, label)
 
     edge_kinds: dict[tuple[str, str], EdgeKind | None] = {}
     relevance: dict[tuple[str, str], Fraction] = {}
+    directive = NodeKind.DIRECTIVE  # read once, not per edge
     for i, item in enumerate(edges):
         u, v, kind, rel = item["from"], item["to"], item.get("kind"), item.get("relevance")
-        for end in (u, v):
-            # a non-string end (a list is not even hashable) names no node
-            if not isinstance(end, str) or end not in node_map:
-                raise GraphParseError(
-                    f"edge entry {i}: {brief(u)} -> {brief(v)} "
-                    f"references unknown node {brief(end)}"
-                )
+        # both ends at once; an end that fails goes through the per-end test,
+        # which names it (a str subclass naming a node passes there)
+        if not (type(u) is str and type(v) is str and u in node_map and v in node_map):
+            for end in (u, v):
+                # a non-string end (a list is not even hashable) names no node
+                if not isinstance(end, str) or end not in node_map:
+                    raise GraphParseError(
+                        f"edge entry {i}: {brief(u)} -> {brief(v)} "
+                        f"references unknown node {brief(end)}"
+                    )
         if u == v:
             raise GraphParseError(f"edge entry {i}: self loop on {brief(u)}")
         if (u, v) in edge_kinds:
             raise GraphParseError(f"edge entry {i}: duplicate edge {brief(u)} -> {brief(v)}")
-        if isinstance(kind, str):
-            kind = _EDGE_KINDS.get(kind.lower(), kind)
-        if kind is not None and not isinstance(kind, EdgeKind):
-            raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(kind)}")
+        if kind is not None:
+            if isinstance(kind, str):
+                kind = _EDGE_KINDS.get(kind) or _EDGE_KINDS.get(kind.lower(), kind)
+            if not isinstance(kind, EdgeKind):
+                raise GraphParseError(f"edge entry {i}: unknown edge kind {brief(kind)}")
         if rel is not None:
-            if node_map[v].kind is not NodeKind.DIRECTIVE:
+            if node_map[v].kind is not directive:
                 raise GraphParseError(
                     f"edge entry {i}: relevance on a non-directive edge {brief(u)} -> {brief(v)}"
                 )
-            try:
-                relevance[(v, u)] = coerce_relevance(rel, u, v)
-            except GraphParseError as exc:
-                raise GraphParseError(f"edge entry {i}: {exc}") from None
+            # an in-range Fraction, as the literal reader gives, is taken as
+            # it is; anything else goes through coerce_relevance
+            if type(rel) is Fraction and 0 < rel.numerator <= rel.denominator:
+                relevance[(v, u)] = rel
+            else:
+                try:
+                    relevance[(v, u)] = coerce_relevance(rel, u, v)
+                except GraphParseError as exc:
+                    raise GraphParseError(f"edge entry {i}: {exc}") from None
         edge_kinds[(u, v)] = kind
 
     return FDGraph(node_map, edge_kinds, relevance)

@@ -318,6 +318,10 @@ class PairCoupling(abc.Mapping):
     def __repr__(self) -> str:
         return f"PairCoupling({self.units!r}, {self.scale!r})"
 
+    def __reduce__(self):
+        # slots and no __getstate__ would refuse pickle protocols 0 and 1
+        return PairCoupling, (self.units, self.scale)
+
 
 def coupling_matrix(
     graph: FDGraph, members: Iterable[str], membership: Mapping[str, str]

@@ -875,3 +875,36 @@ def slice_doc_reference(slc, metrics) -> dict:
         "coupling": {f"{p}->{q}": float(v) for (p, q), v in metrics.coupling.items()},
         "membership": dict(slc.membership),
     }
+
+
+def comparison_doc_reference(comparison, threshold: Fraction) -> dict:
+    """The machine-output document of one comparison, built as plain dicts.
+
+    json.dumps(doc, sort_keys=True, separators=(",", ":")) of it is the line
+    ``capslice simulate`` must write; threshold is the one the cells were
+    measured at.  Each cell lists its directives and capabilities in sorted
+    order.
+    """
+    return {
+        "type": "comparison",
+        "threshold": float(threshold),
+        "slices": [list(s.members) for s in comparison.slices],
+        "scenarios": [
+            {"kind": sc.kind.value, "target": sc.target} for sc in comparison.scenarios
+        ],
+        "matrix": [[r.impact_count for r in row] for row in comparison.reports],
+        "cells": [
+            [
+                {
+                    "directives": sorted(r.affected_directives),
+                    "capabilities": sorted(r.affected_capabilities),
+                    "count": r.impact_count,
+                    "evaluated_on": r.evaluated_on,
+                }
+                for r in row
+            ]
+            for row in comparison.reports
+        ],
+        "totals": list(comparison.totals),
+        "winners": [list(w) for w in comparison.winners],
+    }

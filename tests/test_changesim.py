@@ -128,6 +128,26 @@ def test_parse_scenarios_errors(text):
         parse_scenarios(text)
 
 
+def test_parse_scenarios_names_an_unknown_kind():
+    # kinds are looked up in a value table; an unhashable one is unknown too
+    unknown = [
+        ("repaint", "'repaint'"),
+        ("Delete_Directive", "'Delete_Directive'"),
+        ([1], "[1]"),
+        ({"a": 1}, "{'a': 1}"),
+        (None, "None"),
+        (0.5, "1/2"),
+    ]
+    for kind, shown in unknown:
+        entries = [{"kind": "delete_directive", "target": "d_1"}, {"kind": kind, "target": "d_1"}]
+        text = json.dumps(entries)
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenarios(text)
+        assert str(err.value) == f"scenario entry 1: unknown scenario kind {shown}"
+    text = json.dumps([{"kind": k.value, "target": "d_1"} for k in ScenarioKind])
+    assert [sc.kind for sc in parse_scenarios(text)] == list(ScenarioKind)
+
+
 def test_parse_scenarios_target_must_be_a_string():
     # an unhashable target used to escape as a TypeError from _apply
     text = json.dumps(

@@ -4,17 +4,20 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import capslice.cli as cli_module
 from capslice.cli import CONFIG_ENV, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, _parsers, main
-from capslice.changesim import compare_slices, parse_scenarios
+from capslice.changesim import ChangeError, ScenarioKind, compare_slices, parse_scenarios
 from capslice.fixtures import fig2_path, fig2_text
 from capslice.graph import build_graph, serialize_graph
+from capslice.metrics import MembershipError
+from capslice.rational import to_fraction
 from capslice.slicing import SliceSearch, make_slice, rank_slices, slice_objective
-from conftest import awkward_ids, random_fd_graph, relabeled
-from oracles import slice_doc_reference
+from conftest import awkward_ids, random_fd_graph, random_scenario, relabeled
+from oracles import comparison_doc_reference, slice_doc_reference
 from test_golden_cli import FORMATS as GOLDEN_FORMATS, _inputs as golden_inputs
 
 FIG = str(fig2_path())
@@ -838,6 +841,67 @@ def test_simulate_machine(scenario_file, capsys, fig2):
     assert doc["matrix"] == expected
 
 
+def test_comparison_line_equals_json_dumps_of_the_reference(tmp_path, capsys, fig2):
+    # simulate writes its comparison line directly; it must be the bytes
+    # json.dumps gives for the reference document, on fig2 and on generated
+    # graphs whose ids (new ones in payloads too) hold JSON escapes and
+    # non-ASCII characters, with every scenario kind, at two thresholds, and
+    # with no scenario at all
+    graph_path, scenario_path = tmp_path / "graph.json", tmp_path / "scenarios.json"
+
+    def check(graph, scenarios, members, threshold=None):
+        graph_path.write_text(serialize_graph(graph))
+        docs = [
+            {"kind": sc.kind.value, "target": sc.target, "payload": sc.payload} for sc in scenarios
+        ]
+        scenario_path.write_text(json.dumps(docs, default=float))
+        thr = Fraction(1, 8) if threshold is None else to_fraction(threshold)
+        slices = [make_slice(graph, list(m)) for m in members]
+        comparison = compare_slices(graph, slices, parse_scenarios(scenario_path.read_text()), thr)
+        argv = ["simulate", str(graph_path), str(scenario_path), "--format", "machine"]
+        argv += [arg for m in members for arg in ("--slice", ",".join(m))]
+        argv += ["--threshold", threshold] if threshold else []
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (EXIT_OK, "")
+        assert out == _dumps(comparison_doc_reference(comparison, thr)) + "\n"
+        return comparison
+
+    fig2_slices = [S1.split(","), S2.split(",")]
+    for threshold in (None, "1"):
+        check(fig2, parse_scenarios(json.dumps(SCENARIOS)), fig2_slices, threshold)
+    empty = check(fig2, [], fig2_slices)
+    assert empty.reports == ((), ()) and empty.winners == ()
+
+    rng = random.Random(50)
+    kinds, cells, on, escaped = set(), 0, set(), 0
+    for i in range(40):
+        base = random_fd_graph(rng, max_internal=7, max_directives=9)
+        graph = relabeled(base, awkward_ids(rng, base.node_ids))
+        found = [s.members for s in SliceSearch(graph, max_slices=6)]
+        if not found:
+            continue
+        members = rng.sample(found, min(len(found), rng.randint(1, 3)))
+        scenarios = []
+        for kind in ScenarioKind:
+            sc = random_scenario(rng, graph, kind)
+            if sc.payload and "id" in sc.payload:
+                sc.payload["id"] = f'new"\\\u00e9{i}'
+            try:  # keep the scenarios every picked slice can be measured on
+                compare_slices(graph, [make_slice(graph, list(m)) for m in members], [sc])
+            except (ChangeError, MembershipError):
+                continue
+            scenarios.append(sc)
+        comparison = check(graph, scenarios, members, rng.choice([None, "0.01"]))
+        kinds.update(sc.kind for sc in scenarios)
+        cells += sum(map(len, comparison.reports))
+        on.update(r.evaluated_on for row in comparison.reports for r in row)
+        escaped += any(not n.isascii() or '"' in n or "\\" in n for n in graph.node_ids)
+        if i % 10 == 0:
+            check(graph, [], members)
+    assert kinds == set(ScenarioKind) and on == {"base", "changed"}
+    assert (cells, escaped) == (238, 37)
+
+
 def test_simulate_text(scenario_file, capsys):
     rc, out, _ = run(
         capsys, "simulate", FIG, scenario_file, "--slice", S1, "--slice", S2,
@@ -1194,7 +1258,8 @@ def _dumps_line(doc) -> str:
 
 def test_emit_prints_json_dumps(tmp_path, capsys, monkeypatch):
     # the shared encoder skips the circular-reference walk; the bytes stay
-    # those of json.dumps
+    # those of json.dumps.  simulate writes its comparison line directly
+    # (test_comparison_line_equals_json_dumps_of_the_reference)
     emit, emitted = cli_module._emit, []
 
     def spy(doc):
@@ -1206,22 +1271,17 @@ def test_emit_prints_json_dumps(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "_emit", spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tf_min": 0.5, "tf": {"n_5": 0.25}}))
-    scen = tmp_path / "scen.json"
-    scen.write_text(json.dumps(SCENARIOS))
     for argv in [
         ["validate", FIG],
         ["metrics", FIG, "--slice", S1, "--pairs", "n_1,n_3"],
         ["slices", FIG],
         ["optimize", FIG, str(cfg)],
-        ["simulate", FIG, str(scen), "--slice", S1, "--slice", S2],
         ["export", FIG, "--slice", S1],
         ["export", FIG, "--manifest", "--slice", S1],
     ]:
         assert run(capsys, *argv, "--format", "machine")[0] == EXIT_OK
     kinds = [doc.get("type", "manifest") for doc, _ in emitted]
-    assert kinds == [
-        "validation", "metrics", "summary", "optimization", "comparison", "dot", "manifest"
-    ]
+    assert kinds == ["validation", "metrics", "summary", "optimization", "dot", "manifest"]
     for doc, text in emitted:
         assert text == _dumps_line(doc)
     monkeypatch.undo()

@@ -1,6 +1,9 @@
 import ast
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 import time
 from decimal import Decimal
@@ -262,6 +265,63 @@ def test_build_graph_entries_of_the_wrong_form_are_named():
         build_graph([("m", "mission"), ("f", "function")], [("m", "f"), ["f"]])
     with pytest.raises(GraphParseError, match="^node entry 0 must carry id and kind: 5$"):
         build_graph([5], [])
+
+
+def test_build_graph_takes_str_subclass_ids():
+    # an edge end of a str subclass fails the checker's one-condition test
+    # of both ends and passes its per-end loop, as it always did
+    class Id(str):
+        pass
+
+    g = build_graph(
+        [(Id("m"), "mission"), ("f", "function"), (Id("d"), "directive")],
+        [("m", Id("f")), (Id("f"), "d", None, "critical")],
+    )
+    assert g == build_graph(
+        [("m", "mission"), ("f", "function"), ("d", "directive")],
+        [("m", "f"), ("f", "d", None, "critical")],
+    )
+    assert validate(g).ok
+    unknown = "^edge entry 0: 'm' -> 'x' references unknown node 'x'$"
+    with pytest.raises(GraphParseError, match=unknown):
+        build_graph([("m", "mission")], [("m", Id("x"))])
+
+
+def test_nodes_keep_the_dataclass_contract(fig2):
+    # the checker fills each Node through the slot descriptors; each is the
+    # node the constructor builds, by position or by keyword
+    names = ("id", "kind", "label")
+    assert tuple(f.name for f in dataclasses.fields(Node)) == names
+    doc = _tiny({"relevance": 0.7})
+    doc["nodes"][1]["label"] = "F"
+    nodes = [fig2.node(n) for n in fig2.node_ids] + [parse_graph(json.dumps(doc)).node("f")]
+    assert nodes[-1].label == "F"
+    for node in nodes:
+        assert type(node) is Node
+        built = Node(node.id, node.kind, node.label)
+        assert node == built == Node(**{name: getattr(node, name) for name in names})
+        assert hash(node) == hash(built)
+        assert node != dataclasses.replace(node, label=node.label + "x")
+        assert repr(node) == repr(built)
+        assert repr(node) == f"Node(id={node.id!r}, kind={node.kind!r}, label={node.label!r})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.label = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.kind
+        # slotted: no __dict__, so no vars() and no room for another name,
+        # which a frozen slotted dataclass refuses with TypeError on
+        # CPython 3.10 to 3.13
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(TypeError):
+            vars(node)
+        with pytest.raises((AttributeError, TypeError)):
+            node.extra = 1
+        assert dataclasses.replace(node) == node
+        assert copy.copy(node) == node
+        assert copy.deepcopy(node) == node
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(node, protocol)) == node
+    assert Node("x", NodeKind.FUNCTION) == Node(kind=NodeKind.FUNCTION, id="x", label="")
 
 
 def test_oversized_relevance_is_named():

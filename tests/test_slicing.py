@@ -20,7 +20,7 @@ from capslice.graph import (
     parts,
     validate,
 )
-from capslice.metrics import cohesion, coupling_matrix, resolve_membership
+from capslice.metrics import PairCoupling, cohesion, coupling_matrix, resolve_membership
 from capslice.optimizer import schedule_slice
 from capslice.rational import exact_sum
 from capslice.slicing import (
@@ -769,10 +769,14 @@ def test_slice_metrics_keep_the_dataclass_contract(fig2):
             assert dataclasses.replace(metrics) == metrics
             assert copy.copy(metrics) == metrics
             assert copy.deepcopy(metrics) == metrics
-            # PairCoupling has slots and no __getstate__, so, as before the
-            # metrics had slots, they pickle from protocol 2 on
-            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            # PairCoupling pickles through its __reduce__, at every protocol
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(metrics, protocol)) == metrics
+                coupling = pickle.loads(pickle.dumps(metrics.coupling, protocol))
+                assert type(coupling) is PairCoupling
+                assert (coupling.units, coupling.scale) == (
+                    metrics.coupling.units, metrics.coupling.scale
+                )
 
 
 # -- ranking ------------------------------------------------------------------
